@@ -2,7 +2,8 @@
 
 Exact integer arithmetic throughout: chain-ring elements, sparse
 polynomials, weight distributions, the per-byte duality transform, a
-brute-force dual scan, and an identity-verification oracle, plus the
+search-based dual (syndrome join, with an exhaustive scan as referee), and
+an identity-verification oracle, plus the
 `mspotty` command-line tool.
 """
 

@@ -413,7 +413,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="K",
-        help="parallel workers for the dual scan (default 1)",
+        help="parallel workers for the library's exhaustive dual scan; "
+        "the dual command uses the syndrome join (default 1)",
     )
     common.add_argument(
         "--seed", type=int, default=0, metavar="U64", help="campaign sampling seed"
@@ -438,7 +439,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", parents=[common], help="dual enumerator via transform")
     p.add_argument("file")
 
-    p = sub.add_parser("dual", parents=[common], help="dual code by exhaustive scan")
+    p = sub.add_parser(
+        "dual", parents=[common], help="dual code by half-vector syndrome join"
+    )
     p.add_argument("file")
     p.add_argument(
         "--codewords", action="store_true", help="also list every dual codeword"

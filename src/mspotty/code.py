@@ -5,16 +5,22 @@ is coords[i*b : (i+1)*b].  Codes are materialized as explicit, canonically
 sorted codeword tuples: every downstream statistic needs a full pass anyway
 at the desk-scale parameters this package targets.
 
-The dual is found by exhaustive scan of the ambient space R^N, never
-algebraically.  The scan packs each candidate vector into an integer
-(coordinate i occupies bits [m*i, m*(i+1))), checks orthogonality against
-every generator row with vectorized table lookups, and may split the index
-range into contiguous chunks handled by parallel workers; the merge is by
-chunk order, so results are identical for any worker count.
+The dual is found by search, never algebraically, along one of two routes
+that pack a vector into an integer (coordinate i occupies bits
+[m*i, m*(i+1))) and take inner products with vectorized table lookups.
+The default syndrome join splits the coordinates into two halves, computes
+the syndrome (inner products with every generator row) of every
+half-vector, and pairs halves with equal syndromes: about
+2*|R|^(N/2) + |C-dual| steps.  The exhaustive scan tests all of R^N,
+optionally in contiguous chunks on parallel workers merged in chunk order;
+it is kept as the independent referee.  Both routes end in one builder
+that sorts the packed words canonically, so results are identical for
+either route and any worker count.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -80,6 +86,17 @@ class Word:
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
+
+    @classmethod
+    def _trusted(
+        cls, coords: tuple[RingElement, ...], layout: ByteLayout, m: int
+    ) -> "Word":
+        """A word from coordinates already known to fit `layout` and `m`."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "coords", coords)
+        object.__setattr__(w, "layout", layout)
+        object.__setattr__(w, "m", m)
+        return w
 
     @classmethod
     def from_bits(cls, bits: Iterable[int], m: int, layout: ByteLayout) -> "Word":
@@ -196,10 +213,23 @@ class LinearCode:
         object.__setattr__(self, "codewords", tuple(unique))
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_index", frozenset(unique))
+        object.__setattr__(self, "_index", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearCode is immutable")
+
+    @classmethod
+    def _trusted(
+        cls, codewords: tuple[Word, ...], layout: ByteLayout, m: int
+    ) -> "LinearCode":
+        """A code from words already unique, canonically sorted and bound
+        to `layout` and `m`."""
+        C = object.__new__(cls)
+        object.__setattr__(C, "codewords", codewords)
+        object.__setattr__(C, "layout", layout)
+        object.__setattr__(C, "m", m)
+        object.__setattr__(C, "_index", None)
+        return C
 
     def __len__(self) -> int:
         return len(self.codewords)
@@ -208,6 +238,8 @@ class LinearCode:
         return iter(self.codewords)
 
     def __contains__(self, w: Word) -> bool:
+        if self._index is None:  # built on first use
+            object.__setattr__(self, "_index", frozenset(self.codewords))
         return w in self._index
 
     def ambient_size(self) -> int:
@@ -272,6 +304,11 @@ def code_size_from_profile(m: int, profile: Sequence[int]) -> int:
     return 1 << s
 
 
+def _times_table(c: int, m: int) -> np.ndarray:
+    """x -> c*x over all 2^m ring elements, as a lookup array."""
+    return np.array([mul_bits(c, x, m) for x in range(1 << m)], dtype=np.uint16)
+
+
 def _scan_chunk(
     lo: int, hi: int, m: int, n_coords: int, rows_bits: tuple[tuple[int, ...], ...]
 ) -> np.ndarray:
@@ -288,12 +325,111 @@ def _scan_chunk(
         for i, c in enumerate(row):
             if c == 0:
                 continue
-            table = np.array(
-                [mul_bits(c, x, m) for x in range(1 << m)], dtype=np.uint16
-            )
-            acc ^= table[digits[i]]
+            acc ^= _times_table(c, m)[digits[i]]
         ok &= acc == 0
     return idx[ok]
+
+
+def _half_syndromes(
+    m: int, rows_bits: tuple[tuple[int, ...], ...], coords: range
+) -> np.ndarray:
+    """Syndromes of every vector supported on `coords`, one row per vector.
+
+    Vector j puts digit i of j (m bits each) on coordinate coords[i].  Row r
+    of the generator matrix contributes an m-bit inner product, packed into
+    uint64 column r // (64 // m); a matrix with no rows has one zero column.
+    """
+    mask = np.uint64((1 << m) - 1)
+    idx = np.arange(1 << (m * len(coords)), dtype=np.uint64)
+    digits = [(idx >> np.uint64(m * i)) & mask for i in range(len(coords))]
+    per_col = 64 // m
+    n_cols = max(1, -(-len(rows_bits) // per_col))
+    syn = np.zeros((idx.size, n_cols), dtype=np.uint64)
+    for r, row in enumerate(rows_bits):
+        acc = np.zeros(idx.shape, dtype=np.uint16)
+        for i, pos in enumerate(coords):
+            if row[pos]:
+                acc ^= _times_table(row[pos], m)[digits[i]]
+        shift = np.uint64(m * (r % per_col))
+        syn[:, r // per_col] |= acc.astype(np.uint64) << shift
+    return syn
+
+
+def _join_dual(m: int, N: int, rows_bits: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Packed dual words found by matching half-vector syndromes.
+
+    With v = v_L + v_R split over coordinates [0, h) and [h, N), <row, v> =
+    <row, v_L> + <row, v_R>, and in characteristic 2 the sum vanishes iff
+    the two halves have equal syndromes.
+    """
+    h = N // 2
+    left = _half_syndromes(m, rows_bits, range(h))
+    right = _half_syndromes(m, rows_bits, range(h, N))
+    if left.shape[1] == 1:
+        left, right = left[:, 0], right[:, 0]
+    else:  # compare whole rows: rank them jointly, then join on the rank
+        _, ranks = np.unique(
+            np.concatenate([left, right]), axis=0, return_inverse=True
+        )
+        ranks = ranks.reshape(-1)
+        left, right = ranks[: len(left)], ranks[len(left) :]
+    order = np.argsort(right, kind="stable")
+    right = right[order]
+    lo = np.searchsorted(right, left, side="left")
+    counts = np.searchsorted(right, left, side="right") - lo
+    left_idx = np.repeat(np.arange(len(left), dtype=np.uint64), counts)
+    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    right_idx = order[np.repeat(lo, counts) + offsets].astype(np.uint64)
+    return left_idx | (right_idx << np.uint64(m * h))
+
+
+def _scan_dual(
+    m: int,
+    N: int,
+    rows_bits: tuple[tuple[int, ...], ...],
+    workers: int,
+    chunk_size: int,
+) -> np.ndarray:
+    """Packed dual words found by testing every vector of R^N."""
+    space = 1 << (m * N)
+    chunks = [(lo, min(lo + chunk_size, space)) for lo in range(0, space, chunk_size)]
+    procs = min(workers, len(chunks), os.cpu_count() or 1)
+    if procs == 1:
+        hits = [_scan_chunk(lo, hi, m, N, rows_bits) for lo, hi in chunks]
+    else:
+        with ProcessPoolExecutor(max_workers=procs) as pool:
+            futures = [
+                pool.submit(_scan_chunk, lo, hi, m, N, rows_bits)
+                for lo, hi in chunks
+            ]
+            hits = [f.result() for f in futures]  # submission order: deterministic
+    return np.concatenate(hits)
+
+
+def _code_from_packed(packed: np.ndarray, layout: ByteLayout, m: int) -> LinearCode:
+    """LinearCode of packed words (coordinate i in bits [m*i, m*(i+1))).
+
+    Words are ordered by a key with coordinate 0 as the most significant
+    digit, which is the order `Word.__lt__` gives, so the result equals
+    `LinearCode` built from the same words by the public constructor.
+    """
+    N = layout.N
+    mask = np.uint64((1 << m) - 1)
+    key = np.zeros(packed.shape, dtype=np.uint64)
+    for i in range(N):
+        key = (key << np.uint64(m)) | ((packed >> np.uint64(m * i)) & mask)
+    key = np.unique(key)
+    shifts = np.arange(N - 1, -1, -1, dtype=np.uint64) * np.uint64(m)
+    digits = (key[:, None] >> shifts[None, :]) & mask
+    elems = tuple(RingElement(m, x) for x in range(1 << m))
+    words = [
+        Word._trusted(tuple(elems[x] for x in row), layout, m)
+        for row in digits.tolist()
+    ]
+    return LinearCode._trusted(tuple(words), layout, m)
+
+
+_DUAL_METHODS = ("join", "scan")
 
 
 def dual(
@@ -301,12 +437,21 @@ def dual(
     budget: int = DEFAULT_SPACE_BUDGET,
     workers: int = 1,
     chunk_size: int = _SCAN_CHUNK,
+    method: str = "join",
 ) -> LinearCode:
-    """Exhaustive-scan dual: every v in R^N with <row, v> = 0 for all rows.
+    """Every v in R^N with <row, v> = 0 for all rows of G.
 
     Orthogonality to the generators implies orthogonality to the whole code
     by bilinearity.  An empty matrix dualizes to the full space.
+    `method="join"` matches half-vector syndromes; `method="scan"` tests
+    every vector of R^N (in chunks of `chunk_size`, on up to `workers`
+    processes) and is kept as the independent referee.  Both return the
+    same code, and `budget` caps |R|^N for either.
     """
+    if method not in _DUAL_METHODS:
+        raise ParameterError(
+            f"dual method must be one of {', '.join(_DUAL_METHODS)}, got {method!r}"
+        )
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     m, N = G.m, G.layout.N
@@ -318,23 +463,11 @@ def dual(
     if space > budget:
         raise BudgetError("dual scan over R^N", space, budget)
     rows_bits = tuple(tuple(x.bits for x in row) for row in G.rows)
-    chunks = [(lo, min(lo + chunk_size, space)) for lo in range(0, space, chunk_size)]
-    if workers == 1 or len(chunks) == 1:
-        hits = [_scan_chunk(lo, hi, m, N, rows_bits) for lo, hi in chunks]
+    if method == "join":
+        found = _join_dual(m, N, rows_bits)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_scan_chunk, lo, hi, m, N, rows_bits)
-                for lo, hi in chunks
-            ]
-            hits = [f.result() for f in futures]  # submission order: deterministic
-    mask = (1 << m) - 1
-    found = np.concatenate(hits) if len(hits) > 1 else hits[0]
-    words = [
-        Word.from_bits(((v >> (m * i)) & mask for i in range(N)), m, G.layout)
-        for v in found.tolist()
-    ]
-    return LinearCode(words, G.layout, m)
+        found = _scan_dual(m, N, rows_bits, workers, chunk_size)
+    return _code_from_packed(found, G.layout, m)
 
 
 def generating_rows(C: LinearCode) -> GeneratorMatrix:

@@ -206,7 +206,7 @@ def dual_enumerator_bruteforce(
     G: GeneratorMatrix, budget: int = DEFAULT_SPACE_BUDGET, workers: int = 1
 ) -> Polynomial:
     """Weight enumerator of the scanned dual; no transform involved."""
-    return enumerator(dual(G, budget=budget, workers=workers))
+    return enumerator(dual(G, budget=budget, workers=workers, method="scan"))
 
 
 # --- partition search ----------------------------------------------------
@@ -354,7 +354,9 @@ def poisson_check(
     """Summation identity: the dual's enumerator equals the average over C
     of the per-word transforms, each a product of per-byte scans."""
     t = C.layout.t
-    scanned = enumerator(dual(generating_rows(C), budget=budget, workers=workers))
+    scanned = enumerator(
+        dual(generating_rows(C), budget=budget, workers=workers, method="scan")
+    )
     cache: dict[tuple[int, ...], Polynomial] = {}
     acc = Polynomial.zero()
     for w in C:

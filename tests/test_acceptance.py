@@ -91,10 +91,10 @@ def test_criterion_4_bruteforce_dual_scan():
     G = load_matrix(EXAMPLE)
     assert 1 << (G.m * G.layout.N) == 16_777_216
     t0 = perf_counter()
-    Cd = dual(G, workers=1)
+    Cd = dual(G, workers=1, method="scan")
     dt1 = perf_counter() - t0
     t0 = perf_counter()
-    Cd8 = dual(G, workers=8)
+    Cd8 = dual(G, workers=8, method="scan")
     dt8 = perf_counter() - t0
     W_scan = enumerator(Cd)
     ok = (

@@ -1,16 +1,22 @@
-"""Words, matrix parsing, span closure, and the exhaustive dual scan."""
+"""Words, matrix parsing, span closure, and the dual (join and scan)."""
 
 import itertools
 import random
+from concurrent.futures import Future
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mspotty import code as code_module
 from mspotty.code import (
     ByteLayout,
     GeneratorMatrix,
     LinearCode,
     Word,
+    _code_from_packed,
     code_size_from_profile,
     dual,
     generating_rows,
@@ -246,10 +252,13 @@ def test_dual_of_empty_matrix_is_full_space():
 def test_dual_worker_and_chunk_invariance():
     lay = ByteLayout(b=2, t=1, n=2)
     G = _random_matrix(random.Random(43), 2, 2, lay)
-    base = dual(G)
-    assert dual(G, workers=3).codewords == base.codewords
-    assert dual(G, chunk_size=7).codewords == base.codewords
-    assert dual(G, workers=2, chunk_size=16).codewords == base.codewords
+    base = dual(G, method="scan")
+    assert dual(G, workers=3, method="scan").codewords == base.codewords
+    assert dual(G, chunk_size=7, method="scan").codewords == base.codewords
+    assert (
+        dual(G, workers=2, chunk_size=16, method="scan").codewords
+        == base.codewords
+    )
 
 
 def test_dual_budget_error_names_space():
@@ -268,6 +277,129 @@ def test_dual_rejects_bad_workers_and_overflow():
     wide = GeneratorMatrix([], ByteLayout(b=8, t=1, n=8), m=1)
     with pytest.raises(ParameterError):
         dual(wide, budget=1 << 70)
+    with pytest.raises(ParameterError, match="method"):
+        dual(G, method="mitm")
+
+
+def _assert_join_equals_scan(G):
+    joined = dual(G)
+    scanned = dual(G, method="scan")
+    assert joined.codewords == scanned.codewords
+    assert len(span(G)) * len(joined) == 1 << (G.m * G.layout.N)
+
+
+def test_dual_join_matches_scan_random():
+    rng = random.Random(71)
+    shapes = [  # (m, b, n, k): N = 1, odd N, m = 1, k = 0 and wider codes
+        (1, 1, 1, 1), (2, 1, 1, 0), (3, 1, 1, 2), (1, 3, 1, 2), (1, 5, 1, 3),
+        (2, 3, 1, 1), (2, 1, 3, 2), (1, 2, 3, 4), (3, 2, 2, 2), (2, 2, 2, 0),
+        (4, 1, 3, 1), (1, 4, 2, 5), (2, 5, 1, 3),
+    ]
+    for m, b, n, k in shapes:
+        for _ in range(4):
+            lay = ByteLayout(b=b, t=rng.randrange(1, b + 1), n=n)
+            _assert_join_equals_scan(_random_matrix(rng, m, k, lay))
+    zero_rows = [tuple(zero(2) for _ in range(4))] * 2
+    _assert_join_equals_scan(GeneratorMatrix(zero_rows, ByteLayout(b=2, t=1, n=2)))
+
+
+@st.composite
+def _small_matrices(draw):
+    """Up to 4 rows over R^N with m*N <= 12, so the scan stays cheap."""
+    m = draw(st.integers(1, 3))
+    N = draw(st.integers(1, 12 // m))
+    element = st.integers(0, (1 << m) - 1).map(lambda x: RingElement(m, x))
+    rows = draw(st.lists(st.lists(element, min_size=N, max_size=N), max_size=4))
+    return GeneratorMatrix(rows, ByteLayout(b=N, t=1, n=1), m=m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_matrices())
+def test_dual_join_matches_scan_property(G):
+    _assert_join_equals_scan(G)
+
+
+def test_dual_join_splits_wide_syndromes():
+    """k*m > 64 bits of syndrome.  Row 0 and the last row are two base rows
+    and the rows between are non-unit multiples of row 0, so the last
+    syndrome column carries information no other column does, and the dual
+    stays large enough to compare."""
+    rng = random.Random(83)
+    for m, N, k in ((1, 4, 65), (4, 3, 17), (2, 4, 40)):
+        lay = ByteLayout(b=N, t=1, n=1)
+        base = _random_matrix(rng, m, 2, lay).rows
+        rows = [base[0]]
+        for _ in range(k - 2):
+            a = RingElement(m, rng.randrange(0, 1 << m, 2))
+            rows.append(tuple(a * x for x in base[0]))
+        rows.append(base[1])
+        G = GeneratorMatrix(rows, lay, m=m)
+        assert k * m > 64
+        joined = dual(G)
+        assert joined.codewords == dual(G, method="scan").codewords
+        assert joined.codewords == dual(GeneratorMatrix(base, lay, m=m)).codewords
+        assert len(joined) > 1
+
+
+def test_dual_join_matches_scan_worked_example():
+    G = load_matrix(DATA / "worked_example.txt")
+    assert dual(G).codewords == dual(G, method="scan").codewords
+
+
+def test_code_from_packed_matches_public_constructor():
+    rng = random.Random(89)
+    for m, b, n in ((1, 3, 2), (2, 3, 1), (3, 2, 2), (4, 3, 2)):
+        lay = ByteLayout(b=b, t=1, n=n)
+        mask = (1 << m) - 1
+        packed = [rng.randrange(1 << (m * lay.N)) for _ in range(30)]
+        packed += packed[:10]  # duplicates collapse, as in the constructor
+        built = _code_from_packed(np.array(packed, dtype=np.uint64), lay, m)
+        words = [
+            Word.from_bits(((v >> (m * i)) & mask for i in range(lay.N)), m, lay)
+            for v in packed
+        ]
+        public = LinearCode(words, lay, m)
+        assert built.codewords == public.codewords
+        assert built.layout == lay and built.m == m
+        assert all(w in built for w in words)
+        absent = next(v for v in range(1 << (m * lay.N)) if v not in packed)
+        absent_word = Word.from_bits(
+            ((absent >> (m * i)) & mask for i in range(lay.N)), m, lay
+        )
+        assert absent_word not in built
+
+
+def test_dual_scan_clamps_process_count(monkeypatch):
+    """The pool gets at most min(workers, chunks, cpus) processes; a fake
+    executor records the request and runs the chunks in-process."""
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(code_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(code_module.os, "cpu_count", lambda: 3)
+    lay = ByteLayout(b=2, t=1, n=2)  # m = 2: 256 vectors
+    G = _random_matrix(random.Random(97), 2, 1, lay)
+    base = dual(G, method="scan")
+    for workers, chunk_size in ((10**6, 128), (10**6, 16), (2, 16)):
+        Cd = dual(G, method="scan", workers=workers, chunk_size=chunk_size)
+        assert Cd.codewords == base.codewords
+    assert requested == [2, 3, 2]
+    dual(G, method="scan", workers=10**6)  # one chunk: no pool at all
+    assert requested == [2, 3, 2]
 
 
 def test_generating_rows_reproduces_code():
