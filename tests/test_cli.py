@@ -223,6 +223,39 @@ def test_info(capsys):
     assert "mspotty" in out and "exit_codes" in out
 
 
+# Exact stdout bytes and exit codes, pinned in tests/data/golden/ as
+# <case>.<format>.  "{small}" stands for a file holding SMALL.  The files
+# were written by the CLI itself and are the output contract: a change that
+# alters them changes what users see.
+GOLDEN = DATA / "golden"
+GOLDEN_CASES = {
+    "enumerate_example": (["enumerate", EXAMPLE], 0),
+    "enumerate_small": (["enumerate", "{small}"], 0),
+    "transform_example": (["transform", EXAMPLE], 0),
+    "transform_small": (["transform", "{small}"], 0),
+    "dual_small": (["dual", "{small}"], 0),
+    "dual_small_codewords": (["dual", "{small}", "--codewords"], 0),
+    "dual_example": (["dual", EXAMPLE], 0),
+    "tables_4_3_2": (["tables", "4", "3", "2"], 0),
+    "tables_1_1_1": (["tables", "1", "1", "1"], 0),
+    "verify": (["verify", "--grid-m", "1,2", "--grid-b", "1",
+                "--samples", "3", "--seed", "9"], 0),
+    "verify_fault": (["verify", "--grid-m", "1,2", "--grid-b", "1",
+                      "--samples", "3", "--seed", "9", "--inject-fault"], 5),
+    "info": (["info"], 0),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_outputs(capsys, small_file, case, fmt):
+    argv, want_code = GOLDEN_CASES[case]
+    argv = [small_file if a == "{small}" else a for a in argv]
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == want_code
+    assert out.encode("utf-8") == (GOLDEN / f"{case}.{fmt}").read_bytes()
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "mspotty.cli", "info"],
