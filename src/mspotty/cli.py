@@ -2,7 +2,9 @@
 
 Subcommands: enumerate, tables, transform, dual, verify, info.  Output is
 deterministic: no timestamps, sorted JSON keys, fixed iteration orders, and
-a worker count that can only change wall time, never bytes.
+a worker count that can only change wall time, never bytes.  Each command
+but verify and info builds an ordered list of typed `Section`s, and
+`_render` prints that list as text, JSON or CSV.
 
 Exit codes: 0 success, 2 parse/parameter error, 3 budget exceeded,
 4 integrity failure (inexact division or internal cross-check), 5
@@ -20,7 +22,9 @@ from dataclasses import dataclass
 
 from . import __version__
 from .code import (
+    ByteLayout,
     GeneratorMatrix,
+    LinearCode,
     dual,
     load_matrix,
     span,
@@ -46,8 +50,11 @@ DEFAULT_MAX_SPACE = 1 << 28
 # Known discrepancy on the bundled worked example: some circulated
 # tabulations list the top enumerator term as 104z^6, which exceeds the
 # weight ceiling n*ceil(b/t) = 4; direct enumeration puts it at 104z^4.
-_MISPRINT_PARAMS = (4, 3, 2, 2)  # (m, b, t, n)
-_MISPRINT_POLY = Polynomial({0: 1, 1: 10, 2: 183, 3: 214, 4: 104})
+_MISPRINT = (
+    4,
+    ByteLayout(b=3, t=2, n=2),
+    Polynomial({0: 1, 1: 10, 2: 183, 3: 214, 4: 104}),
+)  # (m, layout, W)
 _MISPRINT_NOTE = (
     "note: top term is 104z^4 (the weight ceiling n*ceil(b/t) = 4); "
     "a circulated tabulation of this example prints 104z^6, which lies "
@@ -67,7 +74,6 @@ _READING_NOTE = (
 class RunConfig:
     """One CLI invocation, validated."""
 
-    command: str
     path: str | None
     fmt: str
     max_space: int
@@ -84,145 +90,145 @@ class RunConfig:
             raise ParameterError(f"--seed must fit in 64 bits, got {self.seed}")
 
 
-# --- shared rendering helpers --------------------------------------------
+# --- report model -------------------------------------------------------
 
 
-def _poly_json(p: Polynomial) -> dict:
-    return {"terms": p.to_json_terms()}
+@dataclass(frozen=True)
+class Section:
+    """One typed piece of a report, printed by `_render` in any format.
+
+    kind is one of: layout (m, b, t, n, N), params (the `tables` header),
+    size, dist, poly, kernel (key is j), codewords, note.  key names the
+    JSON key or CSV section, label the text form.
+    """
+
+    kind: str
+    value: object
+    key: object = ""
+    label: str = ""
 
 
-def _dist_json(dist: DistributionTable) -> list[dict]:
-    return [
-        {"alpha": list(alpha), "count": str(count)} for alpha, count in dist.items()
-    ]
-
-
-def _dist_text(dist: DistributionTable) -> list[str]:
-    b = dist.layout.b
-    head = ", ".join(f"alpha_{j}" for j in range(b + 1))
-    lines = [f"distribution ({head} : count):"]
-    for alpha, count in dist.items():
-        lines.append(f"  ({', '.join(str(a) for a in alpha)}) : {count}")
-    return lines
-
-
-def _csv_body(rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def _dist_csv_rows(dist: DistributionTable) -> list[list[str]]:
-    return [
-        ["distribution", " ".join(str(a) for a in alpha), str(count)]
-        for alpha, count in dist.items()
-    ]
-
-
-def _poly_csv_rows(section: str, p: Polynomial) -> list[list[str]]:
-    return [[section, f"z^{e}", str(c)] for e, c in p.terms()]
+def _layout(G: GeneratorMatrix) -> Section:
+    lay = G.layout
+    return Section("layout", {"m": G.m, "b": lay.b, "t": lay.t, "n": lay.n, "N": lay.N})
 
 
 def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _layout_meta(G: GeneratorMatrix) -> dict:
-    lay = G.layout
-    return {"m": G.m, "b": lay.b, "t": lay.t, "n": lay.n, "N": lay.N}
+def _csv_body(rows: list[list[str]]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
-def _meta_text(meta: dict) -> str:
-    return " ".join(f"{k}={meta[k]}" for k in ("m", "b", "t", "n", "N"))
-
-
-def _meta_csv_rows(meta: dict) -> list[list[str]]:
-    return [["meta", k, str(meta[k])] for k in ("m", "b", "t", "n", "N")]
-
-
-def _misprint_note(G: GeneratorMatrix, W: Polynomial) -> str | None:
-    lay = G.layout
-    if (G.m, lay.b, lay.t, lay.n) == _MISPRINT_PARAMS and W == _MISPRINT_POLY:
-        return _MISPRINT_NOTE
-    return None
+def _render(fmt: str, command: str, sections: list[Section]) -> str:
+    """Print sections in order; in CSV every scalar becomes a leading
+    `meta` row, and in JSON kernels collect under `kernels`."""
+    if fmt == "json":
+        obj: dict = {"command": command}
+        for s in sections:
+            if s.kind in ("layout", "params"):
+                obj.update(s.value)
+            elif s.kind == "size":
+                obj[s.key] = str(s.value)
+            elif s.kind == "dist":
+                obj["distribution"] = [
+                    {"alpha": list(a), "count": str(c)} for a, c in s.value.items()
+                ]
+            elif s.kind == "poly":
+                obj[s.key] = {"terms": s.value.to_json_terms()}
+            elif s.kind == "kernel":
+                obj.setdefault("kernels", []).append(
+                    {"j": s.key, "terms": s.value.to_json_terms()}
+                )
+            elif s.kind == "codewords":
+                obj["codewords"] = [str(w) for w in s.value]
+            else:
+                obj["note"] = s.value
+        return _json_dump(obj)
+    if fmt == "csv":
+        meta: list[list[str]] = []
+        rows: list[list[str]] = []
+        for s in sections:
+            if s.kind == "layout":
+                meta += [["meta", k, str(v)] for k, v in s.value.items()]
+            elif s.kind == "size":
+                meta.append(["meta", s.key, str(s.value)])
+            elif s.kind == "dist":
+                rows += [
+                    ["distribution", " ".join(map(str, a)), str(c)]
+                    for a, c in s.value.items()
+                ]
+            elif s.kind in ("poly", "kernel"):
+                section = s.key if s.kind == "poly" else f"F_{s.key}"
+                rows += [[section, f"z^{e}", str(c)] for e, c in s.value.terms()]
+            elif s.kind == "codewords":
+                rows += [["codeword", str(i), str(w)] for i, w in enumerate(s.value)]
+            elif s.kind == "note":
+                rows.append(["note", "", s.value])
+        return _csv_body([["section", "key", "value"], *meta, *rows])
+    lines = []
+    for s in sections:
+        if s.kind in ("layout", "params"):
+            lines.append(" ".join(f"{k}={v}" for k, v in s.value.items()))
+        elif s.kind in ("size", "poly"):
+            lines.append(f"{s.label} = {s.value}")
+        elif s.kind == "dist":
+            head = ", ".join(f"alpha_{j}" for j in range(s.value.layout.b + 1))
+            lines.append(f"distribution ({head} : count):")
+            lines += [f"  ({', '.join(map(str, a))}) : {c}" for a, c in s.value.items()]
+        elif s.kind == "kernel":
+            lines.append(f"F_{s.key}(z) = {s.value}")
+        elif s.kind == "codewords":
+            lines.append("codewords:")
+            lines += [f"  {w}" for w in s.value]
+        else:
+            lines.append(s.value)
+    return "\n".join(lines) + "\n"
 
 
 # --- subcommands ----------------------------------------------------------
 
 
-def _enumerate_code(cfg: RunConfig):
-    """Shared front half of enumerate/transform: file -> (G, C, dist, W)."""
-    G = load_matrix(cfg.path)
-    C = span(G, budget=cfg.max_space)
+def _statistics(C: LinearCode) -> tuple[DistributionTable, Polynomial]:
+    """Distribution and enumerator of C, cross-checked: the direct
+    enumerator must equal the regrouped distribution."""
     dist = distribution(C)
     W = enumerator(C)
     if enumerator_from_distribution(dist) != W:
         raise IntegrityError(
             "direct enumerator disagrees with the distribution regrouping"
         )
-    return G, C, dist, W
+    return dist, W
 
 
 def cmd_enumerate(cfg: RunConfig, args) -> tuple[str, int]:
-    G, C, dist, W = _enumerate_code(cfg)
-    meta = _layout_meta(G)
-    note = _misprint_note(G, W)
-    if cfg.fmt == "json":
-        obj = {
-            "command": "enumerate",
-            **meta,
-            "code_size": str(len(C)),
-            "distribution": _dist_json(dist),
-            "enumerator": _poly_json(W),
-        }
-        if note:
-            obj["note"] = note
-        return _json_dump(obj), 0
-    if cfg.fmt == "csv":
-        rows = [["section", "key", "value"]]
-        rows += _meta_csv_rows(meta)
-        rows.append(["meta", "code_size", str(len(C))])
-        rows += _dist_csv_rows(dist)
-        rows += _poly_csv_rows("enumerator", W)
-        if note:
-            rows.append(["note", "", note])
-        return _csv_body(rows), 0
-    lines = [_meta_text(meta), f"|C| = {len(C)}"]
-    lines += _dist_text(dist)
-    lines.append(f"W(z) = {W}")
-    if note:
-        lines.append(note)
-    return "\n".join(lines) + "\n", 0
+    G = load_matrix(cfg.path)
+    C = span(G, budget=cfg.max_space)
+    dist, W = _statistics(C)
+    notes = [Section("note", _MISPRINT_NOTE)] if (C.m, C.layout, W) == _MISPRINT else []
+    return _render(cfg.fmt, "enumerate", [
+        _layout(G),
+        Section("size", len(C), "code_size", "|C|"),
+        Section("dist", dist),
+        Section("poly", W, "enumerator", "W(z)"),
+        *notes,
+    ]), 0
 
 
 def cmd_tables(cfg: RunConfig, args) -> tuple[str, int]:
     m, b, t = args.m, args.b, args.t
-    kernels = [(j, f_poly(j, b, m, t)) for j in range(b + 1)]
-    if cfg.fmt == "json":
-        obj = {
-            "command": "tables",
-            "m": m,
-            "b": b,
-            "t": t,
-            "kernels": [{"j": j, **_poly_json(p)} for j, p in kernels],
-        }
-        return _json_dump(obj), 0
-    if cfg.fmt == "csv":
-        rows = [["section", "key", "value"]]
-        for j, p in kernels:
-            rows += _poly_csv_rows(f"F_{j}", p)
-        return _csv_body(rows), 0
-    lines = [f"m={m} b={b} t={t}"]
-    for j, p in kernels:
-        lines.append(f"F_{j}(z) = {p}")
-    return "\n".join(lines) + "\n", 0
+    kernels = [Section("kernel", f_poly(j, b, m, t), j) for j in range(b + 1)]
+    params = Section("params", {"m": m, "b": b, "t": t})
+    return _render(cfg.fmt, "tables", [params, *kernels]), 0
 
 
 def cmd_transform(cfg: RunConfig, args) -> tuple[str, int]:
-    G, C, dist, W = _enumerate_code(cfg)
-    meta = _layout_meta(G)
+    G = load_matrix(cfg.path)
+    C = span(G, budget=cfg.max_space)
+    dist, W = _statistics(C)
     ambient = 1 << (G.m * G.layout.N)
     if ambient % len(C):
         raise IntegrityError(
@@ -234,76 +240,29 @@ def cmd_transform(cfg: RunConfig, args) -> tuple[str, int]:
         raise IntegrityError(
             f"dual enumerator evaluates to {W_dual(1)} at z=1, expected {dual_size}"
         )
-    note = _misprint_note(G, W)
-    if cfg.fmt == "json":
-        obj = {
-            "command": "transform",
-            **meta,
-            "code_size": str(len(C)),
-            "dual_size": str(dual_size),
-            "enumerator": _poly_json(W),
-            "dual_enumerator": _poly_json(W_dual),
-        }
-        if note:
-            obj["note"] = note
-        return _json_dump(obj), 0
-    if cfg.fmt == "csv":
-        rows = [["section", "key", "value"]]
-        rows += _meta_csv_rows(meta)
-        rows.append(["meta", "code_size", str(len(C))])
-        rows.append(["meta", "dual_size", str(dual_size)])
-        rows += _poly_csv_rows("enumerator", W)
-        rows += _poly_csv_rows("dual_enumerator", W_dual)
-        if note:
-            rows.append(["note", "", note])
-        return _csv_body(rows), 0
-    lines = [
-        _meta_text(meta),
-        f"|C| = {len(C)}",
-        f"W(z) = {W}",
-        f"|C-dual| = {dual_size}",
-        f"W-dual(z) = {W_dual}",
-    ]
-    if note:
-        lines.append(note)
-    return "\n".join(lines) + "\n", 0
+    notes = [Section("note", _MISPRINT_NOTE)] if (C.m, C.layout, W) == _MISPRINT else []
+    return _render(cfg.fmt, "transform", [
+        _layout(G),
+        Section("size", len(C), "code_size", "|C|"),
+        Section("poly", W, "enumerator", "W(z)"),
+        Section("size", dual_size, "dual_size", "|C-dual|"),
+        Section("poly", W_dual, "dual_enumerator", "W-dual(z)"),
+        *notes,
+    ]), 0
 
 
 def cmd_dual(cfg: RunConfig, args) -> tuple[str, int]:
     G = load_matrix(cfg.path)
     Cd = dual(G, budget=cfg.max_space, workers=cfg.workers)
-    dist = distribution(Cd)
-    W = enumerator(Cd)
-    meta = _layout_meta(G)
-    if cfg.fmt == "json":
-        obj = {
-            "command": "dual",
-            **meta,
-            "dual_size": str(len(Cd)),
-            "distribution": _dist_json(dist),
-            "enumerator": _poly_json(W),
-        }
-        if args.codewords:
-            obj["codewords"] = [str(w) for w in Cd]
-        return _json_dump(obj), 0
-    if cfg.fmt == "csv":
-        rows = [["section", "key", "value"]]
-        rows += _meta_csv_rows(meta)
-        rows.append(["meta", "dual_size", str(len(Cd))])
-        rows += _dist_csv_rows(dist)
-        rows += _poly_csv_rows("enumerator", W)
-        if args.codewords:
-            rows += [
-                ["codeword", str(i), str(w)] for i, w in enumerate(Cd)
-            ]
-        return _csv_body(rows), 0
-    lines = [_meta_text(meta), f"|C-dual| = {len(Cd)}"]
-    lines += _dist_text(dist)
-    lines.append(f"W-dual(z) = {W}")
-    if args.codewords:
-        lines.append("codewords:")
-        lines += [f"  {w}" for w in Cd]
-    return "\n".join(lines) + "\n", 0
+    dist, W = _statistics(Cd)
+    words = [Section("codewords", Cd)] if args.codewords else []
+    return _render(cfg.fmt, "dual", [
+        _layout(G),
+        Section("size", len(Cd), "dual_size", "|C-dual|"),
+        Section("dist", dist),
+        Section("poly", W, "enumerator", "W-dual(z)"),
+        *words,
+    ]), 0
 
 
 def _parse_grid(text: str, what: str) -> tuple[int, ...]:
@@ -475,7 +434,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = RunConfig(
-            command=args.command,
             path=getattr(args, "file", None),
             fmt=args.format,
             max_space=args.max_space,
@@ -490,7 +448,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(body)
         return code
-    except (MatrixParseError, ParameterError) as exc:
+    except (MatrixParseError, ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_PARSE
     except BudgetError as exc:
@@ -499,9 +457,6 @@ def main(argv=None) -> int:
     except IntegrityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INTEGRITY
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_PARSE
 
 
 if __name__ == "__main__":
