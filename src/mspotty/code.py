@@ -263,6 +263,17 @@ def inner_product(x: Sequence[RingElement], y: Sequence[RingElement]) -> RingEle
     return RingElement(m, acc)
 
 
+def _add_row(
+    words: set[tuple[int, ...]], row_bits: tuple[int, ...], m: int
+) -> set[tuple[int, ...]]:
+    """Close a set of coefficient-bit words under adding R-multiples of one
+    row: {w + a*row : w in words, a in R}.  Ring addition is XOR."""
+    multiples = [tuple(mul_bits(a, x, m) for x in row_bits) for a in range(1 << m)]
+    return {
+        tuple(wb ^ mb for wb, mb in zip(w, mult)) for w in words for mult in multiples
+    }
+
+
 def span(G: GeneratorMatrix, budget: int = DEFAULT_SPAN_BUDGET) -> LinearCode:
     """All R-linear combinations of the rows of G, deduplicated.
 
@@ -275,17 +286,8 @@ def span(G: GeneratorMatrix, budget: int = DEFAULT_SPAN_BUDGET) -> LinearCode:
     if tuples > budget:
         raise BudgetError("span over R^k coefficient tuples", tuples, budget)
     words = {(0,) * N}
-    scalars = range(1 << m)
     for row in G.rows:
-        row_bits = tuple(x.bits for x in row)
-        multiples = [
-            tuple(mul_bits(a, rb, m) for rb in row_bits) for a in scalars
-        ]
-        words = {
-            tuple(wb ^ mb for wb, mb in zip(w, mult))
-            for w in words
-            for mult in multiples
-        }
+        words = _add_row(words, tuple(x.bits for x in row), m)
     return LinearCode(
         (Word.from_bits(bits, m, G.layout) for bits in words), G.layout, m
     )
@@ -476,7 +478,6 @@ def generating_rows(C: LinearCode) -> GeneratorMatrix:
     Useful for re-dualizing a code that is only known by its codeword set.
     """
     m, layout, N = C.m, C.layout, C.layout.N
-    scalars = range(1 << m)
     spanned = {(0,) * N}
     gens: list[tuple[RingElement, ...]] = []
     for w in C.codewords:
@@ -484,12 +485,7 @@ def generating_rows(C: LinearCode) -> GeneratorMatrix:
         if bits in spanned:
             continue
         gens.append(w.coords)
-        multiples = [tuple(mul_bits(a, x, m) for x in bits) for a in scalars]
-        spanned = {
-            tuple(sb ^ mb for sb, mb in zip(s, mult))
-            for s in spanned
-            for mult in multiples
-        }
+        spanned = _add_row(spanned, bits, m)
         if len(spanned) == len(C):
             break
     return GeneratorMatrix(gens, layout, m=m)
@@ -521,6 +517,8 @@ def _parse_header(line: str, lineno: int) -> tuple[int, int, int]:
             values.append(int(body))
         except ValueError:
             raise MatrixParseError(f"bad integer for {key}: {body!r}", lineno) from None
+    if values[1] < 1:
+        raise MatrixParseError(f"byte size b must be >= 1, got {values[1]}", lineno)
     return values[0], values[1], values[2]
 
 

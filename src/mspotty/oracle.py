@@ -470,10 +470,22 @@ def campaign(
     Bytes are enumerated exhaustively when m*b <= 8 and sampled (seeded,
     zero byte always included) otherwise.  inject_fault flips one chi
     value in the first ideal sum as a negative control; exactly one
-    report must then fail.
+    report must then fail.  A cell whose byte scans (bytes checked times
+    |R|^b) would exceed DEFAULT_BYTE_BUDGET raises BudgetError before any
+    check runs.
     """
     if samples < 1:
         raise ParameterError(f"samples must be >= 1, got {samples}")
+    for m in ms:
+        for b in bs:
+            space = 1 << (m * b)
+            count = space if m * b <= _EXHAUSTIVE_BITS else samples + 1
+            if count * space > DEFAULT_BYTE_BUDGET:
+                raise BudgetError(
+                    f"verify cell m={m} b={b}: {count} byte scans over R^b",
+                    count * space,
+                    DEFAULT_BYTE_BUDGET,
+                )
     rng = random.Random(seed)
     reports: list[LemmaReport] = []
     fault_pending = inject_fault

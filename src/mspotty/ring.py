@@ -286,7 +286,7 @@ def _parse_monomial(token: str, m: int) -> int:
     if body:
         if body.startswith("^"):
             body = body[1:]
-        if body.isdigit():
+        if body.isascii() and body.isdigit():
             k = int(body)
             if k >= m:
                 raise ParameterError(

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -191,6 +192,16 @@ def test_budget_exit_3(capsys):
     code, _, err = run_cli(capsys, "dual", EXAMPLE, "--max-space", "1024")
     assert code == 3
     assert "16777216" in err
+
+
+def test_verify_oversized_cell_exits_3_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "verify", "--grid-m", "8", "--grid-b", "4", "--samples", "1"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert "m=8 b=4" in err
 
 
 def test_integrity_exit_4(capsys, monkeypatch):

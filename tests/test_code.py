@@ -145,12 +145,42 @@ def test_parse_skips_comments_and_blanks():
         ("m=2 b=2 t=3\n1 0\n", "t must satisfy"),
         ("m=2 b=1 t=1\nu2\n", "degree"),
         ("m=2 b=1 t=1\n1+1\n", "duplicate"),
+        ("# c\nm=2 b=0 t=1\n1\n", "line 2: byte size b must be >= 1"),
+        ("m=2 b=1 t=1\nu\u00b2\n", "bad monomial"),
+        ("m=3 b=1 t=1\nu\u0662\n", "bad monomial"),
     ],
 )
 def test_parse_errors(text, fragment):
     with pytest.raises(MatrixParseError) as exc:
         parse_matrix_text(text)
     assert fragment in str(exc.value)
+
+
+_HEADER_VALUES = st.sampled_from(
+    ["0", "1", "2", "3", "-1", "17", "", "\u0662", "\u00b2"]
+) | st.text(max_size=3)
+_HEADERS = st.sampled_from(
+    ["m=2 b=2 t=1", "m=3 b=1 t=1", "m=2 b=0 t=1", "m=2 b=1 t=2", "m=0 b=1 t=1"]
+) | st.tuples(_HEADER_VALUES, _HEADER_VALUES, _HEADER_VALUES).map(
+    lambda v: "m={} b={} t={}".format(*v)
+) | st.text(max_size=12)
+_TOKENS = st.sampled_from(
+    ["0", "1", "u", "u2", "u^1", "u^", "1+u", "u+u", "+", "#",
+     "u\u00b2", "u\u0662", "\u0663"]
+) | st.text(max_size=4)
+_ROWS = st.lists(_TOKENS, max_size=6).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_HEADERS, st.lists(_ROWS, max_size=4)).map(
+    lambda hr: "\n".join([hr[0], *hr[1]])
+))
+def test_parse_matrix_text_raises_only_parse_errors(text):
+    try:
+        G = parse_matrix_text(text)
+    except MatrixParseError:
+        return
+    assert isinstance(G, GeneratorMatrix)
 
 
 def test_parse_error_names_line():
