@@ -513,10 +513,11 @@ def _parse_header(line: str, lineno: int) -> tuple[int, int, int]:
     values = []
     for field, key in zip(fields, keys):
         body = field[len(key) + 1 :]
-        try:
-            values.append(int(body))
-        except ValueError:
-            raise MatrixParseError(f"bad integer for {key}: {body!r}", lineno) from None
+        # ASCII digits only, as in the element grammar: int() would also take
+        # a sign, underscores and non-ASCII digits
+        if not (body.isascii() and body.isdigit()):
+            raise MatrixParseError(f"bad integer for {key}: {body!r}", lineno)
+        values.append(int(body))
     if values[1] < 1:
         raise MatrixParseError(f"byte size b must be >= 1, got {values[1]}", lineno)
     return values[0], values[1], values[2]

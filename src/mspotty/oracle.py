@@ -472,11 +472,19 @@ def campaign(
     value in the first ideal sum as a negative control; exactly one
     report must then fail.  A cell whose byte scans (bytes checked times
     |R|^b) would exceed DEFAULT_BYTE_BUDGET raises BudgetError before any
-    check runs.
+    check runs, and so does an m whose summation check 3.7 would: the
+    Poisson code has |C| = 2^m words and each scans R^2, 8^m byte vectors.
     """
     if samples < 1:
         raise ParameterError(f"samples must be >= 1, got {samples}")
     for m in ms:
+        poisson_scans = 8**m
+        if poisson_scans > DEFAULT_BYTE_BUDGET:
+            raise BudgetError(
+                f"verify m={m}: check 3.7 scans R^2 for each of 2^{m} codewords",
+                poisson_scans,
+                DEFAULT_BYTE_BUDGET,
+            )
         for b in bs:
             space = 1 << (m * b)
             count = space if m * b <= _EXHAUSTIVE_BITS else samples + 1

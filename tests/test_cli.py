@@ -204,6 +204,17 @@ def test_verify_oversized_cell_exits_3_fast(capsys):
     assert "m=8 b=4" in err
 
 
+def test_verify_oversized_summation_check_exits_3_fast(capsys):
+    # every cell passes its own budget; check 3.7 at m=12 would scan 8^12
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "verify", "--grid-m", "12", "--grid-b", "1", "--samples", "1"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert "m=12" in err and str(8**12) in err
+
+
 def test_integrity_exit_4(capsys, monkeypatch):
     def boom(cfg, args):
         raise IntegrityError("forced")

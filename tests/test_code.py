@@ -148,6 +148,10 @@ def test_parse_skips_comments_and_blanks():
         ("# c\nm=2 b=0 t=1\n1\n", "line 2: byte size b must be >= 1"),
         ("m=2 b=1 t=1\nu\u00b2\n", "bad monomial"),
         ("m=3 b=1 t=1\nu\u0662\n", "bad monomial"),
+        ("# c\nm=\u0662 b=1 t=1\n1\n", "line 2: bad integer for m"),
+        ("m=2 b=\uff11 t=1\n1\n", "line 1: bad integer for b"),
+        ("m=1_6 b=1 t=1\n1\n", "line 1: bad integer for m"),
+        ("m=+2 b=1 t=1\n1\n", "line 1: bad integer for m"),
     ],
 )
 def test_parse_errors(text, fragment):

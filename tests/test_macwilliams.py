@@ -1,16 +1,19 @@
 """Kernel polynomials and the duality transform, exact throughout."""
 
 import random
+from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mspotty.code import ByteLayout, GeneratorMatrix, dual, load_matrix, span
 from mspotty.errors import IntegrityError, ParameterError
 from mspotty.macwilliams import enumerator_from_distribution, f_poly, transform
 from mspotty.polynomial import Polynomial
 from mspotty.ring import RingElement
-from mspotty.weight import distribution, enumerator
+from mspotty.weight import DistributionTable, distribution, enumerator, hamming_weight
 
 DATA = Path(__file__).parent / "data"
 
@@ -127,3 +130,114 @@ def test_transform_bad_code_size():
         transform(dist, 511)  # does not divide the accumulated sum
     with pytest.raises(ParameterError):
         transform(dist, 0)
+
+
+# --- the trie transform against independent routes ---------------------------
+
+
+def _direct_sum_table(rng, m, b, t, n):
+    """Alpha table, size and dual enumerator of a byte-wise direct sum of n
+    random one-byte codes.  The table convolves per-byte Hamming-weight
+    histograms; the dual enumerator multiplies the per-byte enumerators of
+    the scanned duals, so neither goes through `transform`."""
+    counts = {(0,) * (b + 1): 1}
+    size, W_dual = 1, Polynomial.one()
+    for _ in range(n):
+        G = _random_matrix(rng, m, rng.randrange(1, 3), ByteLayout(b=b, t=t, n=1))
+        hist = [0] * (b + 1)
+        for w in span(G):
+            hist[hamming_weight(w)] += 1
+        grown = {}
+        for alpha, c in counts.items():
+            for h, ch in enumerate(hist):
+                if ch:
+                    key = alpha[:h] + (alpha[h] + 1,) + alpha[h + 1 :]
+                    grown[key] = grown.get(key, 0) + c * ch
+        counts = grown
+        size *= sum(hist)
+        W_dual = W_dual * enumerator(dual(G, method="scan"))
+    return DistributionTable(counts, ByteLayout(b=b, t=t, n=n), m), size, W_dual
+
+
+def _per_row_reference(dist, m, t):
+    """The literal sum over rows of count * prod_j F_j^alpha_j."""
+    b = dist.layout.b
+    kernels = [f_poly(j, b, m, t) for j in range(b + 1)]
+    acc = Polynomial.zero()
+    for alpha, count in dist.items():
+        prod = Polynomial.one()
+        for j, aj in enumerate(alpha):
+            prod = prod * kernels[j] ** aj
+        acc = acc + prod.scale(count)
+    return acc
+
+
+@pytest.mark.parametrize("m,b,t,n", [(2, 3, 2, 6), (1, 4, 3, 8)])
+def test_transform_direct_sum_matches_scanned_duals(m, b, t, n):
+    table, size, W_dual = _direct_sum_table(random.Random(f"{m}{b}{t}{n}"), m, b, t, n)
+    assert len(table) > 2 * n  # rows share prefixes
+    assert transform(table, size) == W_dual
+    with pytest.raises(IntegrityError):
+        transform(table, 2 * size)  # W_dual has constant term 1, not even
+
+
+def test_transform_kernel_overrides_match_per_row_product():
+    table, size, _ = _direct_sum_table(random.Random(5), 2, 3, 2, 4)
+    for m, t in ((1, 1), (2, 1), (3, 2), (4, 3)):
+        assert transform(table, 1, m=m, t=t) == _per_row_reference(table, m, t)
+
+
+def test_transform_multiplies_once_per_trie_edge(monkeypatch):
+    b, n = 4, 10
+    rows = {}
+
+    def compositions(prefix, left):
+        if len(prefix) == b:
+            rows[prefix + (left,)] = comb(n, left) + len(rows)
+            return
+        for a in range(left + 1):
+            compositions(prefix + (a,), left - a)
+
+    compositions((), n)
+    table = DistributionTable(rows, ByteLayout(b=b, t=2, n=n), 2)
+    assert len(table) == 1001
+    edges = len({alpha[:d] for alpha in rows for d in range(1, b + 1)})
+    power_builds = sum(
+        max(max(alpha[j] for alpha in rows) - 1, 0) for j in range(b + 1)
+    )
+    expected = _per_row_reference(table, 2, 2)
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    got = transform(table, 1)
+    assert len(calls) <= edges + power_builds
+    monkeypatch.undo()
+    assert got == expected
+
+
+@st.composite
+def _small_codes(draw):
+    """Up to 3 rows with m*N <= 12, so the exhaustive dual scan stays cheap."""
+    m = draw(st.integers(1, 3))
+    b = draw(st.integers(1, 12 // m))
+    n = draw(st.integers(1, 12 // (m * b)))
+    t = draw(st.integers(1, b))
+    element = st.integers(0, (1 << m) - 1).map(lambda x: RingElement(m, x))
+    rows = draw(
+        st.lists(st.lists(element, min_size=b * n, max_size=b * n), max_size=3)
+    )
+    return GeneratorMatrix(rows, ByteLayout(b=b, t=t, n=n), m=m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_codes())
+def test_transform_matches_scanned_dual_property(G):
+    C = span(G)
+    Cd = dual(G, method="scan")
+    assert transform(distribution(C), len(C)) == enumerator(Cd)
+    assert transform(distribution(Cd), len(Cd)) == enumerator(C)
