@@ -2,7 +2,7 @@
 
 Exact integer arithmetic throughout: chain-ring elements, sparse
 polynomials, weight distributions, the per-byte duality transform, a
-search-based dual (syndrome join, with an exhaustive scan as referee), and
+dual by F2 elimination (with an exhaustive scan as referee), and
 an identity-verification oracle, plus the
 `mspotty` command-line tool.
 """

@@ -266,11 +266,13 @@ def cmd_dual(cfg: RunConfig, args) -> tuple[str, int]:
 
 
 def _parse_grid(text: str, what: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise ParameterError(f"bad {what} grid: {text!r}") from None
-    if not values or any(v < 1 for v in values):
+    # ASCII digits only, as in the matrix header: int() would also take a
+    # sign, underscores and non-ASCII digits
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not tokens or not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        raise ParameterError(f"bad {what} grid: {text!r}")
+    values = tuple(int(tok) for tok in tokens)
+    if any(v < 1 for v in values):
         raise ParameterError(f"bad {what} grid: {text!r}")
     return values
 
@@ -373,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="K",
         help="parallel workers for the library's exhaustive dual scan; "
-        "the dual command uses the syndrome join (default 1)",
+        "the dual command solves the kernel by elimination (default 1)",
     )
     common.add_argument(
         "--seed", type=int, default=0, metavar="U64", help="campaign sampling seed"
@@ -399,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = sub.add_parser(
-        "dual", parents=[common], help="dual code by half-vector syndrome join"
+        "dual", parents=[common], help="dual code by F2 elimination"
     )
     p.add_argument("file")
     p.add_argument(

@@ -1,21 +1,22 @@
 """Words over F2[u]/(u^m), byte layouts, generator matrices, codes and duals.
 
 A word of length N = n*b splits into n bytes of b coordinates each; byte i
-is coords[i*b : (i+1)*b].  Codes are materialized as explicit, canonically
-sorted codeword tuples: every downstream statistic needs a full pass anyway
-at the desk-scale parameters this package targets.
+is coords[i*b : (i+1)*b].  A `LinearCode` holds one packed array of shape
+(|C|, N), one digit (coefficient mask) per coordinate, with unique rows in
+canonical order (coordinate 0 most significant, the order `Word.__lt__`
+gives).  Span, dual and the statistics in `weight` all work on that array;
+`Word` objects are built only when a caller asks for them.
 
-The dual is found by search, never algebraically, along one of two routes
-that pack a vector into an integer (coordinate i occupies bits
-[m*i, m*(i+1))) and take inner products with vectorized table lookups.
-The default syndrome join splits the coordinates into two halves, computes
-the syndrome (inner products with every generator row) of every
-half-vector, and pairs halves with equal syndromes: about
-2*|R|^(N/2) + |C-dual| steps.  The exhaustive scan tests all of R^N,
-optionally in contiguous chunks on parallel workers merged in chunk order;
-it is kept as the independent referee.  Both routes end in one builder
-that sorts the packed words canonically, so results are identical for
-either route and any worker count.
+R = F2[u]/(u^m) is an F2-algebra, so both sides are F2-linear.  A vector
+packs into an integer with coordinate i in bits [m*i, m*(i+1)).  The span
+is the F2-span of the m*k vectors u^i*g_r, and the dual is the kernel of
+the (m*k) x (m*N) bit matrix of v -> (<g_r, v>)_r.  Gaussian elimination
+over Python-int bit rows gives a basis of either side (so |C| = 2^rank),
+and the words come from XOR doubling of that basis.  The exhaustive scan
+of R^N, optionally in contiguous chunks on parallel workers merged in
+chunk order, is kept as the independent referee.  Every route ends in one
+builder that sorts the words canonically, so results are identical for
+any route and any worker count.
 """
 
 from __future__ import annotations
@@ -198,58 +199,93 @@ class GeneratorMatrix:
         return tuple(Word(row, self.layout) for row in self.rows)
 
 
-class LinearCode:
-    """Deduplicated codeword set in canonical (coordinate-lex) order."""
+def _digit_dtype(m: int) -> type:
+    return np.uint8 if m <= 8 else np.uint16
 
-    __slots__ = ("codewords", "m", "layout", "_index")
+
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-D array in lexicographic order (column 0 most
+    significant), and how often each occurs."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    return rows[starts], np.diff(np.append(starts, len(rows)))
+
+
+class LinearCode:
+    """Deduplicated codeword set in canonical (coordinate-lex) order.
+
+    `digits` is the read-only (|C|, N) array of coefficient masks, one row
+    per codeword in canonical order; `codewords` builds the `Word` tuple
+    on first use.
+    """
+
+    __slots__ = ("digits", "m", "layout", "_words", "_index")
 
     def __init__(self, codewords: Iterable[Word], layout: ByteLayout, m: int):
-        unique = sorted(set(codewords))
-        if not unique:
+        words = list(codewords)
+        if not words:
             raise ParameterError("a linear code cannot be empty")
-        for w in unique:
+        for w in words:
             if w.layout != layout or w.m != m:
                 raise ParameterError("codeword layout or ring parameter mismatch")
-        object.__setattr__(self, "codewords", tuple(unique))
+        digits = np.array([w.bits() for w in words], dtype=_digit_dtype(m))
+        self._set(digits, layout, m)
+
+    def _set(self, digits: np.ndarray, layout: ByteLayout, m: int) -> None:
+        digits = _group_rows(digits)[0]
+        digits.flags.writeable = False
+        object.__setattr__(self, "digits", digits)
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "m", m)
+        object.__setattr__(self, "_words", None)
         object.__setattr__(self, "_index", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearCode is immutable")
 
     @classmethod
-    def _trusted(
-        cls, codewords: tuple[Word, ...], layout: ByteLayout, m: int
+    def _from_digits(
+        cls, digits: np.ndarray, layout: ByteLayout, m: int
     ) -> "LinearCode":
-        """A code from words already unique, canonically sorted and bound
-        to `layout` and `m`."""
+        """A code from a nonempty (rows, N) digit array of words bound to
+        `layout` and `m`; rows are sorted and deduplicated here."""
         C = object.__new__(cls)
-        object.__setattr__(C, "codewords", codewords)
-        object.__setattr__(C, "layout", layout)
-        object.__setattr__(C, "m", m)
-        object.__setattr__(C, "_index", None)
+        C._set(digits, layout, m)
         return C
 
+    @property
+    def codewords(self) -> tuple[Word, ...]:
+        if self._words is None:  # built on first use
+            m, layout = self.m, self.layout
+            elems = {x: RingElement(m, x) for x in np.unique(self.digits).tolist()}
+            words = tuple(
+                Word._trusted(tuple(elems[x] for x in row), layout, m)
+                for row in self.digits.tolist()
+            )
+            object.__setattr__(self, "_words", words)
+        return self._words
+
     def __len__(self) -> int:
-        return len(self.codewords)
+        return len(self.digits)
 
     def __iter__(self) -> Iterator[Word]:
         return iter(self.codewords)
 
     def __contains__(self, w: Word) -> bool:
+        if not isinstance(w, Word) or w.layout != self.layout or w.m != self.m:
+            return False
         if self._index is None:  # built on first use
-            object.__setattr__(self, "_index", frozenset(self.codewords))
-        return w in self._index
+            rows = frozenset(map(tuple, self.digits.tolist()))
+            object.__setattr__(self, "_index", rows)
+        return w.bits() in self._index
 
     def ambient_size(self) -> int:
         return 1 << (self.m * self.layout.N)
 
     def __repr__(self) -> str:
-        return (
-            f"LinearCode(|C|={len(self.codewords)}, m={self.m}, "
-            f"layout={self.layout})"
-        )
+        return f"LinearCode(|C|={len(self)}, m={self.m}, layout={self.layout})"
 
 
 def inner_product(x: Sequence[RingElement], y: Sequence[RingElement]) -> RingElement:
@@ -263,34 +299,74 @@ def inner_product(x: Sequence[RingElement], y: Sequence[RingElement]) -> RingEle
     return RingElement(m, acc)
 
 
-def _add_row(
-    words: set[tuple[int, ...]], row_bits: tuple[int, ...], m: int
-) -> set[tuple[int, ...]]:
-    """Close a set of coefficient-bit words under adding R-multiples of one
-    row: {w + a*row : w in words, a in R}.  Ring addition is XOR."""
-    multiples = [tuple(mul_bits(a, x, m) for x in row_bits) for a in range(1 << m)]
-    return {
-        tuple(wb ^ mb for wb, mb in zip(w, mult)) for w in words for mult in multiples
-    }
+# --- F2 elimination over packed vectors -----------------------------------
+#
+# A vector of R^N is an integer with coordinate i in bits [m*i, m*(i+1));
+# an echelon basis maps each leading bit to the one row that has it.
+
+
+def _pack(digits: Iterable[int], m: int) -> int:
+    v = 0
+    for i, x in enumerate(digits):
+        v |= x << (m * i)
+    return v
+
+
+def _unpack(v: int, N: int, m: int) -> np.ndarray:
+    mask = (1 << m) - 1
+    return np.array([(v >> (m * i)) & mask for i in range(N)], dtype=_digit_dtype(m))
+
+
+def _reduce(v: int, basis: dict[int, int]) -> int:
+    """v minus its projection on the span of `basis`: 0 iff v is in it."""
+    while v:
+        row = basis.get(v.bit_length() - 1)
+        if row is None:
+            return v
+        v ^= row
+    return 0
+
+
+def _insert(v: int, basis: dict[int, int]) -> None:
+    """Add v to the echelon basis unless it is already spanned."""
+    v = _reduce(v, basis)
+    if v:
+        basis[v.bit_length() - 1] = v
+
+
+def _multiples(digits: Sequence[int], m: int) -> Iterator[int]:
+    """The packed u^i * row for i < m, whose F2-span is the R-span of row."""
+    for i in range(m):
+        yield _pack((mul_bits(1 << i, x, m) for x in digits), m)
+
+
+def _words_of_basis(basis: Sequence[int], N: int, m: int) -> np.ndarray:
+    """All 2^r F2-combinations of r independent packed vectors as a digit
+    array: it doubles once per vector, words then words ^ v."""
+    words = np.zeros((1 << len(basis), N), dtype=_digit_dtype(m))
+    for j, v in enumerate(basis):
+        half = 1 << j
+        words[half : 2 * half] = words[:half] ^ _unpack(v, N, m)
+    return words
 
 
 def span(G: GeneratorMatrix, budget: int = DEFAULT_SPAN_BUDGET) -> LinearCode:
     """All R-linear combinations of the rows of G, deduplicated.
 
     The contract is an enumeration of |R|^k coefficient tuples, so that count
-    is what the budget guards; internally the span is closed row by row,
-    which visits at most |C| * |R| partial words per row.
+    is what the budget guards; internally the span is the F2-span of the
+    m*k vectors u^i * row, built from an echelon basis in 2^rank steps.
     """
     m, N = G.m, G.layout.N
     tuples = 1 << (m * G.k)
     if tuples > budget:
         raise BudgetError("span over R^k coefficient tuples", tuples, budget)
-    words = {(0,) * N}
+    basis: dict[int, int] = {}
     for row in G.rows:
-        words = _add_row(words, tuple(x.bits for x in row), m)
-    return LinearCode(
-        (Word.from_bits(bits, m, G.layout) for bits in words), G.layout, m
-    )
+        for v in _multiples([x.bits for x in row], m):
+            _insert(v, basis)
+    words = _words_of_basis(list(basis.values()), N, m)
+    return LinearCode._from_digits(words, G.layout, m)
 
 
 def code_size_from_profile(m: int, profile: Sequence[int]) -> int:
@@ -332,57 +408,40 @@ def _scan_chunk(
     return idx[ok]
 
 
-def _half_syndromes(
-    m: int, rows_bits: tuple[tuple[int, ...], ...], coords: range
-) -> np.ndarray:
-    """Syndromes of every vector supported on `coords`, one row per vector.
+def _kernel_basis(
+    m: int, N: int, rows_bits: tuple[tuple[int, ...], ...]
+) -> list[int]:
+    """Packed basis of {v : <row, v> = 0 for every row}.
 
-    Vector j puts digit i of j (m bits each) on coordinate coords[i].  Row r
-    of the generator matrix contributes an m-bit inner product, packed into
-    uint64 column r // (64 // m); a matrix with no rows has one zero column.
+    Coefficient s of <g, v> is an F2-linear form in the bits of v: bit e of
+    coordinate i enters it when u^e * g_i has coefficient s.  The m forms of
+    each row are reduced to row echelon form and then fully reduced (each
+    leading bit appears in one row only), so every free bit f gives the
+    kernel vector with bit f set and each leading bit p set to bit f of
+    p's row.
     """
-    mask = np.uint64((1 << m) - 1)
-    idx = np.arange(1 << (m * len(coords)), dtype=np.uint64)
-    digits = [(idx >> np.uint64(m * i)) & mask for i in range(len(coords))]
-    per_col = 64 // m
-    n_cols = max(1, -(-len(rows_bits) // per_col))
-    syn = np.zeros((idx.size, n_cols), dtype=np.uint64)
-    for r, row in enumerate(rows_bits):
-        acc = np.zeros(idx.shape, dtype=np.uint16)
-        for i, pos in enumerate(coords):
-            if row[pos]:
-                acc ^= _times_table(row[pos], m)[digits[i]]
-        shift = np.uint64(m * (r % per_col))
-        syn[:, r // per_col] |= acc.astype(np.uint64) << shift
-    return syn
-
-
-def _join_dual(m: int, N: int, rows_bits: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """Packed dual words found by matching half-vector syndromes.
-
-    With v = v_L + v_R split over coordinates [0, h) and [h, N), <row, v> =
-    <row, v_L> + <row, v_R>, and in characteristic 2 the sum vanishes iff
-    the two halves have equal syndromes.
-    """
-    h = N // 2
-    left = _half_syndromes(m, rows_bits, range(h))
-    right = _half_syndromes(m, rows_bits, range(h, N))
-    if left.shape[1] == 1:
-        left, right = left[:, 0], right[:, 0]
-    else:  # compare whole rows: rank them jointly, then join on the rank
-        _, ranks = np.unique(
-            np.concatenate([left, right]), axis=0, return_inverse=True
-        )
-        ranks = ranks.reshape(-1)
-        left, right = ranks[: len(left)], ranks[len(left) :]
-    order = np.argsort(right, kind="stable")
-    right = right[order]
-    lo = np.searchsorted(right, left, side="left")
-    counts = np.searchsorted(right, left, side="right") - lo
-    left_idx = np.repeat(np.arange(len(left), dtype=np.uint64), counts)
-    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    right_idx = order[np.repeat(lo, counts) + offsets].astype(np.uint64)
-    return left_idx | (right_idx << np.uint64(m * h))
+    basis: dict[int, int] = {}
+    for row in rows_bits:
+        for s in range(m):
+            form = 0
+            for i, g in enumerate(row):
+                for e in range(m):
+                    if mul_bits(g, 1 << e, m) >> s & 1:
+                        form |= 1 << (m * i + e)
+            _insert(form, basis)
+    for p in sorted(basis):  # ascending: row p already lacks earlier pivots
+        for q, other in basis.items():
+            if q != p and other >> p & 1:
+                basis[q] = other ^ basis[p]
+    kernel = []
+    for f in range(m * N):
+        if f not in basis:
+            v = 1 << f
+            for p, row in basis.items():
+                if row >> f & 1:
+                    v |= 1 << p
+            kernel.append(v)
+    return kernel
 
 
 def _scan_dual(
@@ -409,29 +468,14 @@ def _scan_dual(
 
 
 def _code_from_packed(packed: np.ndarray, layout: ByteLayout, m: int) -> LinearCode:
-    """LinearCode of packed words (coordinate i in bits [m*i, m*(i+1))).
-
-    Words are ordered by a key with coordinate 0 as the most significant
-    digit, which is the order `Word.__lt__` gives, so the result equals
-    `LinearCode` built from the same words by the public constructor.
-    """
-    N = layout.N
-    mask = np.uint64((1 << m) - 1)
-    key = np.zeros(packed.shape, dtype=np.uint64)
-    for i in range(N):
-        key = (key << np.uint64(m)) | ((packed >> np.uint64(m * i)) & mask)
-    key = np.unique(key)
-    shifts = np.arange(N - 1, -1, -1, dtype=np.uint64) * np.uint64(m)
-    digits = (key[:, None] >> shifts[None, :]) & mask
-    elems = tuple(RingElement(m, x) for x in range(1 << m))
-    words = [
-        Word._trusted(tuple(elems[x] for x in row), layout, m)
-        for row in digits.tolist()
-    ]
-    return LinearCode._trusted(tuple(words), layout, m)
+    """LinearCode of uint64-packed words (coordinate i in bits
+    [m*i, m*(i+1))), as the scan finds them."""
+    shifts = np.arange(layout.N, dtype=np.uint64) * np.uint64(m)
+    digits = (packed[:, None] >> shifts) & np.uint64((1 << m) - 1)
+    return LinearCode._from_digits(digits.astype(_digit_dtype(m)), layout, m)
 
 
-_DUAL_METHODS = ("join", "scan")
+_DUAL_METHODS = ("kernel", "scan")
 
 
 def dual(
@@ -439,16 +483,17 @@ def dual(
     budget: int = DEFAULT_SPACE_BUDGET,
     workers: int = 1,
     chunk_size: int = _SCAN_CHUNK,
-    method: str = "join",
+    method: str = "kernel",
 ) -> LinearCode:
     """Every v in R^N with <row, v> = 0 for all rows of G.
 
     Orthogonality to the generators implies orthogonality to the whole code
     by bilinearity.  An empty matrix dualizes to the full space.
-    `method="join"` matches half-vector syndromes; `method="scan"` tests
-    every vector of R^N (in chunks of `chunk_size`, on up to `workers`
-    processes) and is kept as the independent referee.  Both return the
-    same code, and `budget` caps |R|^N for either.
+    `method="kernel"` solves the F2 system by elimination and enumerates
+    the kernel; `method="scan"` tests every vector of R^N (in chunks of
+    `chunk_size`, on up to `workers` processes) and is kept as the
+    independent referee.  Both return the same code, and `budget` caps
+    |R|^N for either.
     """
     if method not in _DUAL_METHODS:
         raise ParameterError(
@@ -465,30 +510,34 @@ def dual(
     if space > budget:
         raise BudgetError("dual scan over R^N", space, budget)
     rows_bits = tuple(tuple(x.bits for x in row) for row in G.rows)
-    if method == "join":
-        found = _join_dual(m, N, rows_bits)
-    else:
-        found = _scan_dual(m, N, rows_bits, workers, chunk_size)
+    if method == "kernel":
+        words = _words_of_basis(_kernel_basis(m, N, rows_bits), N, m)
+        return LinearCode._from_digits(words, G.layout, m)
+    found = _scan_dual(m, N, rows_bits, workers, chunk_size)
     return _code_from_packed(found, G.layout, m)
 
 
 def generating_rows(C: LinearCode) -> GeneratorMatrix:
-    """A small generating subset of C, found greedily by closing the span.
+    """A small generating subset of C, chosen greedily in canonical order:
+    a word joins when it is outside the span of those before it, tested by
+    an incremental F2 rank.
 
     Useful for re-dualizing a code that is only known by its codeword set.
     """
-    m, layout, N = C.m, C.layout, C.layout.N
-    spanned = {(0,) * N}
-    gens: list[tuple[RingElement, ...]] = []
-    for w in C.codewords:
-        bits = w.bits()
-        if bits in spanned:
+    m = C.m
+    basis: dict[int, int] = {}
+    gens: list[list[int]] = []
+    for word in C.digits:  # row by row: the loop usually stops early
+        row = word.tolist()
+        if not _reduce(_pack(row, m), basis):
             continue
-        gens.append(w.coords)
-        spanned = _add_row(spanned, bits, m)
-        if len(spanned) == len(C):
+        gens.append(row)
+        for v in _multiples(row, m):
+            _insert(v, basis)
+        if 1 << len(basis) == len(C):
             break
-    return GeneratorMatrix(gens, layout, m=m)
+    rows = [[RingElement(m, x) for x in row] for row in gens]
+    return GeneratorMatrix(rows, C.layout, m=m)
 
 
 # --- matrix file format -------------------------------------------------

@@ -3,13 +3,20 @@
 A byte of Hamming weight h contributes ceil(h/t) to the weight of the word,
 so a word's weight is determined by its alpha vector: alpha_j counts the
 bytes having exactly j nonzero coordinates (0 <= j <= b).
+
+The word-level functions (`alpha_vector`, `m_spotty_weight`) work on one
+`Word`; the code-level statistics (`distribution`, `enumerator`,
+`minimum_distance`) are vectorized over the code's packed digit array,
+through the (|C|, n) array of byte Hamming weights.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .code import ByteLayout, LinearCode, Word
+import numpy as np
+
+from .code import ByteLayout, LinearCode, Word, _group_rows
 from .errors import ParameterError
 from .polynomial import Polynomial
 from .ring import RingElement
@@ -100,33 +107,37 @@ class DistributionTable:
         )
 
 
+def _byte_weights(C: LinearCode) -> np.ndarray:
+    """Hamming weight of every byte of every codeword, shape (|C|, n)."""
+    lay = C.layout
+    return (C.digits != 0).reshape(len(C), lay.n, lay.b).sum(axis=2)
+
+
+def _weights(C: LinearCode) -> np.ndarray:
+    """m-spotty weight of every codeword: sum over bytes of ceil(h/t)."""
+    t = C.layout.t
+    return ((_byte_weights(C) + (t - 1)) // t).sum(axis=1)
+
+
 def distribution(C: LinearCode) -> DistributionTable:
-    counts: dict[tuple[int, ...], int] = {}
-    for w in C:
-        a = alpha_vector(w)
-        counts[a] = counts.get(a, 0) + 1
-    return DistributionTable(counts, C.layout, C.m)
+    h = _byte_weights(C)
+    alphas = np.stack([(h == j).sum(axis=1) for j in range(C.layout.b + 1)], axis=1)
+    rows, counts = _group_rows(alphas)
+    table = dict(zip(map(tuple, rows.tolist()), counts.tolist()))
+    return DistributionTable(table, C.layout, C.m)
 
 
 def enumerator(C: LinearCode) -> Polynomial:
-    """W(z) = sum over codewords of z^weight, summed word by word."""
-    counts: dict[int, int] = {}
-    for w in C:
-        e = m_spotty_weight(w)
-        counts[e] = counts.get(e, 0) + 1
-    return Polynomial(counts)
+    """W(z) = sum over codewords of z^weight, as a histogram of the
+    per-word weights."""
+    hist = np.bincount(_weights(C))
+    return Polynomial({e: c for e, c in enumerate(hist.tolist()) if c})
 
 
 def minimum_distance(C: LinearCode) -> int:
     """Least weight among nonzero codewords (equals least pairwise
     distance, by linearity)."""
-    best = None
-    for w in C:
-        if all(x.is_zero() for x in w):
-            continue
-        e = m_spotty_weight(w)
-        if best is None or e < best:
-            best = e
-    if best is None:
+    weights = _weights(C)[C.digits.any(axis=1)]
+    if not len(weights):
         raise ParameterError("the zero code has no minimum distance")
-    return best
+    return int(weights.min())

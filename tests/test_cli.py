@@ -174,6 +174,16 @@ def test_verify_bad_grid_exits_2(capsys):
     assert code == 2 and "grid" in err
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--grid-m", "\u0662"), ("--grid-m", "+1"), ("--grid-b", "0_1")],
+)
+def test_verify_grid_needs_ascii_digits(capsys, flag, value):
+    code, out, err = run_cli(capsys, "verify", flag, value, "--samples", "1")
+    assert code == 2 and out == ""
+    assert "grid" in err
+
+
 def test_parse_error_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("m=2 b=1 t=1\nbogus\n")
@@ -213,6 +223,18 @@ def test_verify_oversized_summation_check_exits_3_fast(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 3 and out == ""
     assert "m=12" in err and str(8**12) in err
+
+
+def test_verify_summation_check_capped_below_m_8(capsys):
+    # every cell passes its own budget and 8^8 is within the byte budget,
+    # but check 3.7 at m=8 would run for about a minute
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "verify", "--grid-m", "8", "--grid-b", "1", "--samples", "1"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert "m=8" in err and str(8**8) in err
 
 
 def test_integrity_exit_4(capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Words, matrix parsing, span closure, and the dual (join and scan)."""
+"""Words, matrix parsing, span, and the dual (kernel and scan)."""
 
 import itertools
 import random
@@ -17,6 +17,9 @@ from mspotty.code import (
     LinearCode,
     Word,
     _code_from_packed,
+    _insert,
+    _kernel_basis,
+    _multiples,
     code_size_from_profile,
     dual,
     generating_rows,
@@ -26,6 +29,7 @@ from mspotty.code import (
     span,
 )
 from mspotty.errors import BudgetError, MatrixParseError, ParameterError
+from mspotty.oracle import _add_row, _generators
 from mspotty.ring import RingElement, elements, monomial, one, zero
 
 DATA = Path(__file__).parent / "data"
@@ -49,6 +53,19 @@ def _naive_span(G):
             acc = [s + a * x for s, x in zip(acc, row)]
         words.add(tuple(acc))
     return words
+
+
+@st.composite
+def _small_matrices(draw, max_bits=12, max_rows=4):
+    """Up to `max_rows` rows over R^N with m*N <= `max_bits` (12 keeps the
+    scan cheap)."""
+    m = draw(st.integers(1, 4))
+    N = draw(st.integers(1, max_bits // m))
+    element = st.integers(0, (1 << m) - 1).map(lambda x: RingElement(m, x))
+    rows = draw(
+        st.lists(st.lists(element, min_size=N, max_size=N), max_size=max_rows)
+    )
+    return GeneratorMatrix(rows, ByteLayout(b=N, t=1, n=1), m=m)
 
 
 # --- layout and words -----------------------------------------------------
@@ -219,6 +236,16 @@ def test_span_matches_naive_enumeration():
         assert {w.coords for w in C} == naive
 
 
+@settings(max_examples=60, deadline=None)
+@given(_small_matrices(max_rows=3))
+def test_span_matches_oracle_closure(G):
+    naive = {(0,) * G.layout.N}
+    for row in G.rows:
+        naive = _add_row(naive, tuple(x.bits for x in row), G.m)
+    C = span(G)
+    assert [w.bits() for w in C] == sorted(naive)
+
+
 def test_span_closed_under_operations():
     rng = random.Random(23)
     lay = ByteLayout(b=2, t=2, n=2)
@@ -315,14 +342,14 @@ def test_dual_rejects_bad_workers_and_overflow():
         dual(G, method="mitm")
 
 
-def _assert_join_equals_scan(G):
-    joined = dual(G)
+def _assert_kernel_equals_scan(G):
+    kernel = dual(G)
     scanned = dual(G, method="scan")
-    assert joined.codewords == scanned.codewords
-    assert len(span(G)) * len(joined) == 1 << (G.m * G.layout.N)
+    assert kernel.codewords == scanned.codewords
+    assert len(span(G)) * len(kernel) == 1 << (G.m * G.layout.N)
 
 
-def test_dual_join_matches_scan_random():
+def test_dual_kernel_matches_scan_random():
     rng = random.Random(71)
     shapes = [  # (m, b, n, k): N = 1, odd N, m = 1, k = 0 and wider codes
         (1, 1, 1, 1), (2, 1, 1, 0), (3, 1, 1, 2), (1, 3, 1, 2), (1, 5, 1, 3),
@@ -332,32 +359,39 @@ def test_dual_join_matches_scan_random():
     for m, b, n, k in shapes:
         for _ in range(4):
             lay = ByteLayout(b=b, t=rng.randrange(1, b + 1), n=n)
-            _assert_join_equals_scan(_random_matrix(rng, m, k, lay))
+            _assert_kernel_equals_scan(_random_matrix(rng, m, k, lay))
     zero_rows = [tuple(zero(2) for _ in range(4))] * 2
-    _assert_join_equals_scan(GeneratorMatrix(zero_rows, ByteLayout(b=2, t=1, n=2)))
-
-
-@st.composite
-def _small_matrices(draw):
-    """Up to 4 rows over R^N with m*N <= 12, so the scan stays cheap."""
-    m = draw(st.integers(1, 3))
-    N = draw(st.integers(1, 12 // m))
-    element = st.integers(0, (1 << m) - 1).map(lambda x: RingElement(m, x))
-    rows = draw(st.lists(st.lists(element, min_size=N, max_size=N), max_size=4))
-    return GeneratorMatrix(rows, ByteLayout(b=N, t=1, n=1), m=m)
+    _assert_kernel_equals_scan(GeneratorMatrix(zero_rows, ByteLayout(b=2, t=1, n=2)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_small_matrices())
-def test_dual_join_matches_scan_property(G):
-    _assert_join_equals_scan(G)
+def test_dual_kernel_matches_scan_property(G):
+    _assert_kernel_equals_scan(G)
 
 
-def test_dual_join_splits_wide_syndromes():
-    """k*m > 64 bits of syndrome.  Row 0 and the last row are two base rows
-    and the rows between are non-unit multiples of row 0, so the last
-    syndrome column carries information no other column does, and the dual
-    stays large enough to compare."""
+@settings(max_examples=100, deadline=None)
+@given(_small_matrices(max_bits=62, max_rows=24))
+def test_rank_and_kernel_dimension_fill_the_space(G):
+    """|C| * |C-dual| = |R|^N read off the two eliminations, without
+    enumerating either side: the F2 rank of the m*k vectors u^i * row plus
+    the kernel dimension of the constraint forms is m*N."""
+    rows_bits = tuple(tuple(x.bits for x in row) for row in G.rows)
+    basis = {}
+    for row in rows_bits:
+        for v in _multiples(row, G.m):
+            _insert(v, basis)
+    kernel = _kernel_basis(G.m, G.layout.N, rows_bits)
+    assert len(basis) + len(kernel) == G.m * G.layout.N
+    if len(basis) <= 12:  # the span is small enough to list: check |C| too
+        assert len(span(G, budget=1 << (G.m * G.k))) == 1 << len(basis)
+
+
+def test_dual_kernel_matches_scan_wide_matrices():
+    """k*m > 64 bits of constraints.  Row 0 and the last row are two base
+    rows and the rows between are non-unit multiples of row 0, so only the
+    last row's constraint forms carry what no earlier form does, and the
+    dual stays large enough to compare."""
     rng = random.Random(83)
     for m, N, k in ((1, 4, 65), (4, 3, 17), (2, 4, 40)):
         lay = ByteLayout(b=N, t=1, n=1)
@@ -369,13 +403,14 @@ def test_dual_join_splits_wide_syndromes():
         rows.append(base[1])
         G = GeneratorMatrix(rows, lay, m=m)
         assert k * m > 64
-        joined = dual(G)
-        assert joined.codewords == dual(G, method="scan").codewords
-        assert joined.codewords == dual(GeneratorMatrix(base, lay, m=m)).codewords
-        assert len(joined) > 1
+        kernel = dual(G)
+        assert kernel.codewords == dual(G, method="scan").codewords
+        assert kernel.codewords == dual(GeneratorMatrix(base, lay, m=m)).codewords
+        assert len(kernel) < len(dual(GeneratorMatrix(rows[:-1], lay, m=m)))
+        assert len(kernel) > 1
 
 
-def test_dual_join_matches_scan_worked_example():
+def test_dual_kernel_matches_scan_worked_example():
     G = load_matrix(DATA / "worked_example.txt")
     assert dual(G).codewords == dual(G, method="scan").codewords
 
@@ -446,6 +481,7 @@ def test_generating_rows_reproduces_code():
         H = generating_rows(C)
         assert H.k <= G.k or G.k == 0
         assert span(H).codewords == C.codewords
+        assert H.rows == _generators(C).rows  # same greedy choice as the naive closure
 
 
 def test_linear_code_invariants():
@@ -455,6 +491,11 @@ def test_linear_code_invariants():
     C = LinearCode([w1, w0, w1], lay, 2)
     assert len(C) == 2  # deduplicated
     assert C.codewords == (w0, w1)  # sorted
+    assert C.codewords is C.codewords  # words built once, on demand
+    assert C.digits.tolist() == [[0, 0], [1, 0]]
+    assert not C.digits.flags.writeable
+    assert w1 in C and Word.from_bits([0, 1], 2, lay) not in C
+    assert Word.from_bits([1, 0], 3, lay) not in C
     with pytest.raises(ParameterError):
         LinearCode([], lay, 2)
     with pytest.raises(ParameterError):

@@ -274,6 +274,29 @@ def test_poisson_worked_example_byte_layout():
     assert poisson_check(C).passed
 
 
+def test_oracle_runs_without_the_fast_paths(monkeypatch):
+    """The referee closes codes row by row and sums weights word by word:
+    it imports neither `span` nor the vectorized statistics, and runs with
+    the elimination and the packed statistics disabled."""
+    import mspotty.code
+    import mspotty.oracle
+    import mspotty.weight
+
+    for name in ("span", "generating_rows", "distribution", "enumerator"):
+        assert not hasattr(mspotty.oracle, name)
+
+    def disabled(*args):
+        raise AssertionError("fast path reached from the oracle")
+
+    monkeypatch.setattr(mspotty.code, "_words_of_basis", disabled)
+    monkeypatch.setattr(mspotty.code, "_reduce", disabled)
+    monkeypatch.setattr(mspotty.weight, "_byte_weights", disabled)
+    reports = campaign(ms=(1, 2, 3), bs=(1, 2), samples=3)
+    assert all(r.passed for r in reports)
+    G = GeneratorMatrix([(one(2), monomial(2, 1))], ByteLayout(b=2, t=1, n=1))
+    assert dual_enumerator_bruteforce(G) == Polynomial({0: 1, 1: 1, 2: 2})  # v = (u*a, a)
+
+
 # --- partition search ---------------------------------------------------------
 
 

@@ -4,8 +4,10 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mspotty.code import ByteLayout, GeneratorMatrix, Word, load_matrix, span
+from mspotty.code import ByteLayout, GeneratorMatrix, LinearCode, Word, load_matrix, span
 from mspotty.errors import ParameterError
 from mspotty.polynomial import Polynomial
 from mspotty.ring import RingElement, zero
@@ -150,3 +152,41 @@ def test_minimum_distance_zero_code():
     C = span(GeneratorMatrix([], lay, m=2))
     with pytest.raises(ParameterError):
         minimum_distance(C)
+
+
+@st.composite
+def _codes(draw):
+    """The span of up to 2 random rows, or a set of up to 40 words built by
+    the public constructor (the statistics do not assume linearity), over
+    m up to 16 (both digit widths), any t and a few bytes."""
+    m = draw(st.sampled_from([1, 2, 3, 4, 8, 9, 16]))
+    b = draw(st.integers(1, 4))
+    lay = ByteLayout(b=b, t=draw(st.integers(1, b)), n=draw(st.integers(1, 4)))
+    word = st.lists(st.integers(0, (1 << m) - 1), min_size=lay.N, max_size=lay.N)
+    if m <= 4 and draw(st.booleans()):
+        rows = draw(st.lists(word, max_size=2))
+        elements = [[RingElement(m, x) for x in row] for row in rows]
+        return span(GeneratorMatrix(elements, lay, m=m))
+    rows = draw(st.lists(word, max_size=40))
+    words = [Word.from_bits(r, m, lay) for r in [[0] * lay.N, *rows]]
+    return LinearCode(words, lay, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_codes())
+def test_vectorized_statistics_match_word_level(C):
+    """distribution, enumerator and minimum_distance work on the packed
+    array; alpha_vector and m_spotty_weight see one Word at a time."""
+    counts, weights = {}, {}
+    for w in C:
+        a, e = alpha_vector(w), m_spotty_weight(w)
+        counts[a] = counts.get(a, 0) + 1
+        weights[e] = weights.get(e, 0) + 1
+    assert distribution(C) == DistributionTable(counts, C.layout, C.m)
+    assert enumerator(C) == Polynomial(weights)
+    nonzero = [m_spotty_weight(w) for w in C if any(x.bits for x in w)]
+    if nonzero:
+        assert minimum_distance(C) == min(nonzero)
+    else:
+        with pytest.raises(ParameterError):
+            minimum_distance(C)
