@@ -121,8 +121,12 @@ def _weights(C: LinearCode) -> np.ndarray:
 
 def distribution(C: LinearCode) -> DistributionTable:
     h = _byte_weights(C)
-    alphas = np.stack([(h == j).sum(axis=1) for j in range(C.layout.b + 1)], axis=1)
-    rows, counts = _group_rows(alphas)
+    width = C.layout.b + 1
+    # alpha row of word i = histogram of its byte weights: one bincount of
+    # the keys i*width + h
+    keys = np.arange(len(h))[:, None] * width + h
+    alphas = np.bincount(keys.ravel(), minlength=len(h) * width)
+    rows, counts = _group_rows(alphas.reshape(len(h), width))
     table = dict(zip(map(tuple, rows.tolist()), counts.tolist()))
     return DistributionTable(table, C.layout, C.m)
 
