@@ -108,26 +108,29 @@ class DistributionTable:
 
 
 def _byte_weights(C: LinearCode) -> np.ndarray:
-    """Hamming weight of every byte of every codeword, shape (|C|, n)."""
+    """Hamming weight of every byte of every codeword, shape (|C|, n), in
+    the smallest unsigned dtype that holds 2*b."""
     lay = C.layout
-    return (C.digits != 0).reshape(len(C), lay.n, lay.b).sum(axis=2)
+    nonzero = (C.digits != 0).reshape(len(C), lay.n, lay.b)
+    return nonzero.sum(axis=2, dtype=np.min_scalar_type(2 * lay.b))
 
 
 def _weights(C: LinearCode) -> np.ndarray:
     """m-spotty weight of every codeword: sum over bytes of ceil(h/t)."""
     t = C.layout.t
-    return ((_byte_weights(C) + (t - 1)) // t).sum(axis=1)
+    return ((_byte_weights(C) + (t - 1)) // t).sum(axis=1, dtype=np.int64)
 
 
 def distribution(C: LinearCode) -> DistributionTable:
-    h = _byte_weights(C)
-    width = C.layout.b + 1
-    # alpha row of word i = histogram of its byte weights: one bincount of
-    # the keys i*width + h
-    keys = np.arange(len(h))[:, None] * width + h
-    alphas = np.bincount(keys.ravel(), minlength=len(h) * width)
-    rows, counts = _group_rows(alphas.reshape(len(h), width))
-    table = dict(zip(map(tuple, rows.tolist()), counts.tolist()))
+    # a word's alpha vector is the histogram of its byte weights, so words
+    # share an alpha row exactly when their sorted byte weights agree
+    rows, counts = _group_rows(np.sort(_byte_weights(C), axis=1))
+    table = {}
+    for row, count in zip(rows.tolist(), counts.tolist()):
+        alpha = [0] * (C.layout.b + 1)
+        for h in row:
+            alpha[h] += 1
+        table[tuple(alpha)] = count
     return DistributionTable(table, C.layout, C.m)
 
 

@@ -190,3 +190,19 @@ def test_vectorized_statistics_match_word_level(C):
     else:
         with pytest.raises(ParameterError):
             minimum_distance(C)
+
+
+def test_statistics_of_wide_bytes():
+    """b = 200: h + t - 1 reaches 399, beyond a one-byte weight array."""
+    rows = ([0] * 400, [1] * 400, [1] * 150 + [0] * 250, [0] * 199 + [1] * 201)
+    for t in (1, 128, 200):
+        lay = ByteLayout(b=200, t=t, n=2)
+        C = LinearCode([Word.from_bits(r, 1, lay) for r in rows], lay, 1)
+        weights = sorted(m_spotty_weight(w) for w in C)
+        assert sorted(enumerator(C).terms()) == sorted(
+            (e, weights.count(e)) for e in set(weights)
+        )
+        assert minimum_distance(C) == min(weights[1:])
+        assert dict(distribution(C).items()) == {
+            alpha_vector(w): 1 for w in C
+        }
