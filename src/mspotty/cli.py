@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -354,6 +355,9 @@ def cmd_info(cfg: RunConfig, args) -> tuple[str, int]:
 # --- argument parsing and dispatch ----------------------------------------
 
 
+# Built once per process: parse_args leaves the parser unchanged, and every
+# default is immutable, so repeated `main` calls can share it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(

@@ -8,6 +8,15 @@ where F_j is a fixed per-byte kernel polynomial depending on (b, m, t).
 The sorted alpha rows form a trie and rows sharing a prefix share its
 product of kernel powers, so `transform` sums node by node: one multiply
 by a tabulated power F_j^a per trie edge, not a product of powers per row.
+
+The trie is folded over plain Python ints (Kronecker substitution): each
+polynomial is held as its value at z = 2^K.  Evaluation at 2^K is a ring
+homomorphism Z[z] -> Z, so the folded int is exactly the numerator's value
+there, and only the numerator's own coefficients must fit a signed K-bit
+slot.  Their magnitudes are at most B = sum over alpha of
+A_alpha * prod_j ||F_j||_1^alpha_j (triangle inequality), computed by the
+same fold over the kernels' l1 norms, and K = bitlen(B) + 2.
+
 Everything is exact integer arithmetic; the final division must leave no
 remainder, and a remainder is reported as a corrupted-input error rather
 than rounded away.
@@ -55,12 +64,50 @@ def enumerator_from_distribution(dist: DistributionTable) -> Polynomial:
     return Polynomial(terms)
 
 
-def _power_table(F: Polynomial, top: int) -> list[Polynomial]:
-    """[F^0, F^1, ..., F^top], each power one multiply by F from the last."""
-    powers = [Polynomial.one()]
-    for a in range(1, top + 1):
-        powers.append(F if a == 1 else powers[-1] * F)
-    return powers
+def _fold(rows: list[tuple[tuple[int, ...], int]], bases: list[int]) -> int:
+    """Sum over rows of count * prod_j bases[j]^alpha_j, grouped by the trie.
+
+    The rows must come in lexicographic order with equal sums, as a
+    `DistributionTable` yields them.  The node for a prefix
+    alpha_0..alpha_{j-1} stands for the sum over its rows of
+    count * prod_{j' >= j} bases[j']^alpha_j', which is sum over a of
+    bases[j]^a * (node for the prefix extended by a).  A row's last entry is
+    fixed by sum(alpha) = n, so a leaf is one row: bases[b]^alpha_b * count.
+    Each base gets one power table built by repeated multiplication, and
+    the sum costs one multiply per trie edge with alpha_j > 0 plus one per
+    row, all on plain integers.
+    """
+    b = len(bases) - 1
+    tops = map(max, zip(*(alpha for alpha, _ in rows), (0,) * (b + 1)))
+    powers = []
+    for x, top in zip(bases, tops):
+        table = [1]
+        for _ in range(top):
+            table.append(table[-1] * x)
+        powers.append(table)
+    # acc[j] sums the finished children of the open node at depth j; the
+    # rows arrive sorted, so a node is finished once a row leaves its prefix.
+    acc = [0] * (b + 1)
+
+    def close(alpha: tuple[int, ...], depth: int) -> None:
+        for j in range(b - 1, depth - 1, -1):
+            child, acc[j + 1] = acc[j + 1], 0
+            a = alpha[j]
+            acc[j] += powers[j][a] * child if a else child
+
+    prev: tuple[int, ...] | None = None
+    for alpha, count in rows:
+        if prev is not None:
+            # distinct rows with equal sums first differ before index b
+            depth = 0
+            while alpha[depth] == prev[depth]:
+                depth += 1
+            close(prev, depth)
+        acc[b] = powers[b][alpha[b]] * count
+        prev = alpha
+    if prev is not None:
+        close(prev, 0)
+    return acc[0]
 
 
 def transform(
@@ -72,15 +119,16 @@ def transform(
     is only for probing mismatched kernels.  code_size is the primal |C|
     and must divide the accumulated sum exactly.
 
-    The sum over rows is regrouped along the trie that the lexicographically
-    sorted alpha rows form.  The node for a prefix alpha_0..alpha_{j-1}
-    stands for the sum over its rows of count * prod_{j' >= j} F_j'^alpha_j',
-    which is sum over a of F_j^a * (node for the prefix extended by a).  A
-    row's last entry is fixed by sum(alpha) = n, so a leaf is one row:
-    F_b^alpha_b * count.  Powers of each kernel come from one table built by
-    repeated multiplication, so the sum costs one multiply per trie edge
-    with alpha_j > 0 instead of a product of powers per row.  The numerator
-    is the same exact integer polynomial, and it is divided once at the end.
+    The numerator N(z) = sum over rows of count * prod_j F_j(z)^alpha_j is
+    folded along the alpha trie (`_fold`) with every polynomial held as one
+    integer, its value at z = 2^K.  Evaluation at 2^K is a ring
+    homomorphism Z[z] -> Z, so the folded integer is exactly N(2^K),
+    whatever the intermediate values were.  By the triangle inequality
+    every coefficient of N has magnitude at most
+    B = sum over rows of count * prod_j ||F_j||_1^alpha_j, which is the same
+    fold run over the l1 norms of the kernels.  With K = bitlen(B) + 2 every
+    coefficient fits a signed K-bit slot, so N's coefficients are read back
+    as signed base-2^K digits, and N is divided by code_size once.
     """
     if code_size < 1:
         raise ParameterError(f"code size must be >= 1, got {code_size}")
@@ -89,28 +137,17 @@ def transform(
     t = dist.layout.t if t is None else t
     kernels = [f_poly(j, b, m, t) for j in range(b + 1)]
     rows = list(dist.items())
-    powers = [
-        _power_table(F, max((alpha[j] for alpha, _ in rows), default=0))
-        for j, F in enumerate(kernels)
-    ]
-    # acc[j] sums the finished children of the open node at depth j; the
-    # rows arrive sorted, so a node is finished once a row leaves its prefix.
-    zero = Polynomial.zero()
-    acc = [zero] * (b + 1)
-
-    def close(alpha: tuple[int, ...], depth: int) -> None:
-        for j in range(b - 1, depth - 1, -1):
-            child, acc[j + 1] = acc[j + 1], zero
-            a = alpha[j]
-            acc[j] = acc[j] + (powers[j][a] * child if a else child)
-
-    prev: tuple[int, ...] | None = None
-    for alpha, count in rows:
-        if prev is not None:
-            # distinct rows with equal sums first differ before index b
-            close(prev, next(j for j in range(b) if alpha[j] != prev[j]))
-        acc[b] = powers[b][alpha[b]].scale(count)
-        prev = alpha
-    if prev is not None:
-        close(prev, 0)
-    return acc[0].exact_div(code_size)
+    bound = _fold(rows, [sum(abs(c) for _, c in F.terms()) for F in kernels])
+    K = bound.bit_length() + 2
+    packed = _fold(rows, [F(1 << K) for F in kernels])
+    # signed digits: a digit of 2^(K-1) or more borrows one from the next
+    # slot.  |N(2^K)| >= 2^(K*deg N - 1), so these slots reach the top one.
+    mask, half = (1 << K) - 1, 1 << (K - 1)
+    terms: dict[int, int] = {}
+    for e in range(packed.bit_length() // K + 1):
+        digit = packed & mask
+        if digit >= half:
+            digit -= 1 << K
+        terms[e] = digit
+        packed = (packed - digit) >> K
+    return Polynomial(terms).exact_div(code_size)

@@ -308,3 +308,24 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "mspotty" in proc.stdout
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, small_file):
+    # main shares one parser across calls; no flag or default of one call
+    # may leak into the next
+    calls = [
+        ["dual", small_file, "--format", "json", "--workers", "3"],
+        ["dual", small_file],
+        ["verify", "--grid-m", "1,2", "--grid-b", "1", "--samples", "3"],
+        ["info"],
+        ["verify", "--grid-b", "1", "--samples", "3"],
+    ]
+    for argv in calls:
+        code, out, _ = run_cli(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "mspotty.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+    assert cli._build_parser() is cli._build_parser()

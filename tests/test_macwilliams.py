@@ -5,9 +5,10 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mspotty import macwilliams
 from mspotty.code import ByteLayout, GeneratorMatrix, dual, load_matrix, span
 from mspotty.errors import IntegrityError, ParameterError
 from mspotty.macwilliams import enumerator_from_distribution, f_poly, transform
@@ -202,22 +203,120 @@ def test_transform_multiplies_once_per_trie_edge(monkeypatch):
     table = DistributionTable(rows, ByteLayout(b=b, t=2, n=n), 2)
     assert len(table) == 1001
     edges = len({alpha[:d] for alpha in rows for d in range(1, b + 1)})
-    power_builds = sum(
-        max(max(alpha[j] for alpha in rows) - 1, 0) for j in range(b + 1)
-    )
+    power_builds = sum(max(alpha[j] for alpha in rows) for j in range(b + 1))
     expected = _per_row_reference(table, 2, 2)
+
+    # every multiply the fold does has a Counted operand: its bases are
+    # Counted, and so is every product and sum built from them
+    class Counted(int):
+        def __mul__(self, other):
+            calls[-1] += 1
+            return Counted(int(self) * int(other))
+
+        __rmul__ = __mul__
+
+        def __add__(self, other):
+            return Counted(int(self) + int(other))
+
+        __radd__ = __add__
+
     calls = []
-    mul = Polynomial.__mul__
+    fold = macwilliams._fold
 
-    def counting(self, other):
-        calls.append(1)
-        return mul(self, other)
+    def counting_fold(rows, bases):
+        calls.append(0)
+        return fold(rows, [Counted(x) for x in bases])
 
-    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    poly_muls = []
+    poly_mul = Polynomial.__mul__
+
+    def counting_mul(self, other):
+        poly_muls.append(1)
+        return poly_mul(self, other)
+
+    monkeypatch.setattr(macwilliams, "_fold", counting_fold)
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
     got = transform(table, 1)
-    assert len(calls) <= edges + power_builds
     monkeypatch.undo()
     assert got == expected
+    # one fold for the coefficient bound, one for the packed sum; each does
+    # at most one multiply per trie edge, one count per row and the powers
+    assert len(calls) == 2
+    assert all(0 < c <= edges + len(rows) + power_builds for c in calls)
+    assert poly_muls == []
+
+
+# --- the packed sum: signs, large counts and the slot width --------------------
+
+
+@st.composite
+def _tables(draw):
+    """Random alpha tables (positive counts up to 2^200) with kernel
+    parameters that may differ from the table's own."""
+    b = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    t = draw(st.integers(1, b))
+    m = draw(st.integers(1, 16))
+
+    def split(cuts):  # b cut points in [0, n] split n into b + 1 entries
+        ends = sorted(cuts) + [n]
+        return tuple(hi - lo for lo, hi in zip([0] + ends, ends))
+
+    alphas = st.lists(st.integers(0, n), min_size=b, max_size=b).map(split)
+    counts = draw(
+        st.dictionaries(
+            alphas,
+            st.integers(1, 1 << 200),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    table = DistributionTable(counts, ByteLayout(b=b, t=t, n=n), m)
+    return table, draw(st.integers(1, 16)), draw(st.integers(1, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables(), st.integers(1, 1 << 70))
+def test_transform_matches_per_row_reference_property(args, d):
+    table, m, t = args
+    numerator = _per_row_reference(table, m, t)
+    assume(any(c < 0 for _, c in numerator.terms()))
+    assert transform(table, 1, m=m, t=t) == numerator
+    scaled = DistributionTable(
+        {alpha: c * d for alpha, c in table.items()}, table.layout, table.m
+    )
+    assert transform(scaled, d, m=m, t=t) == numerator
+
+
+def _adversarial(mixed_sign):
+    """m=16, b=1, t=1: F_0 = 1 + (2^16 - 1)z and F_1 = 1 - z.  The top
+    coefficient of 2^100 * F_0^n is within a factor 2 of the bound
+    B = sum of count * ||F_j||_1^alpha_j, so a slot one bit too narrow must
+    fail.  The mixed-sign table adds 2^200 * F_1^n, which makes every odd
+    coefficient of the numerator negative."""
+    n = 12
+    rows = {(n, 0): 1 << 100}
+    if mixed_sign:
+        rows[(0, n)] = 1 << 200
+    want, bound = {}, 0
+    for (a0, _), count in rows.items():
+        root, norm = (0xFFFF, 1 << 16) if a0 else (-1, 2)
+        for e in range(n + 1):
+            want[e] = want.get(e, 0) + count * comb(n, e) * root**e
+        bound += count * norm**n
+    table = DistributionTable(rows, ByteLayout(b=1, t=1, n=n), 16)
+    return table, Polynomial(want), bound
+
+
+@pytest.mark.parametrize("mixed_sign", [False, True])
+def test_transform_adversarial_slot_width(mixed_sign):
+    table, want, bound = _adversarial(mixed_sign)
+    assert 2 * max(abs(c) for _, c in want.terms()) > bound
+    assert any(c < 0 for _, c in want.terms()) == mixed_sign
+    assert transform(table, 1) == want
+    assert transform(table, 1, m=16, t=1) == want
+    with pytest.raises(IntegrityError):
+        transform(table, 3)  # the constant term is a power of 2
 
 
 @st.composite

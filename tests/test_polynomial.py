@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mspotty.errors import IntegrityError, ParameterError
 from mspotty.polynomial import Polynomial
@@ -48,6 +50,35 @@ def test_ring_identities_random():
         assert (p - q) + q == p
         assert p * Polynomial.one() == p
         assert (p * Polynomial.zero()).is_zero()
+
+
+_polys = st.dictionaries(
+    st.integers(0, 12), st.integers(-(1 << 80), 1 << 80), max_size=6
+).map(Polynomial)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys, _polys, _polys)
+def test_ring_laws_property(p, q, r):
+    zero, one = Polynomial.zero(), Polynomial.one()
+    assert p + q == q + p and p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + zero == p and p * one == p and (p * zero).is_zero()
+    assert (p - p).is_zero()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _polys,
+    _polys,
+    st.integers(-(1 << 40), 1 << 40) | st.integers(1, 400).map(lambda k: 1 << k),
+)
+def test_evaluation_is_a_ring_homomorphism(p, q, x):
+    # the packed MacWilliams transform evaluates at x = 2^K and relies on this
+    assert (p * q)(x) == p(x) * q(x)
+    assert (p + q)(x) == p(x) + q(x)
 
 
 def test_pow_matches_repeated_mul():

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from mspotty.code import parse_matrix_text
 from mspotty.errors import ParameterError
 from mspotty.ring import (
     RingElement,
@@ -204,3 +207,16 @@ def test_m_bounds():
     # the top of the supported range still works
     x = monomial(16, 15)
     assert (x * monomial(16, 1)).is_zero()
+
+
+_any_element = st.integers(1, 16).flatmap(
+    lambda m: st.integers(0, (1 << m) - 1).map(lambda bits: RingElement(m, bits))
+)
+
+
+@given(_any_element)
+def test_format_parse_round_trip_property(x):
+    text = format_element(x)
+    assert parse_element(text, x.m) == x
+    G = parse_matrix_text(f"m={x.m} b=1 t=1\n{text}\n")
+    assert G.rows == ((x,),)
