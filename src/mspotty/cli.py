@@ -272,7 +272,10 @@ def _parse_grid(text: str, what: str) -> tuple[int, ...]:
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not tokens or not all(tok.isascii() and tok.isdigit() for tok in tokens):
         raise ParameterError(f"bad {what} grid: {text!r}")
-    values = tuple(int(tok) for tok in tokens)
+    try:
+        values = tuple(int(tok) for tok in tokens)
+    except ValueError:  # more digits than int() takes from a string
+        raise ParameterError(f"bad {what} grid: {text!r}") from None
     if any(v < 1 for v in values):
         raise ParameterError(f"bad {what} grid: {text!r}")
     return values

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetError, MatrixParseError, ParameterError
-from .ring import RingElement, mul_bits, parse_element, zero
+from .ring import MAX_M, RingElement, mul_bits, parse_element, zero
 
 #: Default cap on |R|^k coefficient tuples enumerated by span().
 DEFAULT_SPAN_BUDGET = 1 << 24
@@ -358,9 +358,7 @@ def span(G: GeneratorMatrix, budget: int = DEFAULT_SPAN_BUDGET) -> LinearCode:
     m*k vectors u^i * row, built from an echelon basis in 2^rank steps.
     """
     m, N = G.m, G.layout.N
-    tuples = 1 << (m * G.k)
-    if tuples > budget:
-        raise BudgetError("span over R^k coefficient tuples", tuples, budget)
+    BudgetError.guard("span over R^k coefficient tuples", budget, shift=m * G.k)
     basis: dict[int, int] = {}
     for row in G.rows:
         for v in _multiples([x.bits for x in row], m):
@@ -566,7 +564,14 @@ def _parse_header(line: str, lineno: int) -> tuple[int, int, int]:
         # a sign, underscores and non-ASCII digits
         if not (body.isascii() and body.isdigit()):
             raise MatrixParseError(f"bad integer for {key}: {body!r}", lineno)
-        values.append(int(body))
+        try:
+            values.append(int(body))
+        except ValueError:  # more digits than int() takes from a string
+            raise MatrixParseError(f"bad integer for {key}: {body!r}", lineno) from None
+    if not 1 <= values[0] <= MAX_M:
+        raise MatrixParseError(
+            f"m must be an integer in [1, {MAX_M}], got {values[0]}", lineno
+        )
     if values[1] < 1:
         raise MatrixParseError(f"byte size b must be >= 1, got {values[1]}", lineno)
     return values[0], values[1], values[2]

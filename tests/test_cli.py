@@ -225,6 +225,48 @@ def test_verify_oversized_summation_check_exits_3_fast(capsys):
     assert "m=12" in err and str(8**12) in err
 
 
+@pytest.mark.parametrize(
+    "m,required",
+    [
+        # 1 << (m * b) itself overflows
+        ("99999999999999999999", "101*2^99999999999999999999"),
+        # the size builds, but has too many digits for str()
+        ("100000000", "101*2^100000000"),
+    ],
+)
+def test_verify_huge_grid_m_exits_3(capsys, m, required):
+    code, out, err = run_cli(capsys, "verify", "--grid-m", m)
+    assert code == 3 and out == ""
+    assert err == (
+        f"error: verify cell m={m} b=1: 101 byte scans over R^b: "
+        f"requires {required} > budget 16777216\n"
+    )
+
+
+def test_enumerate_huge_span_exits_3(capsys, tmp_path):
+    # |R|^k = 2^16000 has too many digits for str()
+    path = tmp_path / "wide.txt"
+    path.write_text("m=16 b=1 t=1\n" + "1\n" * 1000)
+    code, out, err = run_cli(capsys, "enumerate", str(path))
+    assert code == 3 and out == ""
+    assert err == (
+        "error: span over R^k coefficient tuples: "
+        "requires 2^16000 > budget 268435456\n"
+    )
+
+
+def test_overlong_integers_exit_2(capsys, tmp_path):
+    # more digits than int() accepts from a string
+    digits = "9" * 5000
+    code, out, err = run_cli(capsys, "verify", "--grid-m", digits)
+    assert code == 2 and out == "" and err.startswith("error: bad m grid")
+    path = tmp_path / "huge_m.txt"
+    path.write_text(f"m={digits} b=1 t=1\n1\n")
+    code, out, err = run_cli(capsys, "enumerate", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 1: bad integer for m")
+
+
 def test_verify_summation_check_capped_below_m_8(capsys):
     # every cell passes its own budget and 8^8 is within the byte budget,
     # but check 3.7 at m=8 would run for about a minute

@@ -169,6 +169,8 @@ def test_parse_skips_comments_and_blanks():
         ("m=2 b=\uff11 t=1\n1\n", "line 1: bad integer for b"),
         ("m=1_6 b=1 t=1\n1\n", "line 1: bad integer for m"),
         ("m=+2 b=1 t=1\n1\n", "line 1: bad integer for m"),
+        ("# c\nm=0 b=1 t=1\n1\n", "line 2: m must be an integer in [1, 16], got 0"),
+        ("# c\nm=17 b=1 t=1\n1\n", "line 2: m must be an integer in [1, 16], got 17"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -275,6 +277,26 @@ def test_span_budget():
     assert "R^k" in str(exc.value)
     # explicit budget unlocks it
     assert len(span(G, budget=1 << 28)) <= 1 << 28
+
+
+def test_budget_error_sizes():
+    # a size str() can print is printed in full, as before
+    err = BudgetError("scan", 101 << 20, 1 << 24)
+    assert str(err) == "scan: requires 105906176 > budget 16777216"
+    assert err.required == 101 << 20
+    assert str(BudgetError("scan", 101, 1 << 24, shift=20)) == str(err)
+    # too long for str(): odd part times a power of two
+    err = BudgetError("scan", 1 << 16000, 1)
+    assert str(err) == "scan: requires 2^16000 > budget 1"
+    err = BudgetError("scan", 6, 1, shift=10**20)
+    assert str(err) == "scan: requires 3*2^100000000000000000001 > budget 1"
+    # guard compares exponents before it builds anything
+    BudgetError.guard("scan", 1 << 24, 2, shift=23)
+    with pytest.raises(BudgetError) as exc:
+        BudgetError.guard("scan", 1 << 24, 3, shift=23)
+    assert exc.value.required == 3 << 23
+    with pytest.raises(BudgetError, match=r"requires 2\^99999999999999999999 "):
+        BudgetError.guard("scan", 1 << 24, shift=99999999999999999999)
 
 
 def test_code_size_from_profile():

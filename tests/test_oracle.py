@@ -7,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from mspotty.code import ByteLayout, GeneratorMatrix, dual, load_matrix, span
+from mspotty import oracle
+from mspotty.code import (
+    ByteLayout,
+    GeneratorMatrix,
+    dual,
+    inner_product,
+    load_matrix,
+    span,
+)
 from mspotty.errors import BudgetError, ParameterError
 from mspotty.macwilliams import f_poly, transform
 from mspotty.oracle import (
@@ -27,7 +35,15 @@ from mspotty.oracle import (
     sum_chi_subspace,
 )
 from mspotty.polynomial import Polynomial
-from mspotty.ring import RingElement, elements, monomial, one, partition, zero
+from mspotty.ring import (
+    RingElement,
+    chi,
+    elements,
+    monomial,
+    one,
+    partition,
+    zero,
+)
 from mspotty.weight import distribution, enumerator, support
 
 DATA = Path(__file__).parent / "data"
@@ -203,6 +219,113 @@ def test_byte_transform_budget_and_validation():
         byte_transform_bruteforce(c, 0)
 
 
+# --- support-sum engine --------------------------------------------------------
+
+
+def _literal_support_sums(c):
+    """chi(<c, v>) over every v in R^b, one vector at a time, by support."""
+    m, b = c[0].m, len(c)
+    sums = [0] * (1 << b)
+    for v in itertools.product(elements(m), repeat=b):
+        I = sum(1 << i for i, x in enumerate(v) if not x.is_zero())
+        sums[I] += chi(inner_product(c, v))
+    return sums
+
+
+def _cells(lo, hi):
+    return [(m, b) for m in range(1, hi + 1) for b in range(1, hi + 1)
+            if lo <= m * b <= hi]
+
+
+def test_support_sums_match_literal_sum_exhaustive():
+    for m, b in _cells(1, 8):
+        cs = _all_bytes(m, b)
+        got = oracle._support_sums(m, b, cs).tolist()
+        assert got == [_literal_support_sums(c) for c in cs], (m, b)
+
+
+def test_support_sums_match_literal_sum_sampled():
+    rng = random.Random(113)
+    for m, b in _cells(9, 12):
+        cs = [_random_byte(rng, m, b) for _ in range(3)]
+        cs.append(tuple(zero(m) for _ in range(b)))
+        got = oracle._support_sums(m, b, cs).tolist()
+        for c, sums in zip(cs, got):
+            assert sums == _literal_support_sums(c), (m, b, c)
+            # the literal per-support sums of the referee agree too
+            sup = support(c)
+            for r in range(len(sup) + 1):
+                for I in itertools.combinations(sup, r):
+                    mask = sum(1 << i for i in I)
+                    assert sums[mask] == sum_chi_fixed_support(c, I)
+
+
+def test_support_sums_partial_byte_block():
+    # m=2, b=3: 64 vectors a run, 256 bytes a block; 300 bytes leave a
+    # partial last block
+    m, b = 2, 3
+    assert oracle._BLOCK_PAIRS // (1 << (m * b)) == 256
+    rng = random.Random(127)
+    cs = [_random_byte(rng, m, b) for _ in range(300)]
+    got = oracle._support_sums(m, b, cs).tolist()
+    assert got == [_literal_support_sums(c) for c in cs]
+
+
+def test_support_sums_runs_straddle_a_coordinate():
+    # 2^15 vectors in runs of 2^14: coordinate 2 (bits 10..14) is split
+    # between runs, so its support bit is fixed per run only in part
+    rng = random.Random(131)
+    cs = [_random_byte(rng, 5, 3), (one(5), zero(5), monomial(5, 4))]
+    got = oracle._support_sums(5, 3, cs).tolist()
+    assert got == [_literal_support_sums(c) for c in cs]
+
+
+def test_support_sums_beyond_one_block():
+    # |R|^b = 2^18 > the block: 16 runs of 2^14 vectors, one byte at a time
+    m, b = 6, 3
+    assert 1 << (m * b) > oracle._BLOCK_PAIRS
+    rng = random.Random(137)
+    cs = [tuple(zero(m) for _ in range(b))]
+    cs += [_random_byte(rng, m, b) for _ in range(3)]
+    cs.append((zero(m), monomial(m, 5), zero(m)))
+    sums = oracle._support_sums(m, b, cs)
+    assert sums.sum(axis=1).tolist() == [1 << (m * b), 0, 0, 0, 0]
+    for c in cs:
+        j = len(support(c))
+        for t in range(1, b + 1):
+            assert byte_transform_bruteforce(c, t) == f_poly(j, b, m, t)
+
+
+def test_support_sums_memory_is_bounded_by_the_block():
+    # a 2^24-vector byte: its keys alone would take 128 MB at once
+    tracemalloc = pytest.importorskip("tracemalloc")
+    c = (one(8), monomial(8, 3), RingElement(8, 0xA5))
+    tracemalloc.start()
+    try:
+        poly = byte_transform_bruteforce(c, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert poly == f_poly(3, 3, 8, 2)
+    assert peak < 4 << 20
+
+
+def test_support_sums_negative_control(monkeypatch):
+    """One wrong product in the engine's tables fails a per-byte check."""
+    real = oracle.mul_bits
+
+    def corrupt(a, r, m):
+        out = real(a, r, m)
+        # u * u = 0 in F2[u]/(u^2), returned as u: chi flips on every v
+        # with v_i = u where c_i = u
+        return out ^ (1 << (m - 1)) if (m, a, r) == (2, 2, 2) else out
+
+    monkeypatch.setattr(oracle, "mul_bits", corrupt)
+    reports = campaign(ms=(2,), bs=(1, 2), samples=3)
+    bad = {r.lemma for r in reports if not r.passed}
+    assert bad & {"3.3", "3.4", "c3.1", "3.5", "c3.2", "3.6"}, bad
+
+
 # --- dual scan vs transform --------------------------------------------------
 
 
@@ -277,12 +400,16 @@ def test_poisson_worked_example_byte_layout():
 def test_oracle_runs_without_the_fast_paths(monkeypatch):
     """The referee closes codes row by row and sums weights word by word:
     it imports neither `span` nor the vectorized statistics, and runs with
-    the elimination and the packed statistics disabled."""
+    the elimination and the packed statistics disabled.  Its per-byte
+    engine builds its own product tables: the per-byte checks also run
+    with the dual scan's tables and the transform's fold disabled."""
     import mspotty.code
+    import mspotty.macwilliams
     import mspotty.oracle
     import mspotty.weight
 
-    for name in ("span", "generating_rows", "distribution", "enumerator"):
+    for name in ("span", "generating_rows", "distribution", "enumerator",
+                 "_scan_chunk", "_times_table", "_fold"):
         assert not hasattr(mspotty.oracle, name)
 
     def disabled(*args):
@@ -295,6 +422,14 @@ def test_oracle_runs_without_the_fast_paths(monkeypatch):
     assert all(r.passed for r in reports)
     G = GeneratorMatrix([(one(2), monomial(2, 1))], ByteLayout(b=2, t=1, n=1))
     assert dual_enumerator_bruteforce(G) == Polynomial({0: 1, 1: 1, 2: 2})  # v = (u*a, a)
+
+    monkeypatch.setattr(mspotty.code, "_scan_chunk", disabled)
+    monkeypatch.setattr(mspotty.code, "_times_table", disabled)
+    monkeypatch.setattr(mspotty.macwilliams, "_fold", disabled)
+    reports = oracle._cell_reports(3, 2, _all_bytes(3, 2), True)
+    assert len(reports) == 7 and all(r.passed for r in reports)
+    c = (one(4), monomial(4, 1), zero(4))
+    assert byte_transform_bruteforce(c, 2) == f_poly(2, 3, 4, 2)
 
 
 # --- partition search ---------------------------------------------------------
