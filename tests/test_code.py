@@ -169,6 +169,10 @@ def test_parse_skips_comments_and_blanks():
         ("m=2 b=\uff11 t=1\n1\n", "line 1: bad integer for b"),
         ("m=1_6 b=1 t=1\n1\n", "line 1: bad integer for m"),
         ("m=+2 b=1 t=1\n1\n", "line 1: bad integer for m"),
+        pytest.param(
+            "m=" + "9" * 5000 + " b=1 t=1\n1\n", "line 1: bad integer for m",
+            id="more-digits-than-int-takes",
+        ),
         ("# c\nm=0 b=1 t=1\n1\n", "line 2: m must be an integer in [1, 16], got 0"),
         ("# c\nm=17 b=1 t=1\n1\n", "line 2: m must be an integer in [1, 16], got 17"),
     ],
