@@ -23,6 +23,9 @@ from dataclasses import dataclass
 
 from . import __version__
 from .code import (
+    _SCAN_CHUNK,
+    DEFAULT_SPACE_BUDGET,
+    DEFAULT_SPAN_BUDGET,
     ByteLayout,
     GeneratorMatrix,
     LinearCode,
@@ -39,14 +42,13 @@ from .errors import (
 from .macwilliams import enumerator_from_distribution, f_poly, transform
 from .oracle import campaign
 from .polynomial import Polynomial
+from .ring import _check_m
 from .weight import DistributionTable, distribution, enumerator
 
 _EXIT_PARSE = 2
 _EXIT_BUDGET = 3
 _EXIT_INTEGRITY = 4
 _EXIT_VERIFY = 5
-
-DEFAULT_MAX_SPACE = 1 << 28
 
 # Known discrepancy on the bundled worked example: some circulated
 # tabulations list the top enumerator term as 104z^6, which exceeds the
@@ -221,6 +223,7 @@ def cmd_enumerate(cfg: RunConfig, args) -> tuple[str, int]:
 
 def cmd_tables(cfg: RunConfig, args) -> tuple[str, int]:
     m, b, t = args.m, args.b, args.t
+    _check_m(m)  # the ring's range, as the matrix header and `info` state it
     kernels = [Section("kernel", f_poly(j, b, m, t), j) for j in range(b + 1)]
     params = Section("params", {"m": m, "b": b, "t": t})
     return _render(cfg.fmt, "tables", [params, *kernels]), 0
@@ -338,9 +341,9 @@ def cmd_info(cfg: RunConfig, args) -> tuple[str, int]:
         "ring": "F2[u]/(u^m), 1 <= m <= 16",
         "element_grammar": "'0' or '+'-separated monomials 1, u, u2, ... (u^k ok)",
         "matrix_header": "m=<int> b=<int> t=<int>",
-        "span_budget_default": str(1 << 24),
-        "scan_budget_default": str(DEFAULT_MAX_SPACE),
-        "scan_chunk": str(1 << 20),
+        "span_budget_default": str(DEFAULT_SPAN_BUDGET),
+        "scan_budget_default": str(DEFAULT_SPACE_BUDGET),
+        "scan_chunk": str(_SCAN_CHUNK),
         "subcommands": "enumerate tables transform dual verify info",
         "exit_codes": "0 ok, 2 parse, 3 budget, 4 integrity, 5 verification",
     }
@@ -372,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--max-space",
         type=int,
-        default=DEFAULT_MAX_SPACE,
+        default=DEFAULT_SPACE_BUDGET,
         metavar="COUNT",
         help="largest enumeration allowed for span/dual scans (default 2^28)",
     )

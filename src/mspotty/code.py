@@ -504,9 +504,7 @@ def dual(
         raise ParameterError(
             f"scan index needs {m * N} bits, beyond 64-bit packing"
         )
-    space = 1 << (m * N)
-    if space > budget:
-        raise BudgetError("dual scan over R^N", space, budget)
+    BudgetError.guard("dual scan over R^N", budget, shift=m * N)
     rows_bits = tuple(tuple(x.bits for x in row) for row in G.rows)
     if method == "kernel":
         words = _words_of_basis(_kernel_basis(m, N, rows_bits), N, m)

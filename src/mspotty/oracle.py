@@ -1,14 +1,15 @@
 """Brute-force ground truth for every character-sum identity we rely on.
 
-Each operation here evaluates a sum by literal enumeration and nothing
-else: every term is computed on its own, with no factorization and no
-closed form.  That is what "naive" means here, not one Python iteration
-per term: the per-byte engine `_support_sums` evaluates its terms in numpy
-blocks, and the `sum_chi_*` functions, one vector at a time, check it.
-The closed forms live in `macwilliams` and in the expected values of the
-verification campaign; the transform is the fast path, these are the
-referee.  Codes are closed row by row and their enumerators summed word
-by word: nothing here calls `span`, the vectorized statistics in `weight`,
+Each sum here is evaluated by literal enumeration: every term is computed
+on its own, with no factorization and no closed form.  That is what
+"naive" means here, not one Python iteration per term: the per-byte
+engine `_support_sums` evaluates chi(<c, v>) in numpy blocks, checked by
+the one-vector-at-a-time `sum_chi_*` functions, and the per-byte checks
+read three exact integer regroupings of its bucket totals; chi is never
+used beyond the engine.  The closed forms live in `macwilliams` and in the
+campaign's expected values: the transform is the fast path, these are the
+referee.  Codes are closed row by row and enumerators summed word by
+word: nothing here calls `span`, the vectorized statistics in `weight`,
 the dual scan's tables or the transform's fold.
 
 Check ids used in reports ("3.1" ... "3.7", "c3.1", "c3.2", "partition")
@@ -197,8 +198,8 @@ def sum_chi_Sj1j2(c: Byte, j1: int, j2: int) -> int:
 def byte_transform_bruteforce(
     c: Byte, t: int, budget: int = DEFAULT_BYTE_BUDGET
 ) -> Polynomial:
-    """Sum over ALL v in R^b of chi(<c, v>) * z^ceil(w_H(v)/t), from the
-    support buckets of `_support_sums` grouped by ceil(|I|/t).
+    """Sum over ALL v in R^b of chi(<c, v>) * z^ceil(w_H(v)/t): the
+    `_support_sums` buckets totalled by weight k, grouped by ceil(k/t).
 
     The closed form is f_poly(w(c), b, m, t); equality is checked
     term-for-term by the campaign and the tests.
@@ -207,7 +208,8 @@ def byte_transform_bruteforce(
     if not 1 <= t <= b:
         raise ParameterError(f"need 1 <= t <= b={b}, got t={t}")
     BudgetError.guard("byte scan over R^b", budget, shift=m * b)
-    return _regroup(_support_sums(m, b, [c])[0].tolist(), t)
+    # an empty mask puts every coordinate outside: row 0 totals by weight
+    return _regroup(_split(_support_sums(m, b, [c])[0].tolist(), 0, b)[0], t)
 
 
 def dual_enumerator_bruteforce(
@@ -370,13 +372,19 @@ def _support_sums(m: int, b: int, cs: Sequence[Byte]) -> np.ndarray:
     return sums
 
 
-def _regroup(sums: Sequence[int], t: int) -> Polynomial:
-    """Support buckets summed by exponent ceil(|I|/t)."""
-    terms: dict[int, int] = {}
+def _split(sums: Sequence[int], smask: int, b: int) -> list[list[int]]:
+    """Support buckets totalled in one pass by (|I & smask|, |I & ~smask|),
+    the numbers of nonzero coordinates of v inside and outside smask."""
+    omask = ((1 << b) - 1) ^ smask
+    split = [[0] * (omask.bit_count() + 1) for _ in range(smask.bit_count() + 1)]
     for I, v in enumerate(sums):
-        e = -(-I.bit_count() // t)
-        terms[e] = terms.get(e, 0) + v
-    return Polynomial(terms)
+        split[(I & smask).bit_count()][(I & omask).bit_count()] += v
+    return split
+
+
+def _regroup(weights: Sequence[int], t: int) -> Polynomial:
+    """Totals by Hamming weight k summed by exponent ceil(k/t)."""
+    return Polynomial((-(-k // t), v) for k, v in enumerate(weights))
 
 
 def _submasks(mask: int) -> Iterator[int]:
@@ -439,9 +447,7 @@ def poisson_check(
     """Summation identity: the dual's enumerator equals the average over C
     of the per-word transforms, each a product of per-byte scans."""
     t = C.layout.t
-    scanned = _word_enumerator(
-        dual(_generators(C), budget=budget, workers=workers, method="scan")
-    )
+    scanned = dual_enumerator_bruteforce(_generators(C), budget, workers)
     cache: dict[tuple[int, ...], Polynomial] = {}
     acc = Polynomial.zero()
     for w in C:
@@ -474,65 +480,58 @@ def _cell_reports(
     m: int, b: int, bytes_sample: list[Byte], exhaustive: bool
 ) -> list[LemmaReport]:
     """All per-byte identity checks for one (m, b) cell, plus the per-t
-    byte-transform comparison."""
+    byte-transform comparison.  Each reads one entry of the literal support
+    buckets (3.4) or of three exact views of them, each one pass: subset
+    totals (3.3), weights split by supp(c) (c3.1, 3.5, c3.2) and totals by
+    weight (3.6).  chi is evaluated only in the engine."""
     q1 = (1 << m) - 1
     tallies = {lem: _Tally() for lem in ("3.3", "3.4", "c3.1", "3.5", "c3.2")}
     t_tallies = {t: _Tally() for t in range(1, b + 1)}
     kernels = {
         (j, t): f_poly(j, b, m, t) for j in range(b + 1) for t in range(1, b + 1)
     }
-    cell_sums = _support_sums(m, b, bytes_sample).tolist()
-    for c, sums in zip(bytes_sample, cell_sums):
-        smask = 0
-        for i in support(c):
-            smask |= 1 << i
-        omask = ((1 << b) - 1) ^ smask
+    sums = _support_sums(m, b, bytes_sample)
+    # subset totals, [k, I] = sum of sums[k, J] over J inside I: a running
+    # total along each support bit of the (bytes, 2, ..., 2) view
+    below = sums.copy()
+    cube = below.reshape((len(bytes_sample),) + (2,) * b)
+    for axis in range(1, b + 1):
+        np.cumsum(cube, axis=axis, out=cube)
+    for c, row, within in zip(bytes_sample, sums, below):
+        row = row.tolist()
+        smask = sum(1 << i for i in support(c))
         j = smask.bit_count()
-        ctext = ",".join(str(x) for x in c)
-        # all v supported inside a fixed nonempty subset of supp(c): sum 0
-        for I in _submasks(smask):
-            if I == 0:
-                continue
-            val = sum(sums[J] for J in _submasks(I))
-            tallies["3.3"].add(0, val, f"c=({ctext}) I=0b{I:0{b}b}")
-        # exact support I inside supp(c): (-1)^|I|, for every subset
-        for I in _submasks(smask):
-            k = I.bit_count()
-            val = sums[I]
-            tallies["3.4"].add((-1) ** k, val, f"c=({ctext}) I=0b{I:0{b}b}")
-        # grouped by weight inside the support: (-1)^k * C(j, k)
+        at = f"c=({','.join(str(x) for x in c)})"
+        subs = list(_submasks(smask))
+        # I inside supp(c): all v supported inside a nonempty I sum to 0
+        # (3.3), those with support exactly I to (-1)^|I| (3.4)
+        for I, total in zip(subs, within[subs].tolist()):
+            desc = f"{at} I=0b{I:0{b}b}"
+            if I:
+                tallies["3.3"].add(0, total, desc)
+            tallies["3.4"].add((-1) ** I.bit_count(), row[I], desc)
+        split = _split(row, smask, b)
+        # weight k inside the support: (-1)^k * C(j, k)
         for k in range(j + 1):
-            val = sum(
-                sums[I] for I in _submasks(smask) if I.bit_count() == k
-            )
-            tallies["c3.1"].add((-1) ** k * comb(j, k), val, f"c=({ctext}) k={k}")
+            tallies["c3.1"].add((-1) ** k * comb(j, k), split[k][0], f"{at} k={k}")
         # weight k outside the support: (2^m - 1)^k * C(b - j, k)
         for k in range(b - j + 1):
-            val = sum(
-                sums[I] for I in _submasks(omask) if I.bit_count() == k
-            )
-            tallies["3.5"].add(q1**k * comb(b - j, k), val, f"c=({ctext}) k={k}")
-        # split weights (j1 inside, j2 outside): product of both factors
+            tallies["3.5"].add(q1**k * comb(b - j, k), split[0][k], f"{at} k={k}")
+        # split weights (j1 inside, j2 outside): product of both factors;
+        # their totals by weight j1 + j2 give the byte transform
+        weights = [0] * (b + 1)
         for j1 in range(j + 1):
             for j2 in range(b - j + 1):
-                val = sum(
-                    v
-                    for I, v in enumerate(sums)
-                    if (I & smask).bit_count() == j1
-                    and (I & omask).bit_count() == j2
-                )
                 want = (-1) ** j1 * q1**j2 * comb(j, j1) * comb(b - j, j2)
-                tallies["c3.2"].add(want, val, f"c=({ctext}) j1={j1} j2={j2}")
-        # full byte transform per t, as polynomials
+                tallies["c3.2"].add(want, split[j1][j2], f"{at} j1={j1} j2={j2}")
+                weights[j1 + j2] += split[j1][j2]
         for t in range(1, b + 1):
-            t_tallies[t].add(kernels[j, t], _regroup(sums, t), f"c=({ctext})")
-    reports = []
+            t_tallies[t].add(kernels[j, t], _regroup(weights, t), at)
     base = {"m": m, "b": b, "bytes": len(bytes_sample), "exhaustive": exhaustive}
-    for lem in ("3.3", "3.4", "c3.1", "3.5", "c3.2"):
-        reports.append(tallies[lem].report(lem, base))
-    for t in range(1, b + 1):
-        reports.append(t_tallies[t].report("3.6", {**base, "t": t}))
-    return reports
+    reports = [tally.report(lem, base) for lem, tally in tallies.items()]
+    return reports + [
+        tally.report("3.6", {**base, "t": t}) for t, tally in t_tallies.items()
+    ]
 
 
 def campaign(

@@ -287,10 +287,13 @@ def _parse_monomial(token: str, m: int) -> int:
         if body.startswith("^"):
             body = body[1:]
         if body.isascii() and body.isdigit():
-            k = int(body)
+            degree = body.lstrip("0") or "0"
+            # a degree with more digits than MAX_M is >= m: refuse it before
+            # int(), which takes no more digits than the int-to-str limit
+            k = int(degree) if len(degree) <= len(str(MAX_M)) else MAX_M
             if k >= m:
                 raise ParameterError(
-                    f"monomial {token!r} has degree {k} >= m={m}"
+                    f"monomial {token!r} has degree {degree} >= m={m}"
                 )
             if k >= 1:
                 return k

@@ -93,6 +93,13 @@ def test_tables_bad_range_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("m", ["0", "17", "99999999999999999999"])
+def test_tables_m_outside_the_ring_exits_2(capsys, m):
+    code, out, err = run_cli(capsys, "tables", m, "1", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: m must be an integer in [1, 16], got {m}\n"
+
+
 def test_transform_text(capsys):
     code, out, _ = run_cli(capsys, "transform", EXAMPLE)
     assert code == 0
@@ -258,6 +265,17 @@ def test_enumerate_huge_span_exits_3(capsys, tmp_path):
         "error: span over R^k coefficient tuples: "
         "requires 2^16000 > budget 268435456\n"
     )
+
+
+def test_enumerate_overlong_monomial_exits_2(capsys, tmp_path):
+    # the power has more digits than int() takes from a string
+    path = tmp_path / "long.txt"
+    path.write_text("m=4 b=1 t=1\nu" + "9" * 5000 + "\n")
+    code, out, err = run_cli(capsys, "enumerate", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 2: monomial 'u999")
+    assert err.endswith(" >= m=4\n") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_verify_summation_check_capped_below_m_8(capsys):

@@ -173,6 +173,11 @@ def test_parse_skips_comments_and_blanks():
             "m=" + "9" * 5000 + " b=1 t=1\n1\n", "line 1: bad integer for m",
             id="more-digits-than-int-takes",
         ),
+        pytest.param(
+            "# c\nm=4 b=1 t=1\nu" + "9" * 5000 + "\n",
+            "line 3: monomial 'u999",
+            id="monomial-power-longer-than-int-takes",
+        ),
         ("# c\nm=0 b=1 t=1\n1\n", "line 2: m must be an integer in [1, 16], got 0"),
         ("# c\nm=17 b=1 t=1\n1\n", "line 2: m must be an integer in [1, 16], got 17"),
     ],

@@ -326,6 +326,44 @@ def test_support_sums_negative_control(monkeypatch):
     assert bad & {"3.3", "3.4", "c3.1", "3.5", "c3.2", "3.6"}, bad
 
 
+def _bucket_kind(I, smask):
+    if (I & smask) == I:
+        return {"3.3", "3.4", "c3.1", "c3.2", "3.6"}  # inside supp(c)
+    if (I & smask) == 0:
+        return {"3.5", "c3.2", "3.6"}  # outside supp(c)
+    return {"c3.2", "3.6"}  # both sides: only the split and the totals
+
+
+@pytest.mark.parametrize("I", range(1, 8))
+def test_cell_reports_bucket_negative_control(monkeypatch, I):
+    """+1 on one support bucket of one byte fails exactly the checks that
+    read it: every view is a regrouping of the literal buckets."""
+    m, b = 2, 3
+    c = (one(m), zero(m), monomial(m, 1))  # supp(c) = {0, 2}
+    cs = [tuple(zero(m) for _ in range(b)), c, (one(m),) * b]
+    real = oracle._support_sums
+
+    def skewed(m_, b_, cs_):
+        sums = real(m_, b_, cs_)
+        sums[1, I] += 1
+        return sums
+
+    monkeypatch.setattr(oracle, "_support_sums", skewed)
+    reports = oracle._cell_reports(m, b, cs, True)
+    assert {r.lemma for r in reports if not r.passed} == _bucket_kind(I, 0b101)
+    assert all("c=(1,0,u)" in r.actual for r in reports if not r.passed)
+
+
+def test_cell_reports_wide_cell():
+    # all-ones byte at b = 16: 3^16 subset-of-subset terms if summed
+    # one submask at a time
+    m, b = 1, 16
+    cs = [tuple(zero(m) for _ in range(b)), (one(m),) * b]
+    reports = oracle._cell_reports(m, b, cs, False)
+    assert len(reports) == 5 + b
+    assert all(r.passed for r in reports), [r.actual for r in reports]
+
+
 # --- dual scan vs transform --------------------------------------------------
 
 

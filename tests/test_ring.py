@@ -183,6 +183,8 @@ def test_parse_aliases_and_whitespace():
     assert parse_element(" 1 + u3 ", 4) == one(4) + monomial(4, 3)
     assert parse_element("u2+1", 4) == parse_element("1+u2", 4)
     assert format_element(one(4) + monomial(4, 1)) == "1+u"
+    # leading zeros are read as text, past the digits int() would take
+    assert parse_element("u" + "0" * 5000 + "3", 4) == monomial(4, 3)
 
 
 @pytest.mark.parametrize(
