@@ -21,6 +21,8 @@ import json
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import __version__
 from .code import (
     _SCAN_CHUNK,
@@ -39,10 +41,10 @@ from .errors import (
     MatrixParseError,
     ParameterError,
 )
-from .macwilliams import enumerator_from_distribution, f_poly, transform
+from .macwilliams import enumerator_from_distribution, kernel_table, transform
 from .oracle import campaign
 from .polynomial import Polynomial
-from .ring import _check_m
+from .ring import RingElement, _check_m, format_element
 from .weight import DistributionTable, distribution, enumerator
 
 _EXIT_PARSE = 2
@@ -101,8 +103,9 @@ class Section:
     """One typed piece of a report, printed by `_render` in any format.
 
     kind is one of: layout (m, b, t, n, N), params (the `tables` header),
-    size, dist, poly, kernel (key is j), codewords, note.  key names the
-    JSON key or CSV section, label the text form.
+    size, dist, poly, kernel (key is j), codewords (a list of `str(Word)`
+    strings), note.  key names the JSON key or CSV section, label the text
+    form.
     """
 
     kind: str
@@ -147,7 +150,7 @@ def _render(fmt: str, command: str, sections: list[Section]) -> str:
                     {"j": s.key, "terms": s.value.to_json_terms()}
                 )
             elif s.kind == "codewords":
-                obj["codewords"] = [str(w) for w in s.value]
+                obj["codewords"] = s.value
             else:
                 obj["note"] = s.value
         return _json_dump(obj)
@@ -168,7 +171,7 @@ def _render(fmt: str, command: str, sections: list[Section]) -> str:
                 section = s.key if s.kind == "poly" else f"F_{s.key}"
                 rows += [[section, f"z^{e}", str(c)] for e, c in s.value.terms()]
             elif s.kind == "codewords":
-                rows += [["codeword", str(i), str(w)] for i, w in enumerate(s.value)]
+                rows += [["codeword", str(i), w] for i, w in enumerate(s.value)]
             elif s.kind == "note":
                 rows.append(["note", "", s.value])
         return _csv_body([["section", "key", "value"], *meta, *rows])
@@ -224,7 +227,7 @@ def cmd_enumerate(cfg: RunConfig, args) -> tuple[str, int]:
 def cmd_tables(cfg: RunConfig, args) -> tuple[str, int]:
     m, b, t = args.m, args.b, args.t
     _check_m(m)  # the ring's range, as the matrix header and `info` state it
-    kernels = [Section("kernel", f_poly(j, b, m, t), j) for j in range(b + 1)]
+    kernels = [Section("kernel", F, j) for j, F in enumerate(kernel_table(b, m, t))]
     params = Section("params", {"m": m, "b": b, "t": t})
     return _render(cfg.fmt, "tables", [params, *kernels]), 0
 
@@ -255,11 +258,23 @@ def cmd_transform(cfg: RunConfig, args) -> tuple[str, int]:
     ]), 0
 
 
+def _codeword_strings(C: LinearCode) -> list[str]:
+    """`str(w)` of every codeword in canonical order, assembled column by
+    column from one string per ring element, so no `Word` is built."""
+    lay = C.layout
+    names = [format_element(RingElement(C.m, x)) for x in range(1 << C.m)]
+    lines = np.full(len(C), "", dtype=object)
+    for i, column in enumerate(C.digits.T):
+        sep = "" if i == lay.N - 1 else " | " if (i + 1) % lay.b == 0 else " "
+        lines = lines + np.array([x + sep for x in names], dtype=object)[column]
+    return lines.tolist()
+
+
 def cmd_dual(cfg: RunConfig, args) -> tuple[str, int]:
     G = load_matrix(cfg.path)
     Cd = dual(G, budget=cfg.max_space, workers=cfg.workers)
     dist, W = _statistics(Cd)
-    words = [Section("codewords", Cd)] if args.codewords else []
+    words = [Section("codewords", _codeword_strings(Cd))] if args.codewords else []
     return _render(cfg.fmt, "dual", [
         _layout(G),
         Section("size", len(Cd), "dual_size", "|C-dual|"),

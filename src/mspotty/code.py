@@ -1,22 +1,24 @@
 """Words over F2[u]/(u^m), byte layouts, generator matrices, codes and duals.
 
 A word of length N = n*b splits into n bytes of b coordinates each; byte i
-is coords[i*b : (i+1)*b].  A `LinearCode` holds one packed array of shape
-(|C|, N), one digit (coefficient mask) per coordinate, with unique rows in
-canonical order (coordinate 0 most significant, the order `Word.__lt__`
-gives).  Span, dual and the statistics in `weight` all work on that array;
-`Word` objects are built only when a caller asks for them.
+is coords[i*b : (i+1)*b].  A `LinearCode`'s words are read as one array of
+shape (|C|, N), one digit (coefficient mask) per coordinate, with unique
+rows in canonical order (coordinate 0 most significant, the order
+`Word.__lt__` gives).  `Word` objects are built only when a caller asks
+for them.
 
 R = F2[u]/(u^m) is an F2-algebra, so both sides are F2-linear.  A vector
 packs into an integer with coordinate i in bits [m*i, m*(i+1)).  The span
 is the F2-span of the m*k vectors u^i*g_r, and the dual is the kernel of
 the (m*k) x (m*N) bit matrix of v -> (<g_r, v>)_r.  Gaussian elimination
 over Python-int bit rows gives a basis of either side (so |C| = 2^rank),
-and the words come from XOR doubling of that basis.  The exhaustive scan
-of R^N, optionally in contiguous chunks on parallel workers merged in
-chunk order, is kept as the independent referee.  Every route ends in one
-builder that sorts the words canonically, so results are identical for
-any route and any worker count.
+and the code keeps that basis: its words are enumerated in blocks of at
+most 2^14 (`_blocks`), which is all the statistics in `weight` read, and
+the digit array is built from the same blocks only when it is read.  The
+exhaustive scan of R^N, optionally in contiguous chunks on parallel
+workers merged in chunk order, is kept as the independent referee.  Every
+digit array goes through one builder that sorts the words canonically,
+so results are identical for any route and any worker count.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ DEFAULT_SPAN_BUDGET = 1 << 24
 DEFAULT_SPACE_BUDGET = 1 << 28
 
 _SCAN_CHUNK = 1 << 20
+#: A basis-backed code is enumerated in blocks of at most 2^_BLOCK_BITS words.
+_BLOCK_BITS = 14
 
 
 @dataclass(frozen=True)
@@ -213,15 +217,26 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[starts], np.diff(np.append(starts, len(rows)))
 
 
+def _canonical(digits: np.ndarray) -> np.ndarray:
+    """The distinct rows of a (rows, N) digit array in canonical order,
+    read-only."""
+    digits = _group_rows(digits)[0]
+    digits.flags.writeable = False
+    return digits
+
+
 class LinearCode:
     """Deduplicated codeword set in canonical (coordinate-lex) order.
 
     `digits` is the read-only (|C|, N) array of coefficient masks, one row
     per codeword in canonical order; `codewords` builds the `Word` tuple
-    on first use.
+    on first use.  A code built by `span` or `dual(method="kernel")` holds
+    r independent packed F2 vectors instead (|C| = 2^r) and builds
+    `digits` on first read; `_blocks` enumerates either kind in bounded
+    blocks without building it.
     """
 
-    __slots__ = ("digits", "m", "layout", "_words", "_index")
+    __slots__ = ("m", "layout", "_basis", "_digits", "_words", "_index")
 
     def __init__(self, codewords: Iterable[Word], layout: ByteLayout, m: int):
         words = list(codewords)
@@ -231,14 +246,19 @@ class LinearCode:
             if w.layout != layout or w.m != m:
                 raise ParameterError("codeword layout or ring parameter mismatch")
         digits = np.array([w.bits() for w in words], dtype=_digit_dtype(m))
-        self._set(digits, layout, m)
+        self._set(layout, m, None, _canonical(digits))
 
-    def _set(self, digits: np.ndarray, layout: ByteLayout, m: int) -> None:
-        digits = _group_rows(digits)[0]
-        digits.flags.writeable = False
-        object.__setattr__(self, "digits", digits)
+    def _set(
+        self,
+        layout: ByteLayout,
+        m: int,
+        basis: tuple[int, ...] | None,
+        digits: np.ndarray | None,
+    ) -> None:
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "m", m)
+        object.__setattr__(self, "_basis", basis)
+        object.__setattr__(self, "_digits", digits)
         object.__setattr__(self, "_words", None)
         object.__setattr__(self, "_index", None)
 
@@ -252,8 +272,24 @@ class LinearCode:
         """A code from a nonempty (rows, N) digit array of words bound to
         `layout` and `m`; rows are sorted and deduplicated here."""
         C = object.__new__(cls)
-        C._set(digits, layout, m)
+        C._set(layout, m, None, _canonical(digits))
         return C
+
+    @classmethod
+    def _from_basis(
+        cls, basis: Sequence[int], layout: ByteLayout, m: int
+    ) -> "LinearCode":
+        """The 2^r F2-combinations of r independent packed vectors (coordinate
+        i in bits [m*i, m*(i+1))) of words bound to `layout` and `m`."""
+        C = object.__new__(cls)
+        C._set(layout, m, tuple(basis), None)
+        return C
+
+    @property
+    def digits(self) -> np.ndarray:
+        if self._digits is None:  # basis-backed: built on first read
+            object.__setattr__(self, "_digits", _materialize(self))
+        return self._digits
 
     @property
     def codewords(self) -> tuple[Word, ...]:
@@ -268,7 +304,9 @@ class LinearCode:
         return self._words
 
     def __len__(self) -> int:
-        return len(self.digits)
+        if self._basis is not None:
+            return 1 << len(self._basis)
+        return len(self._digits)
 
     def __iter__(self) -> Iterator[Word]:
         return iter(self.codewords)
@@ -286,6 +324,39 @@ class LinearCode:
 
     def __repr__(self) -> str:
         return f"LinearCode(|C|={len(self)}, m={self.m}, layout={self.layout})"
+
+
+def _blocks(C: LinearCode) -> Iterator[np.ndarray]:
+    """Every word of C once, as coordinate-major (N, B) digit blocks, one
+    column per word, in no particular order.
+
+    A digits-backed code is one block.  A basis-backed code of rank r
+    yields 2^(r-l) blocks of B = 2^l words, l = min(r, 14): the table of
+    all combinations of the l low basis vectors (by doubling: words, then
+    words ^ v), XOR'd with one combination of the high vectors per block.
+    The high combinations run in Gray-code order, so block g differs from
+    block g-1 by the high vector at the lowest set bit of g.
+    """
+    if C._basis is None:
+        yield np.ascontiguousarray(C._digits.T)
+        return
+    N, m = C.layout.N, C.m
+    low, high = C._basis[:_BLOCK_BITS], C._basis[_BLOCK_BITS:]
+    table = np.zeros((N, 1 << len(low)), dtype=_digit_dtype(m))
+    for j, v in enumerate(low):
+        half = 1 << j
+        table[:, half : 2 * half] = table[:, :half] ^ _unpack(v, N, m)[:, None]
+    yield table
+    flips = [_unpack(v, N, m)[:, None] for v in high]
+    offset = np.zeros((N, 1), dtype=table.dtype)
+    for g in range(1, 1 << len(high)):
+        offset ^= flips[(g & -g).bit_length() - 1]
+        yield table ^ offset
+
+
+def _materialize(C: LinearCode) -> np.ndarray:
+    """The canonical digit array of a basis-backed code, from its blocks."""
+    return _canonical(np.concatenate(list(_blocks(C)), axis=1).T)
 
 
 def inner_product(x: Sequence[RingElement], y: Sequence[RingElement]) -> RingElement:
@@ -340,31 +411,21 @@ def _multiples(digits: Sequence[int], m: int) -> Iterator[int]:
         yield _pack((mul_bits(1 << i, x, m) for x in digits), m)
 
 
-def _words_of_basis(basis: Sequence[int], N: int, m: int) -> np.ndarray:
-    """All 2^r F2-combinations of r independent packed vectors as a digit
-    array: it doubles once per vector, words then words ^ v."""
-    words = np.zeros((1 << len(basis), N), dtype=_digit_dtype(m))
-    for j, v in enumerate(basis):
-        half = 1 << j
-        words[half : 2 * half] = words[:half] ^ _unpack(v, N, m)
-    return words
-
-
 def span(G: GeneratorMatrix, budget: int = DEFAULT_SPAN_BUDGET) -> LinearCode:
     """All R-linear combinations of the rows of G, deduplicated.
 
     The contract is an enumeration of |R|^k coefficient tuples, so that count
     is what the budget guards; internally the span is the F2-span of the
-    m*k vectors u^i * row, built from an echelon basis in 2^rank steps.
+    m*k vectors u^i * row.  The code holds its echelon basis, of rank r,
+    and builds its 2^r-row digit array only when that is read.
     """
-    m, N = G.m, G.layout.N
+    m = G.m
     BudgetError.guard("span over R^k coefficient tuples", budget, shift=m * G.k)
     basis: dict[int, int] = {}
     for row in G.rows:
         for v in _multiples([x.bits for x in row], m):
             _insert(v, basis)
-    words = _words_of_basis(list(basis.values()), N, m)
-    return LinearCode._from_digits(words, G.layout, m)
+    return LinearCode._from_basis(list(basis.values()), G.layout, m)
 
 
 def code_size_from_profile(m: int, profile: Sequence[int]) -> int:
@@ -487,11 +548,11 @@ def dual(
 
     Orthogonality to the generators implies orthogonality to the whole code
     by bilinearity.  An empty matrix dualizes to the full space.
-    `method="kernel"` solves the F2 system by elimination and enumerates
-    the kernel; `method="scan"` tests every vector of R^N (in chunks of
-    `chunk_size`, on up to `workers` processes) and is kept as the
-    independent referee.  Both return the same code, and `budget` caps
-    |R|^N for either.
+    `method="kernel"` solves the F2 system by elimination and returns a code
+    that holds the kernel basis (its digit array is built on first read);
+    `method="scan"` tests every vector of R^N (in chunks of `chunk_size`,
+    on up to `workers` processes) and is kept as the independent referee.
+    Both return the same code, and `budget` caps |R|^N for either.
     """
     if method not in _DUAL_METHODS:
         raise ParameterError(
@@ -507,8 +568,7 @@ def dual(
     BudgetError.guard("dual scan over R^N", budget, shift=m * N)
     rows_bits = tuple(tuple(x.bits for x in row) for row in G.rows)
     if method == "kernel":
-        words = _words_of_basis(_kernel_basis(m, N, rows_bits), N, m)
-        return LinearCode._from_digits(words, G.layout, m)
+        return LinearCode._from_basis(_kernel_basis(m, N, rows_bits), G.layout, m)
     found = _scan_dual(m, N, rows_bits, workers, chunk_size)
     return _code_from_packed(found, G.layout, m)
 

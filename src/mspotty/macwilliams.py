@@ -26,9 +26,20 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import ParameterError
+from .errors import BudgetError, ParameterError
 from .polynomial import Polynomial
 from .weight import DistributionTable, weight_from_alpha
+
+#: Cap on the C(b+3, 3) terms of the kernels F_0..F_b that `kernel_table`
+#: builds, which admits b <= 182.  Each term is a bigint of up to m*b bits:
+#: at m = 16, b = 200 (1,373,701 terms) they took 3.1 s on 2 CPUs, at
+#: b = 400 (10,827,401 terms) 50 s.
+KERNEL_TERM_BUDGET = 1 << 20
+
+
+def _check_t(b: int, t: int) -> None:
+    if not 1 <= t <= b:
+        raise ParameterError(f"need 1 <= t <= b={b}, got t={t}")
 
 
 def f_poly(j: int, b: int, m: int, t: int) -> Polynomial:
@@ -41,8 +52,7 @@ def f_poly(j: int, b: int, m: int, t: int) -> Polynomial:
         raise ParameterError(f"ring exponent m must be >= 1, got {m}")
     if not 0 <= j <= b:
         raise ParameterError(f"byte weight j must satisfy 0 <= j <= b={b}, got {j}")
-    if not 1 <= t <= b:
-        raise ParameterError(f"need 1 <= t <= b={b}, got t={t}")
+    _check_t(b, t)
     q1 = (1 << m) - 1
     terms: dict[int, int] = {}
     for j1 in range(j + 1):
@@ -52,6 +62,22 @@ def f_poly(j: int, b: int, m: int, t: int) -> Polynomial:
             e = -(-(j1 + j2) // t)
             terms[e] = terms.get(e, 0) + sign * cj1 * comb(b - j, j2) * q1**j2
     return Polynomial(terms)
+
+
+def kernel_table(b: int, m: int, t: int) -> list[Polynomial]:
+    """F_0, ..., F_b, refused up front when they would be too large.
+
+    F_j has (j+1)*(b-j+1) terms before like powers of z merge, so the
+    table costs sum over j of (j+1)*(b-j+1) = C(b+3, 3) terms (about
+    b^3/6); that count is guarded against `KERNEL_TERM_BUDGET`.  A
+    negative b has no kernels.
+    """
+    if b >= 0:
+        _check_t(b, t)
+        BudgetError.guard(
+            "kernel table over C(b+3, 3) terms", KERNEL_TERM_BUDGET, comb(b + 3, 3)
+        )
+    return [f_poly(j, b, m, t) for j in range(b + 1)]
 
 
 def enumerator_from_distribution(dist: DistributionTable) -> Polynomial:

@@ -6,8 +6,12 @@ bytes having exactly j nonzero coordinates (0 <= j <= b).
 
 The word-level functions (`alpha_vector`, `m_spotty_weight`) work on one
 `Word`; the code-level statistics (`distribution`, `enumerator`,
-`minimum_distance`) are vectorized over the code's packed digit array,
-through the (|C|, n) array of byte Hamming weights.
+`minimum_distance`) are one block engine, `_byte_weight_blocks`: the
+code's words come in coordinate-major blocks (`code._blocks`, at most 2^14
+words each for a code built from a basis), and each block is reduced to
+its (n, B) byte Hamming weights and then to alpha-row counts or a weight
+histogram.  Memory is bounded by the block, not by |C|, and no
+statistic builds the code's digit array.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .code import ByteLayout, LinearCode, Word, _group_rows
+from .code import ByteLayout, LinearCode, Word, _blocks, _group_rows
 from .errors import ParameterError
 from .polynomial import Polynomial
 from .ring import RingElement
@@ -107,44 +111,72 @@ class DistributionTable:
         )
 
 
-def _byte_weights(C: LinearCode) -> np.ndarray:
-    """Hamming weight of every byte of every codeword, shape (|C|, n), in
-    the smallest unsigned dtype that holds 2*b."""
+def _byte_weight_blocks(C: LinearCode) -> Iterator[np.ndarray]:
+    """Hamming weight of every byte of every codeword, block by block: an
+    (n, B) array per block of B words, one column per word, summed over
+    each byte's b contiguous coordinate rows."""
     lay = C.layout
-    nonzero = (C.digits != 0).reshape(len(C), lay.n, lay.b)
-    return nonzero.sum(axis=2, dtype=np.min_scalar_type(2 * lay.b))
+    dtype = np.min_scalar_type(lay.b)
+    for block in _blocks(C):
+        yield (block != 0).reshape(lay.n, lay.b, -1).sum(axis=1, dtype=dtype)
 
 
-def _weights(C: LinearCode) -> np.ndarray:
-    """m-spotty weight of every codeword: sum over bytes of ceil(h/t)."""
-    t = C.layout.t
-    return ((_byte_weights(C) + (t - 1)) // t).sum(axis=1, dtype=np.int64)
+def _tally(table: dict, alphas: np.ndarray, counts: np.ndarray) -> None:
+    for alpha, count in zip(map(tuple, alphas.tolist()), counts.tolist()):
+        table[alpha] = table.get(alpha, 0) + count
 
 
 def distribution(C: LinearCode) -> DistributionTable:
-    # a word's alpha vector is the histogram of its byte weights, so words
-    # share an alpha row exactly when their sorted byte weights agree
-    rows, counts = _group_rows(np.sort(_byte_weights(C), axis=1))
-    table = {}
-    for row, count in zip(rows.tolist(), counts.tolist()):
-        alpha = [0] * (C.layout.b + 1)
-        for h in row:
-            alpha[h] += 1
-        table[tuple(alpha)] = count
+    """Codewords per alpha vector.
+
+    A word's alpha vector is the histogram of its byte weights h_i, so its
+    key sum_i (n+1)^(h_i) = sum_j alpha_j (n+1)^j is alpha written in base
+    n+1 (every alpha_j <= n): words share an alpha row exactly when their
+    keys agree.  When (n+1)^(b+1) would overflow int64, a block is grouped
+    by its sorted byte weights instead, which agree exactly when the alpha
+    vectors do.
+    """
+    n, b = C.layout.n, C.layout.b
+    table: dict[tuple[int, ...], int] = {}
+    if (n + 1) ** (b + 1) <= 1 << 63:
+        powers = (n + 1) ** np.arange(b + 1, dtype=np.int64)
+        for H in _byte_weight_blocks(C):
+            keys, counts = np.unique(powers[H].sum(axis=0), return_counts=True)
+            _tally(table, keys[:, None] // powers % (n + 1), counts)
+    else:
+        for H in _byte_weight_blocks(C):
+            rows, counts = _group_rows(np.sort(H.T, axis=1))
+            # alpha_j of row r counts the entries equal to j: one bincount
+            # over the flat indices r*(b+1) + h
+            flat = (np.arange(len(rows))[:, None] * (b + 1) + rows).ravel()
+            alphas = np.bincount(flat, minlength=len(rows) * (b + 1))
+            _tally(table, alphas.reshape(len(rows), b + 1), counts)
     return DistributionTable(table, C.layout, C.m)
+
+
+def _weight_histogram(C: LinearCode) -> np.ndarray:
+    """How many codewords have each m-spotty weight 0..n*ceil(b/t): a word's
+    weight is the sum over its bytes of ceil(h/t)."""
+    lay = C.layout
+    ceil = -(-np.arange(lay.b + 1) // lay.t)
+    hist = np.zeros(lay.n * int(ceil[-1]) + 1, dtype=np.int64)
+    for H in _byte_weight_blocks(C):
+        hist += np.bincount(ceil[H].sum(axis=0), minlength=len(hist))
+    return hist
 
 
 def enumerator(C: LinearCode) -> Polynomial:
     """W(z) = sum over codewords of z^weight, as a histogram of the
     per-word weights."""
-    hist = np.bincount(_weights(C))
+    hist = _weight_histogram(C)
     return Polynomial({e: c for e, c in enumerate(hist.tolist()) if c})
 
 
 def minimum_distance(C: LinearCode) -> int:
     """Least weight among nonzero codewords (equals least pairwise
-    distance, by linearity)."""
-    weights = _weights(C)[C.digits.any(axis=1)]
-    if not len(weights):
+    distance, by linearity).  A word has weight 0 exactly when it is zero,
+    so this is the least positive weight of the histogram."""
+    positive = np.flatnonzero(_weight_histogram(C)[1:])
+    if not len(positive):
         raise ParameterError("the zero code has no minimum distance")
-    return int(weights.min())
+    return int(positive[0]) + 1

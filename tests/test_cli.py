@@ -6,12 +6,17 @@ import json
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from mspotty import cli
+from mspotty import code as code_module
+from mspotty.code import ByteLayout, GeneratorMatrix, dual, load_matrix
 from mspotty.errors import IntegrityError
+from mspotty.polynomial import Polynomial
+from mspotty.ring import zero
 
 DATA = Path(__file__).parent / "data"
 EXAMPLE = str(DATA / "worked_example.txt")
@@ -210,6 +215,15 @@ def test_missing_file_exit_2(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_tables_oversized_b_exits_3_fast(capsys):
+    # the b+1 kernels would hold C(100002, 3) ~ 1.7e14 bigint terms
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "tables", "4", "99999", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "166671666700000" in err
+
+
 def test_budget_exit_3(capsys):
     code, _, err = run_cli(capsys, "dual", EXAMPLE, "--max-space", "1024")
     assert code == 3
@@ -318,6 +332,62 @@ def test_info(capsys):
     code, out, _ = run_cli(capsys, "info")
     assert code == 0
     assert "mspotty" in out and "exit_codes" in out
+
+
+def test_statistics_never_build_the_digit_array(capsys, monkeypatch):
+    """enumerate, transform and dual stream their statistics from the
+    code's basis; only --codewords reads the digit array."""
+
+    def refuse(C):
+        raise AssertionError("digit array built")
+
+    monkeypatch.setattr(code_module, "_materialize", refuse)
+    for argv in (["enumerate", EXAMPLE], ["transform", EXAMPLE], ["dual", EXAMPLE]):
+        for fmt in ("text", "json", "csv"):
+            code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+            assert code == 0 and out
+    with pytest.raises(AssertionError, match="digit array built"):
+        cli.main(["dual", EXAMPLE, "--codewords"])
+
+
+def test_statistics_memory_is_bounded_by_the_block():
+    # 2^20 dual words: their digit array alone would take 20 MB
+    tracemalloc = pytest.importorskip("tracemalloc")
+    lay = ByteLayout(b=20, t=1, n=1)
+    Cd = dual(GeneratorMatrix([[zero(1)] * 20], lay, m=1))
+    tracemalloc.start()
+    try:
+        dist, W = cli._statistics(Cd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(Cd) == 1 << 20 and Cd._digits is None
+    assert W == Polynomial({h: comb(20, h) for h in range(21)})
+    assert dict(dist.items()) == {
+        tuple(int(j == h) for j in range(21)): comb(20, h) for h in range(21)
+    }
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_dual_codewords_match_word_strings(capsys, fmt):
+    """The string table renders every dual word of the worked example as
+    `str(Word)` does."""
+    want = [str(w) for w in dual(load_matrix(EXAMPLE)).codewords]
+    code, out, _ = run_cli(capsys, "dual", EXAMPLE, "--codewords", "--format", fmt)
+    assert code == 0 and len(want) == 32768
+    if fmt == "json":
+        got = json.loads(out)["codewords"]
+    elif fmt == "csv":
+        rows = [r for r in csv.reader(io.StringIO(out)) if r[0] == "codeword"]
+        assert [r[1] for r in rows] == [str(i) for i in range(len(want))]
+        got = [r[2] for r in rows]
+    else:
+        lines = out.splitlines()
+        start = lines.index("codewords:") + 1
+        got = [line[2:] for line in lines[start:]]
+        assert all(line.startswith("  ") for line in lines[start:])
+    assert got == want
 
 
 # Exact stdout bytes and exit codes, pinned in tests/data/golden/ as

@@ -10,8 +10,13 @@ from hypothesis import strategies as st
 
 from mspotty import macwilliams
 from mspotty.code import ByteLayout, GeneratorMatrix, dual, load_matrix, span
-from mspotty.errors import IntegrityError, ParameterError
-from mspotty.macwilliams import enumerator_from_distribution, f_poly, transform
+from mspotty.errors import BudgetError, IntegrityError, ParameterError
+from mspotty.macwilliams import (
+    enumerator_from_distribution,
+    f_poly,
+    kernel_table,
+    transform,
+)
 from mspotty.polynomial import Polynomial
 from mspotty.ring import RingElement
 from mspotty.weight import DistributionTable, distribution, enumerator, hamming_weight
@@ -340,3 +345,19 @@ def test_transform_matches_scanned_dual_property(G):
     Cd = dual(G, method="scan")
     assert transform(distribution(C), len(C)) == enumerator(Cd)
     assert transform(distribution(Cd), len(Cd)) == enumerator(C)
+
+
+def test_kernel_table_guards_its_term_count(monkeypatch):
+    """F_j has (j+1)(b-j+1) terms before merging: C(b+3, 3) in all.  The
+    guard admits exactly the tables within the cap, and checks t first."""
+    assert all(
+        sum((j + 1) * (b - j + 1) for j in range(b + 1)) == comb(b + 3, 3)
+        for b in range(40)
+    )
+    monkeypatch.setattr(macwilliams, "KERNEL_TERM_BUDGET", comb(5 + 3, 3))
+    assert kernel_table(5, 4, 2) == [f_poly(j, 5, 4, 2) for j in range(6)]
+    with pytest.raises(BudgetError, match="requires 84 > budget 56"):
+        kernel_table(6, 4, 2)
+    with pytest.raises(ParameterError, match="need 1 <= t <= b=99, got t=100"):
+        kernel_table(99, 4, 100)
+    assert kernel_table(-1, 4, 1) == []

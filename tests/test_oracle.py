@@ -437,25 +437,28 @@ def test_poisson_worked_example_byte_layout():
 
 def test_oracle_runs_without_the_fast_paths(monkeypatch):
     """The referee closes codes row by row and sums weights word by word:
-    it imports neither `span` nor the vectorized statistics, and runs with
-    the elimination and the packed statistics disabled.  Its per-byte
-    engine builds its own product tables: the per-byte checks also run
-    with the dual scan's tables and the transform's fold disabled."""
+    it imports neither `span` nor the block statistics engine, and runs
+    with the elimination, the basis blocks, the lazy digit array and the
+    statistics engine disabled.  Its per-byte engine builds its own product
+    tables: the per-byte checks also run with the dual scan's tables and
+    the transform's fold disabled."""
     import mspotty.code
     import mspotty.macwilliams
     import mspotty.oracle
     import mspotty.weight
 
     for name in ("span", "generating_rows", "distribution", "enumerator",
+                 "_blocks", "_materialize", "_byte_weight_blocks",
                  "_scan_chunk", "_times_table", "_fold"):
         assert not hasattr(mspotty.oracle, name)
 
     def disabled(*args):
         raise AssertionError("fast path reached from the oracle")
 
-    monkeypatch.setattr(mspotty.code, "_words_of_basis", disabled)
+    monkeypatch.setattr(mspotty.code, "_blocks", disabled)
+    monkeypatch.setattr(mspotty.code, "_materialize", disabled)
     monkeypatch.setattr(mspotty.code, "_reduce", disabled)
-    monkeypatch.setattr(mspotty.weight, "_byte_weights", disabled)
+    monkeypatch.setattr(mspotty.weight, "_byte_weight_blocks", disabled)
     reports = campaign(ms=(1, 2, 3), bs=(1, 2), samples=3)
     assert all(r.passed for r in reports)
     G = GeneratorMatrix([(one(2), monomial(2, 1))], ByteLayout(b=2, t=1, n=1))

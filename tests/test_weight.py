@@ -2,13 +2,24 @@
 
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mspotty.code import ByteLayout, GeneratorMatrix, LinearCode, Word, load_matrix, span
+from mspotty import code as code_module
+from mspotty.code import (
+    ByteLayout,
+    GeneratorMatrix,
+    LinearCode,
+    Word,
+    dual,
+    load_matrix,
+    span,
+)
 from mspotty.errors import ParameterError
+from mspotty.oracle import _add_row
 from mspotty.polynomial import Polynomial
 from mspotty.ring import RingElement, zero
 from mspotty.weight import (
@@ -175,8 +186,9 @@ def _codes(draw):
 @settings(max_examples=150, deadline=None)
 @given(_codes())
 def test_vectorized_statistics_match_word_level(C):
-    """distribution, enumerator and minimum_distance work on the packed
-    array; alpha_vector and m_spotty_weight see one Word at a time."""
+    """distribution, enumerator and minimum_distance work on blocks of
+    byte weights; alpha_vector and m_spotty_weight see one Word at a
+    time."""
     counts, weights = {}, {}
     for w in C:
         a, e = alpha_vector(w), m_spotty_weight(w)
@@ -206,3 +218,112 @@ def test_statistics_of_wide_bytes():
         assert dict(distribution(C).items()) == {
             alpha_vector(w): 1 for w in C
         }
+
+
+# --- the block engine against independent routes ----------------------------
+
+
+def _statistics_or_error(C):
+    try:
+        d = minimum_distance(C)
+    except ParameterError:
+        d = None
+    return distribution(C), enumerator(C), d
+
+
+def _systematic(rng, m, k, lay):
+    """G = [I_k | A] over R and H = [A^T | I_(N-k)], which generates the
+    dual of G's span (G H^T = A + A = 0, and |C| |C-dual| = |R|^N)."""
+    r = lay.N - k
+    A = [[RingElement(m, rng.randrange(1 << m)) for _ in range(r)] for _ in range(k)]
+
+    def unit(i, size):
+        return [RingElement(m, int(i == j)) for j in range(size)]
+
+    G = [unit(i, k) + A[i] for i in range(k)]
+    H = [[A[i][j] for i in range(k)] + unit(j, r) for j in range(r)]
+    return GeneratorMatrix(G, lay, m=m), GeneratorMatrix(H, lay, m=m)
+
+
+# (m, k): 2^(m*k) words, ranks on both sides of the 2^14-word block
+@pytest.mark.parametrize(
+    "m,k", [(1, 0), (1, 1), (1, 13), (1, 14), (1, 15), (1, 17), (2, 8)]
+)
+def test_streamed_statistics_across_the_block_boundary(m, k):
+    """A rank-r code from `span` and the same code as the kernel of its
+    dual's generators give the statistics of the scanned code and of the
+    same words through the public constructor; both of those are one
+    digits-backed block.  Neither basis-backed code builds its digit
+    array for the statistics, and the array it builds on first read is
+    the scanned one."""
+    rng = random.Random(1000 * m + k)
+    lay = ByteLayout(b=3, t=1 + k % 3, n=18 // (3 * m))
+    G, H = _systematic(rng, m, k, lay)
+    scanned = dual(H, method="scan")
+    public = LinearCode(scanned.codewords, lay, m)
+    want = _statistics_or_error(scanned)
+    assert _statistics_or_error(public) == want
+    assert distribution(scanned).total == 1 << (m * k)
+    for C in (span(G), dual(H)):
+        assert len(C) == 1 << (m * k)
+        assert _statistics_or_error(C) == want
+        assert C._digits is None
+        assert C.digits.tolist() == scanned.digits.tolist()
+
+
+@st.composite
+def _matrices(draw):
+    """Up to 3 rows over R^N with m*N <= 12, any byte layout."""
+    m = draw(st.integers(1, 4))
+    b = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12 // (m * b)))
+    lay = ByteLayout(b=b, t=draw(st.integers(1, b)), n=n)
+    element = st.integers(0, (1 << m) - 1).map(lambda x: RingElement(m, x))
+    row = st.lists(element, min_size=lay.N, max_size=lay.N)
+    rows = draw(st.lists(row, max_size=3))
+    return GeneratorMatrix(rows, lay, m=m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices(), st.integers(0, 4))
+def test_streamed_statistics_match_independent_routes_property(G, block_bits):
+    """With blocks of 2^block_bits words, most codes span many blocks.  The
+    span's statistics equal those of the naive row-by-row closure, given to
+    the public constructor; the kernel's equal those of the scanned dual."""
+    m, lay = G.m, G.layout
+    words = {(0,) * lay.N}
+    for row in G.rows:
+        words = _add_row(words, tuple(x.bits for x in row), m)
+    closure = LinearCode([Word.from_bits(w, m, lay) for w in words], lay, m)
+    with mock.patch.object(code_module, "_BLOCK_BITS", block_bits):
+        for C, ref in ((span(G), closure), (dual(G), dual(G, method="scan"))):
+            assert len(C) == len(ref)
+            assert _statistics_or_error(C) == _statistics_or_error(ref)
+            assert C.digits.tolist() == ref.digits.tolist()
+
+
+@pytest.mark.parametrize("n,b", [(1, 62), (1, 63), (2, 200)])
+def test_streamed_statistics_at_the_key_overflow(n, b):
+    """The alpha key is a base-(n+1) numeral below (n+1)^(b+1): n = 1,
+    b = 62 is the widest such layout that keys in int64; b = 63 and
+    n = 2, b = 200 group sorted byte weights instead.  Each is checked word
+    by word, on a basis-backed code of several blocks, against
+    `alpha_vector` and `m_spotty_weight`."""
+    rng = random.Random(b)
+    lay = ByteLayout(b=b, t=1 + b // 3, n=n)
+    N = lay.N
+    rows = [[RingElement(2, rng.randrange(4)) for _ in range(N)] for _ in range(3)]
+    rows.append([RingElement(2, 2)] * (N // 2) + [RingElement(2, 0)] * (N - N // 2))
+    G = GeneratorMatrix(rows, lay, m=2)
+    with mock.patch.object(code_module, "_BLOCK_BITS", 2):
+        C = span(G)
+        dist, W, d = _statistics_or_error(C)
+    counts, weights = {}, {}
+    for w in C:
+        a, e = alpha_vector(w), m_spotty_weight(w)
+        counts[a] = counts.get(a, 0) + 1
+        weights[e] = weights.get(e, 0) + 1
+    assert len(C) > 1 << 2
+    assert dist == DistributionTable(counts, lay, 2)
+    assert W == Polynomial(weights)
+    assert d == min(m_spotty_weight(w) for w in C if any(x.bits for x in w))
