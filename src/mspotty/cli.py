@@ -21,8 +21,6 @@ import json
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
 from .code import (
     _SCAN_CHUNK,
@@ -31,6 +29,7 @@ from .code import (
     ByteLayout,
     GeneratorMatrix,
     LinearCode,
+    _word_strings,
     dual,
     load_matrix,
     span,
@@ -44,7 +43,7 @@ from .errors import (
 from .macwilliams import enumerator_from_distribution, kernel_table, transform
 from .oracle import campaign
 from .polynomial import Polynomial
-from .ring import RingElement, _check_m, format_element
+from .ring import _check_m
 from .weight import DistributionTable, distribution, enumerator
 
 _EXIT_PARSE = 2
@@ -258,23 +257,11 @@ def cmd_transform(cfg: RunConfig, args) -> tuple[str, int]:
     ]), 0
 
 
-def _codeword_strings(C: LinearCode) -> list[str]:
-    """`str(w)` of every codeword in canonical order, assembled column by
-    column from one string per ring element, so no `Word` is built."""
-    lay = C.layout
-    names = [format_element(RingElement(C.m, x)) for x in range(1 << C.m)]
-    lines = np.full(len(C), "", dtype=object)
-    for i, column in enumerate(C.digits.T):
-        sep = "" if i == lay.N - 1 else " | " if (i + 1) % lay.b == 0 else " "
-        lines = lines + np.array([x + sep for x in names], dtype=object)[column]
-    return lines.tolist()
-
-
 def cmd_dual(cfg: RunConfig, args) -> tuple[str, int]:
     G = load_matrix(cfg.path)
     Cd = dual(G, budget=cfg.max_space, workers=cfg.workers)
     dist, W = _statistics(Cd)
-    words = [Section("codewords", _codeword_strings(Cd))] if args.codewords else []
+    words = [Section("codewords", _word_strings(Cd))] if args.codewords else []
     return _render(cfg.fmt, "dual", [
         _layout(G),
         Section("size", len(Cd), "dual_size", "|C-dual|"),

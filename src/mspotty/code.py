@@ -74,6 +74,13 @@ def _uniform_m(coords: Sequence[RingElement]) -> int:
     return m
 
 
+def _separators(layout: ByteLayout) -> list[str]:
+    """What follows each coordinate of a printed word: " " inside a byte,
+    " | " between bytes, nothing after the last."""
+    N, b = layout.N, layout.b
+    return ["" if i == N - 1 else " | " if (i + 1) % b == 0 else " " for i in range(N)]
+
+
 class Word:
     """Immutable length-N vector over the ring, bound to a byte layout."""
 
@@ -154,10 +161,8 @@ class Word:
         return hash((self.layout, self.coords))
 
     def __str__(self) -> str:
-        b = self.layout.b
-        return " | ".join(
-            " ".join(str(x) for x in self.coords[i * b : (i + 1) * b])
-            for i in range(self.layout.n)
+        return "".join(
+            str(x) + sep for x, sep in zip(self.coords, _separators(self.layout))
         )
 
     def __repr__(self) -> str:
@@ -357,6 +362,16 @@ def _blocks(C: LinearCode) -> Iterator[np.ndarray]:
 def _materialize(C: LinearCode) -> np.ndarray:
     """The canonical digit array of a basis-backed code, from its blocks."""
     return _canonical(np.concatenate(list(_blocks(C)), axis=1).T)
+
+
+def _word_strings(C: LinearCode) -> list[str]:
+    """`str(w)` of every codeword in canonical order, assembled column by
+    column from one string per ring element, so no `Word` is built."""
+    names = [str(RingElement(C.m, x)) for x in range(1 << C.m)]
+    lines = np.full(len(C), "", dtype=object)
+    for column, sep in zip(C.digits.T, _separators(C.layout)):
+        lines = lines + np.array([x + sep for x in names], dtype=object)[column]
+    return lines.tolist()
 
 
 def inner_product(x: Sequence[RingElement], y: Sequence[RingElement]) -> RingElement:

@@ -31,9 +31,9 @@ from .polynomial import Polynomial
 from .weight import DistributionTable, weight_from_alpha
 
 #: Cap on the C(b+3, 3) terms of the kernels F_0..F_b that `kernel_table`
-#: builds, which admits b <= 182.  Each term is a bigint of up to m*b bits:
-#: at m = 16, b = 200 (1,373,701 terms) they took 3.1 s on 2 CPUs, at
-#: b = 400 (10,827,401 terms) 50 s.
+#: builds for `transform` and `mspotty tables`, which admits b <= 182.
+#: Each term is a bigint of up to m*b bits: at m = 16, b = 200 (1,373,701
+#: terms) they took 3.1 s on 2 CPUs, at b = 400 (10,827,401 terms) 50 s.
 KERNEL_TERM_BUDGET = 1 << 20
 
 
@@ -155,13 +155,15 @@ def transform(
     fold run over the l1 norms of the kernels.  With K = bitlen(B) + 2 every
     coefficient fits a signed K-bit slot, so N's coefficients are read back
     as signed base-2^K digits, and N is divided by code_size once.
+    The kernels come from `kernel_table`, so a byte length b whose kernels
+    exceed `KERNEL_TERM_BUDGET` raises `BudgetError` before any is built.
     """
     if code_size < 1:
         raise ParameterError(f"code size must be >= 1, got {code_size}")
     b = dist.layout.b
     m = dist.m if m is None else m
     t = dist.layout.t if t is None else t
-    kernels = [f_poly(j, b, m, t) for j in range(b + 1)]
+    kernels = kernel_table(b, m, t)
     rows = list(dist.items())
     bound = _fold(rows, [sum(abs(c) for _, c in F.terms()) for F in kernels])
     K = bound.bit_length() + 2

@@ -224,6 +224,19 @@ def test_tables_oversized_b_exits_3_fast(capsys):
     assert err.count("\n") == 1 and "166671666700000" in err
 
 
+def test_transform_oversized_b_exits_3_fast(capsys, tmp_path):
+    # |C| = 2, but the b+1 kernels would hold C(403, 3) bigint terms
+    path = tmp_path / "long_byte.txt"
+    path.write_text("m=1 b=400 t=1\n" + " ".join(["1"] * 400) + "\n")
+    code, out, _ = run_cli(capsys, "enumerate", str(path))
+    assert code == 0
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "transform", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "10827401" in err
+
+
 def test_budget_exit_3(capsys):
     code, _, err = run_cli(capsys, "dual", EXAMPLE, "--max-space", "1024")
     assert code == 3

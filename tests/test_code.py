@@ -92,6 +92,7 @@ def test_word_bytes_and_ops():
     assert (w + w).bits() == (0, 0, 0, 0)
     assert w.scale(zero(2)).bits() == (0, 0, 0, 0)
     assert w.scale(one(2)) == w
+    assert str(w) == "1 u | 0 1+u"
     with pytest.raises(ParameterError):
         w.byte(2)
     with pytest.raises(ParameterError):
@@ -531,6 +532,13 @@ def test_linear_code_invariants():
         LinearCode([], lay, 2)
     with pytest.raises(ParameterError):
         LinearCode([w0], ByteLayout(b=2, t=1, n=1), 2)
+
+
+@pytest.mark.parametrize("m, b, n", [(1, 1, 3), (2, 2, 2), (3, 3, 1), (4, 1, 1)])
+def test_word_strings_match_str_of_each_word(m, b, n):
+    lay = ByteLayout(b=b, t=1, n=n)
+    C = dual(_random_matrix(random.Random(100 * m + b), m, 1, lay))
+    assert code_module._word_strings(C) == [str(w) for w in C]
 
 
 def test_generator_matrix_validation():

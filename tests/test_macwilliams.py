@@ -361,3 +361,7 @@ def test_kernel_table_guards_its_term_count(monkeypatch):
     with pytest.raises(ParameterError, match="need 1 <= t <= b=99, got t=100"):
         kernel_table(99, 4, 100)
     assert kernel_table(-1, 4, 1) == []
+    # transform takes its kernels from the same guarded table
+    table = DistributionTable({(1, 0, 0, 0, 0, 0, 0): 1}, ByteLayout(b=6, t=2, n=1), 4)
+    with pytest.raises(BudgetError, match="requires 84 > budget 56"):
+        transform(table, 1)
