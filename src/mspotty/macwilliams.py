@@ -8,6 +8,11 @@ where F_j is a fixed per-byte kernel polynomial depending on (b, m, t).
 The sorted alpha rows form a trie and rows sharing a prefix share its
 product of kernel powers, so `transform` sums node by node: one multiply
 by a tabulated power F_j^a per trie edge, not a product of powers per row.
+The trie stops at depth b - 1.  There a row adds its count times the
+monomial F_{b-1}^x * F_b^y of its last two entries (x, y), and for b >= 3
+each distinct pair's monomial is built once and kept, so a row costs one
+multiply of its small count by a large monomial.  For b <= 2 a pair fixes
+the whole row, so its monomial is built for that row and not kept.
 
 The trie is folded over plain Python ints (Kronecker substitution): each
 polynomial is held as its value at z = 2^K.  Evaluation at 2^K is a ring
@@ -97,11 +102,18 @@ def _fold(rows: list[tuple[tuple[int, ...], int]], bases: list[int]) -> int:
     `DistributionTable` yields them.  The node for a prefix
     alpha_0..alpha_{j-1} stands for the sum over its rows of
     count * prod_{j' >= j} bases[j']^alpha_j', which is sum over a of
-    bases[j]^a * (node for the prefix extended by a).  A row's last entry is
-    fixed by sum(alpha) = n, so a leaf is one row: bases[b]^alpha_b * count.
-    Each base gets one power table built by repeated multiplication, and
-    the sum costs one multiply per trie edge with alpha_j > 0 plus one per
-    row, all on plain integers.
+    bases[j]^a * (node for the prefix extended by a).  The trie stops at
+    depth b - 1: a row adds count * M[x, y] to its node there, where
+    (x, y) = (alpha_{b-1}, alpha_b) and M[x, y] = bases[b-1]^x * bases[b]^y.
+    Each base gets one power table built by repeated multiplication.  The
+    sum costs one balanced multiply per trie edge above depth b - 1 with
+    alpha_j > 0 and one per distinct pair (x, y), and one multiply of a
+    count, which is small, by M per row, all on plain integers.
+
+    M[x, y] is cached for b >= 3, where it holds at most
+    min(rows, C(n + 2, 2)) entries.  For b <= 2 a pair fixes the whole row
+    (alpha_0 = n - x - y), so no pair repeats and M is built per row and
+    not kept.
     """
     b = len(bases) - 1
     tops = map(max, zip(*(alpha for alpha, _ in rows), (0,) * (b + 1)))
@@ -111,12 +123,14 @@ def _fold(rows: list[tuple[tuple[int, ...], int]], bases: list[int]) -> int:
         for _ in range(top):
             table.append(table[-1] * x)
         powers.append(table)
-    # acc[j] sums the finished children of the open node at depth j; the
-    # rows arrive sorted, so a node is finished once a row leaves its prefix.
-    acc = [0] * (b + 1)
+    # acc[j] sums the finished children of the open node at depth j (at
+    # depth b - 1, its rows); the rows arrive sorted, so a node is finished
+    # once a row leaves its prefix.
+    acc = [0] * b
+    pairs: dict[tuple[int, ...], int] = {}
 
     def close(alpha: tuple[int, ...], depth: int) -> None:
-        for j in range(b - 1, depth - 1, -1):
+        for j in range(b - 2, depth - 1, -1):
             child, acc[j + 1] = acc[j + 1], 0
             a = alpha[j]
             acc[j] += powers[j][a] * child if a else child
@@ -129,7 +143,13 @@ def _fold(rows: list[tuple[tuple[int, ...], int]], bases: list[int]) -> int:
             while alpha[depth] == prev[depth]:
                 depth += 1
             close(prev, depth)
-        acc[b] = powers[b][alpha[b]] * count
+        pair = alpha[b - 1 :]
+        monomial = pairs.get(pair)
+        if monomial is None:
+            monomial = powers[b - 1][pair[0]] * powers[b][pair[1]]
+            if b > 2:
+                pairs[pair] = monomial
+        acc[b - 1] += count * monomial
         prev = alpha
     if prev is not None:
         close(prev, 0)
@@ -147,10 +167,12 @@ def transform(
 
     The numerator N(z) = sum over rows of count * prod_j F_j(z)^alpha_j is
     folded along the alpha trie (`_fold`) with every polynomial held as one
-    integer, its value at z = 2^K.  Evaluation at 2^K is a ring
-    homomorphism Z[z] -> Z, so the folded integer is exactly N(2^K),
-    whatever the intermediate values were.  By the triangle inequality
-    every coefficient of N has magnitude at most
+    integer, its value at z = 2^K: one multiply per trie edge above depth
+    b - 1, one per distinct pair (alpha_{b-1}, alpha_b) for b >= 3 (one per
+    row for b <= 2), and one multiply of a count by that pair's monomial
+    per row.  Evaluation at 2^K is a ring homomorphism Z[z] -> Z, so the
+    folded integer is exactly N(2^K), whatever the intermediate values were.
+    By the triangle inequality every coefficient of N has magnitude at most
     B = sum over rows of count * prod_j ||F_j||_1^alpha_j, which is the same
     fold run over the l1 norms of the kernels.  With K = bitlen(B) + 2 every
     coefficient fits a signed K-bit slot, so N's coefficients are read back

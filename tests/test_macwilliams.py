@@ -1,6 +1,7 @@
 """Kernel polynomials and the duality transform, exact throughout."""
 
 import random
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -193,21 +194,23 @@ def test_transform_kernel_overrides_match_per_row_product():
         assert transform(table, 1, m=m, t=t) == _per_row_reference(table, m, t)
 
 
+def _compositions(n, b):
+    """Every alpha vector (alpha_0, ..., alpha_b) with sum n, in lex order."""
+    if b == 0:
+        return [(n,)]
+    return [(a,) + rest for a in range(n + 1) for rest in _compositions(n - a, b - 1)]
+
+
 def test_transform_multiplies_once_per_trie_edge(monkeypatch):
     b, n = 4, 10
-    rows = {}
-
-    def compositions(prefix, left):
-        if len(prefix) == b:
-            rows[prefix + (left,)] = comb(n, left) + len(rows)
-            return
-        for a in range(left + 1):
-            compositions(prefix + (a,), left - a)
-
-    compositions((), n)
+    rows = {alpha: comb(n, alpha[b]) + i for i, alpha in enumerate(_compositions(n, b))}
     table = DistributionTable(rows, ByteLayout(b=b, t=2, n=n), 2)
     assert len(table) == 1001
-    edges = len({alpha[:d] for alpha in rows for d in range(1, b + 1)})
+    # the trie stops at depth b - 1; below it a row multiplies its count by
+    # the monomial of its last two entries, built once per distinct pair
+    edges = len({alpha[:d] for alpha in rows for d in range(1, b)})
+    pairs = len({alpha[b - 1 :] for alpha in rows})
+    assert pairs == 66
     power_builds = sum(max(alpha[j] for alpha in rows) for j in range(b + 1))
     expected = _per_row_reference(table, 2, 2)
 
@@ -245,10 +248,74 @@ def test_transform_multiplies_once_per_trie_edge(monkeypatch):
     monkeypatch.undo()
     assert got == expected
     # one fold for the coefficient bound, one for the packed sum; each does
-    # at most one multiply per trie edge, one count per row and the powers
+    # at most one multiply per trie edge above depth b - 1, one per distinct
+    # pair, one count per row and the powers
     assert len(calls) == 2
-    assert all(0 < c <= edges + len(rows) + power_builds for c in calls)
+    assert all(0 < c <= edges + pairs + len(rows) + power_builds for c in calls)
     assert poly_muls == []
+
+
+# --- dense tables, whose rows share their last two entries ---------------------
+
+
+@st.composite
+def _composition_tables(draw):
+    """Full or randomly thinned tables of the compositions of n into b + 1
+    entries (counts up to 2^200), with kernel parameters that may differ
+    from the table's own.  At most 300 rows keep the per-row reference cheap."""
+    b = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
+    rng = draw(st.randoms(use_true_random=False))
+    alphas = _compositions(n, b)
+    if not (draw(st.booleans()) and len(alphas) <= 300):
+        alphas = rng.sample(alphas, draw(st.integers(1, min(len(alphas), 300))))
+    counts = {alpha: rng.randrange(1, 2 << rng.randrange(200)) for alpha in alphas}
+    layout = ByteLayout(b=b, t=draw(st.integers(1, b)), n=n)
+    table = DistributionTable(counts, layout, draw(st.integers(1, 16)))
+    return table, draw(st.integers(1, 16)), draw(st.integers(1, b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_composition_tables())
+def test_transform_dense_tables_match_per_row_reference_property(args):
+    table, m, t = args
+    assert transform(table, 1, m=m, t=t) == _per_row_reference(table, m, t)
+
+
+@pytest.mark.parametrize(
+    "b,n,alphas",
+    [
+        (1, 8, _compositions(8, 1)),  # a pair is the whole row
+        (2, 8, _compositions(8, 2)),  # a pair fixes the row
+        (4, 6, [(1, 0, 2, 3, 0)]),
+        (4, 8, [alpha + (2, 1) for alpha in _compositions(5, 2)]),  # one pair
+    ],
+    ids=["b1", "b2", "one-row", "one-pair"],
+)
+def test_transform_dense_cases_match_per_row_reference(b, n, alphas):
+    counts = {alpha: 1 + i * (1 << 190) for i, alpha in enumerate(alphas)}
+    table = DistributionTable(counts, ByteLayout(b=b, t=1, n=n), 2)
+    for m, t in ((2, 1), (3, 1), (16, b)):
+        assert transform(table, 1, m=m, t=t) == _per_row_reference(table, m, t)
+
+
+def test_transform_keeps_no_monomial_at_b_2():
+    """At b = 2 no two rows share a pair (alpha_1, alpha_2), so the fold
+    builds each row's monomial and keeps none of them.  On this dense m=1,
+    n=120 table (7,381 rows) the traced peak of `transform` is about 1.6 MB;
+    keeping every monomial raises it to about 21 MB."""
+    n = 120
+    rows = {alpha: 1 + alpha[1] for alpha in _compositions(n, 2)}
+    table = DistributionTable(rows, ByteLayout(b=2, t=2, n=n), 1)
+    tracemalloc.start()
+    try:
+        W = transform(table, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # F_0(1) = 2^(m*b) and F_j(1) = 0 for j >= 1: only the row (n, 0, 0) counts
+    assert W(1) == rows[(n, 0, 0)] << (2 * n)
+    assert peak < 6 << 20
 
 
 # --- the packed sum: signs, large counts and the slot width --------------------
