@@ -6,11 +6,13 @@ on its own, with no factorization and no closed form.  That is what
 engine `_support_sums` evaluates chi(<c, v>) in numpy blocks, checked by
 the one-vector-at-a-time `sum_chi_*` functions, and the per-byte checks
 read three exact integer regroupings of its bucket totals; chi is never
-used beyond the engine.  The closed forms live in `macwilliams` and in the
-campaign's expected values: the transform is the fast path, these are the
-referee.  Codes are closed row by row and enumerators summed word by
-word: nothing here calls `span`, the vectorized statistics in `weight`,
-the dual scan's tables or the transform's fold.
+used beyond the engine.  Each check compares whole arrays of those totals
+with tables of closed-form values, one comparison per chunk of bytes, and
+describes only its first mismatch.  The closed forms live in `macwilliams`
+and in the campaign's expected values: the transform is the fast path,
+these are the referee.  Codes are closed row by row and enumerators
+summed word by word: nothing here calls `span`, the vectorized statistics
+in `weight`, the dual scan's tables or the transform's fold.
 
 Check ids used in reports ("3.1" ... "3.7", "c3.1", "c3.2", "partition")
 are stable wire identifiers, chosen once and kept short for JSON output.
@@ -22,7 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -208,8 +210,16 @@ def byte_transform_bruteforce(
     if not 1 <= t <= b:
         raise ParameterError(f"need 1 <= t <= b={b}, got t={t}")
     BudgetError.guard("byte scan over R^b", budget, shift=m * b)
-    # an empty mask puts every coordinate outside: row 0 totals by weight
-    return _regroup(_split(_support_sums(m, b, [c])[0].tolist(), 0, b)[0], t)
+    return _byte_transforms(m, b, t, [c])[0]
+
+
+def _byte_transforms(m: int, b: int, t: int, cs: Sequence[Byte]) -> list[Polynomial]:
+    """`byte_transform_bruteforce` of every byte in cs, from one engine call."""
+    sums = _support_sums(m, b, cs)
+    # with no coordinate inside, [k, 0] totals by weight
+    inside = np.zeros(sums.shape, dtype=np.uint8)
+    weights = _split_sums(sums, inside, _popcounts(b))[:, 0]
+    return [_regroup(row, t) for row in weights.tolist()]
 
 
 def dual_enumerator_bruteforce(
@@ -303,6 +313,24 @@ class _Tally:
         elif not self.first_bad:
             self.first_bad = f"{desc}: expected {expected}, got {actual}"
 
+    def add_many(
+        self,
+        total: int,
+        bad: np.ndarray,
+        describe: Callable[..., tuple[str, object, object]],
+    ):
+        """Record `total` comparisons whose failures are the True entries
+        of `bad`.  describe(*index) of the first failure in row-major order
+        gives its (desc, expected, actual), asked only for the tally's first
+        mismatch."""
+        misses = int(np.count_nonzero(bad))
+        self.total += total
+        self.good += total - misses
+        if misses and not self.first_bad:
+            first = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            desc, expected, actual = describe(*map(int, first))
+            self.first_bad = f"{desc}: expected {expected}, got {actual}"
+
     def report(self, lemma: str, params: Mapping[str, object]) -> LemmaReport:
         ok = self.good == self.total
         actual = f"{self.good}/{self.total} exact"
@@ -372,28 +400,44 @@ def _support_sums(m: int, b: int, cs: Sequence[Byte]) -> np.ndarray:
     return sums
 
 
-def _split(sums: Sequence[int], smask: int, b: int) -> list[list[int]]:
-    """Support buckets totalled in one pass by (|I & smask|, |I & ~smask|),
-    the numbers of nonzero coordinates of v inside and outside smask."""
-    omask = ((1 << b) - 1) ^ smask
-    split = [[0] * (omask.bit_count() + 1) for _ in range(smask.bit_count() + 1)]
-    for I, v in enumerate(sums):
-        split[(I & smask).bit_count()][(I & omask).bit_count()] += v
-    return split
+def _popcounts(b: int) -> np.ndarray:
+    """|I| for every support mask I of a b-coordinate byte, as uint8."""
+    pop = np.zeros(1 << b, dtype=np.uint8)
+    for i in range(b):
+        pop[1 << i : 2 << i] = pop[: 1 << i] + 1
+    return pop
+
+
+def _split_sums(sums: np.ndarray, inside: np.ndarray, pop: np.ndarray) -> np.ndarray:
+    """Support buckets totalled by the numbers of nonzero coordinates of v
+    inside and outside a byte's support: entry [k, j1, j2] sums sums[k, I]
+    over the I with inside[k, I] = j1 and pop[I] - inside[k, I] = j2, where
+    pop = `_popcounts(b)`.  Exact: the totals accumulate in int64 through
+    `np.add.at`."""
+    width = len(pop).bit_length()  # b + 1
+    # (k * width + j1) * width + j2, built in place
+    key = np.arange(len(sums))[:, None] * width + inside
+    key *= width
+    key += pop
+    key -= inside
+    split = np.zeros(len(sums) * width * width, dtype=np.int64)
+    np.add.at(split, key.ravel(), sums.ravel())
+    return split.reshape(len(sums), width, width)
+
+
+def _subset_totals(sums: np.ndarray) -> np.ndarray:
+    """[k, I] = sum of sums[k, J] over the J inside I: a copy of sums with
+    one in-place pass per support bit."""
+    below = sums.copy()
+    for i in range(sums.shape[1].bit_length() - 1):
+        pairs = below.reshape(len(below), -1, 2, 1 << i)
+        pairs[:, :, 1] += pairs[:, :, 0]
+    return below
 
 
 def _regroup(weights: Sequence[int], t: int) -> Polynomial:
     """Totals by Hamming weight k summed by exponent ceil(k/t)."""
     return Polynomial((-(-k // t), v) for k, v in enumerate(weights))
-
-
-def _submasks(mask: int) -> Iterator[int]:
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 def _sample_bytes(
@@ -445,20 +489,19 @@ def poisson_check(
     C: LinearCode, budget: int = DEFAULT_SPACE_BUDGET, workers: int = 1
 ) -> LemmaReport:
     """Summation identity: the dual's enumerator equals the average over C
-    of the per-word transforms, each a product of per-byte scans."""
+    of the per-word transforms, each a product of per-byte scans.  The
+    distinct bytes of C are scanned together, in one engine call."""
     t = C.layout.t
     scanned = dual_enumerator_bruteforce(_generators(C), budget, workers)
-    cache: dict[tuple[int, ...], Polynomial] = {}
+    distinct = {tuple(x.bits for x in byte): byte for w in C for byte in w.bytes()}
+    BudgetError.guard("byte scan over R^b", budget, shift=C.m * C.layout.b)
+    transforms = _byte_transforms(C.m, C.layout.b, t, list(distinct.values()))
+    cache = dict(zip(distinct, transforms))
     acc = Polynomial.zero()
     for w in C:
         prod = Polynomial.one()
         for byte in w.bytes():
-            key = tuple(x.bits for x in byte)
-            poly = cache.get(key)
-            if poly is None:
-                poly = byte_transform_bruteforce(byte, t, budget=budget)
-                cache[key] = poly
-            prod = prod * poly
+            prod = prod * cache[tuple(x.bits for x in byte)]
         acc = acc + prod
     averaged = acc.exact_div(len(C))
     return LemmaReport(
@@ -476,57 +519,125 @@ def poisson_check(
     )
 
 
+def _at(c: Byte) -> str:
+    return f"c=({','.join(str(x) for x in c)})"
+
+
 def _cell_reports(
     m: int, b: int, bytes_sample: list[Byte], exhaustive: bool
 ) -> list[LemmaReport]:
     """All per-byte identity checks for one (m, b) cell, plus the per-t
-    byte-transform comparison.  Each reads one entry of the literal support
-    buckets (3.4) or of three exact views of them, each one pass: subset
-    totals (3.3), weights split by supp(c) (c3.1, 3.5, c3.2) and totals by
-    weight (3.6).  chi is evaluated only in the engine."""
+    byte-transform comparison.  Each check reads the literal support
+    buckets (3.4) or one of three exact views of them: subset totals (3.3),
+    weights split by supp(c) (c3.1, 3.5, c3.2), and totals by weight
+    grouped by ceil(k/t) (3.6).  chi is evaluated only in the engine.
+
+    Each tally is one array comparison per chunk of bytes, against tables
+    indexed by the byte weight j and built once per cell from the closed
+    forms; instances are counted from the masks of the entries checked, and
+    only a tally's first mismatch is described.  That is the first in byte
+    order; within a byte, the largest I (3.3, 3.4), the smallest k (c3.1,
+    3.5), or j1-major then j2 (c3.2).  A chunk holds about
+    _BLOCK_PAIRS // 2^b bytes, at least one, so working memory does not
+    grow with the number of bytes.
+    """
     q1 = (1 << m) - 1
     tallies = {lem: _Tally() for lem in ("3.3", "3.4", "c3.1", "3.5", "c3.2")}
     t_tallies = {t: _Tally() for t in range(1, b + 1)}
     kernels = {
         (j, t): f_poly(j, b, m, t) for j in range(b + 1) for t in range(1, b + 1)
     }
-    sums = _support_sums(m, b, bytes_sample)
-    # subset totals, [k, I] = sum of sums[k, J] over J inside I: a running
-    # total along each support bit of the (bytes, 2, ..., 2) view
-    below = sums.copy()
-    cube = below.reshape((len(bytes_sample),) + (2,) * b)
-    for axis in range(1, b + 1):
-        np.cumsum(cube, axis=axis, out=cube)
-    for c, row, within in zip(bytes_sample, sums, below):
-        row = row.tolist()
-        smask = sum(1 << i for i in support(c))
-        j = smask.bit_count()
-        at = f"c=({','.join(str(x) for x in c)})"
-        subs = list(_submasks(smask))
-        # I inside supp(c): all v supported inside a nonempty I sum to 0
-        # (3.3), those with support exactly I to (-1)^|I| (3.4)
-        for I, total in zip(subs, within[subs].tolist()):
-            desc = f"{at} I=0b{I:0{b}b}"
-            if I:
-                tallies["3.3"].add(0, total, desc)
-            tallies["3.4"].add((-1) ** I.bit_count(), row[I], desc)
-        split = _split(row, smask, b)
+    # want[lem][j, j1, j2]: the closed form at (j1 inside, j2 outside) for
+    # a byte of weight j, wherever checked[lem][j, j1, j2] holds
+    shape = (b + 1,) * 3
+    want = {lem: np.zeros(shape, dtype=np.int64) for lem in ("c3.1", "3.5", "c3.2")}
+    checked = {lem: np.zeros(shape, dtype=bool) for lem in want}
+    for j in range(b + 1):
         # weight k inside the support: (-1)^k * C(j, k)
         for k in range(j + 1):
-            tallies["c3.1"].add((-1) ** k * comb(j, k), split[k][0], f"{at} k={k}")
+            want["c3.1"][j, k, 0] = (-1) ** k * comb(j, k)
+            checked["c3.1"][j, k, 0] = True
         # weight k outside the support: (2^m - 1)^k * C(b - j, k)
         for k in range(b - j + 1):
-            tallies["3.5"].add(q1**k * comb(b - j, k), split[0][k], f"{at} k={k}")
-        # split weights (j1 inside, j2 outside): product of both factors;
-        # their totals by weight j1 + j2 give the byte transform
-        weights = [0] * (b + 1)
+            want["3.5"][j, 0, k] = q1**k * comb(b - j, k)
+            checked["3.5"][j, 0, k] = True
+        # split weights: product of both factors
         for j1 in range(j + 1):
             for j2 in range(b - j + 1):
-                want = (-1) ** j1 * q1**j2 * comb(j, j1) * comb(b - j, j2)
-                tallies["c3.2"].add(want, split[j1][j2], f"{at} j1={j1} j2={j2}")
-                weights[j1 + j2] += split[j1][j2]
-        for t in range(1, b + 1):
-            t_tallies[t].add(kernels[j, t], _regroup(weights, t), at)
+                want["c3.2"][j, j1, j2] = (
+                    (-1) ** j1 * q1**j2 * comb(j, j1) * comb(b - j, j2)
+                )
+                checked["c3.2"][j, j1, j2] = True
+    # totals by weight k times group[t] are totals by exponent ceil(k/t),
+    # compared with the dense coefficients of F_j
+    ks = np.arange(b + 1)
+    group, dense = {}, {}
+    for t in range(1, b + 1):
+        top = -(-b // t)
+        group[t] = np.zeros((b + 1, top + 1), dtype=np.int64)
+        group[t][ks, -(-ks // t)] = 1
+        dense[t] = np.array(
+            [[kernels[j, t].coeff(e) for e in range(top + 1)] for j in range(b + 1)],
+            dtype=np.int64,
+        )
+    full = (1 << b) - 1
+    masks = np.arange(1 << b)
+    pop = _popcounts(b)
+    parity = 1 - 2 * (pop & 1).astype(np.int8)  # (-1)^|I|
+    step = max(1, _BLOCK_PAIRS >> b)
+    for lo in range(0, len(bytes_sample), step):
+        cs = bytes_sample[lo : lo + step]
+        sums = _support_sums(m, b, cs)
+        smasks = np.array([sum(1 << i for i in support(c)) for c in cs], dtype=np.int64)
+        js = pop[smasks].astype(np.intp)
+
+        # |I & supp(c)| for every mask I; I lies inside supp(c) when that
+        # is |I|
+        inside = pop[masks & smasks[:, None]]
+        within = inside == pop
+        # I inside supp(c): those v with support exactly I sum to (-1)^|I|
+        # (3.4), and all v supported inside a nonempty I to 0 (3.3); the
+        # reversed columns run from I = 2^b - 1 down to 0
+        tallies["3.4"].add_many(
+            int(np.count_nonzero(within)),
+            (within & (sums != parity))[:, ::-1],
+            lambda k, r: (f"{_at(cs[k])} I=0b{full - r:0{b}b}",
+                          (-1) ** (full - r).bit_count(), int(sums[k, full - r])),
+        )
+        below = _subset_totals(sums)
+        within[:, 0] = False  # I = 0
+        tallies["3.3"].add_many(
+            int(np.count_nonzero(within)),
+            (within & (below != 0))[:, ::-1],
+            lambda k, r: (f"{_at(cs[k])} I=0b{full - r:0{b}b}",
+                          0, int(below[k, full - r])),
+        )
+        del within, below
+
+        split = _split_sums(sums, inside, pop)
+        for lem, label in (
+            ("c3.1", "k={j1}"), ("3.5", "k={j2}"), ("c3.2", "j1={j1} j2={j2}")
+        ):
+            expect = want[lem][js]
+            mask = checked[lem][js]
+            tallies[lem].add_many(
+                int(np.count_nonzero(mask)),
+                mask & (split != expect),
+                lambda k, j1, j2: (f"{_at(cs[k])} {label.format(j1=j1, j2=j2)}",
+                                   int(expect[k, j1, j2]), int(split[k, j1, j2])),
+            )
+        # totals by weight j1 + j2 give the byte transform
+        weights = np.zeros((len(cs), b + 1), dtype=np.int64)
+        for j1 in range(b + 1):
+            weights[:, j1:] += split[:, j1, : b + 1 - j1]
+        for t, tally in t_tallies.items():
+            tally.add_many(
+                len(cs),
+                (weights @ group[t] != dense[t][js]).any(axis=1),
+                lambda k: (_at(cs[k]), kernels[int(js[k]), t],
+                           _regroup(weights[k].tolist(), t)),
+            )
+        del sums  # before the next chunk's engine call
     base = {"m": m, "b": b, "bytes": len(bytes_sample), "exhaustive": exhaustive}
     reports = [tally.report(lem, base) for lem, tally in tallies.items()]
     return reports + [

@@ -422,6 +422,8 @@ GOLDEN_CASES = {
                 "--samples", "3", "--seed", "9"], 0),
     "verify_fault": (["verify", "--grid-m", "1,2", "--grid-b", "1",
                       "--samples", "3", "--seed", "9", "--inject-fault"], 5),
+    # the default grid, m 1-4 and b 1-3
+    "verify_grid": (["verify", "--seed", "9"], 0),
     "info": (["info"], 0),
 }
 

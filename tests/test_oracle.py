@@ -5,7 +5,10 @@ import random
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mspotty import oracle
 from mspotty.code import (
@@ -364,6 +367,133 @@ def test_cell_reports_wide_cell():
     assert all(r.passed for r in reports), [r.actual for r in reports]
 
 
+def test_cell_reports_memory_is_bounded_by_the_chunk():
+    # 64 bytes at b = 16: their support buckets alone take 32 MB at once
+    tracemalloc = pytest.importorskip("tracemalloc")
+    m, b = 1, 16
+    rng = random.Random(139)
+    cs = [tuple(zero(m) for _ in range(b)), (one(m),) * b]
+    cs += [_random_byte(rng, m, b) for _ in range(62)]
+    tracemalloc.start()
+    try:
+        reports = oracle._cell_reports(m, b, cs, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports), [r.actual for r in reports]
+    instances = sum(2 ** len(support(c)) for c in cs)
+    assert reports[1].actual == f"{instances}/{instances} exact"  # 3.4
+    assert peak < 16 << 20
+
+
+# --- per-byte checks, one comparison per instance --------------------------------
+
+
+def _reference_split(sums, smask, b):
+    omask = ((1 << b) - 1) ^ smask
+    split = [[0] * (omask.bit_count() + 1) for _ in range(smask.bit_count() + 1)]
+    for I, v in enumerate(sums):
+        split[(I & smask).bit_count()][(I & omask).bit_count()] += v
+    return split
+
+
+def _reference_submasks(mask):
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def _cell_reports_reference(m, b, bytes_sample, exhaustive):
+    """`oracle._cell_reports` one `_Tally.add` per instance, in its order:
+    byte by byte; within a byte, submasks of supp(c) by decreasing I, then
+    weights k, then (j1, j2) j1-major."""
+    q1 = (1 << m) - 1
+    tallies = {lem: oracle._Tally() for lem in ("3.3", "3.4", "c3.1", "3.5", "c3.2")}
+    t_tallies = {t: oracle._Tally() for t in range(1, b + 1)}
+    kernels = {
+        (j, t): f_poly(j, b, m, t) for j in range(b + 1) for t in range(1, b + 1)
+    }
+    sums = oracle._support_sums(m, b, bytes_sample).tolist()
+    for c, row in zip(bytes_sample, sums):
+        smask = sum(1 << i for i in support(c))
+        j = smask.bit_count()
+        at = f"c=({','.join(str(x) for x in c)})"
+        for I in _reference_submasks(smask):
+            desc = f"{at} I=0b{I:0{b}b}"
+            if I:
+                within = sum(row[J] for J in _reference_submasks(I))
+                tallies["3.3"].add(0, within, desc)
+            tallies["3.4"].add((-1) ** I.bit_count(), row[I], desc)
+        split = _reference_split(row, smask, b)
+        for k in range(j + 1):
+            tallies["c3.1"].add((-1) ** k * comb(j, k), split[k][0], f"{at} k={k}")
+        for k in range(b - j + 1):
+            tallies["3.5"].add(q1**k * comb(b - j, k), split[0][k], f"{at} k={k}")
+        weights = [0] * (b + 1)
+        for j1 in range(j + 1):
+            for j2 in range(b - j + 1):
+                want = (-1) ** j1 * q1**j2 * comb(j, j1) * comb(b - j, j2)
+                tallies["c3.2"].add(want, split[j1][j2], f"{at} j1={j1} j2={j2}")
+                weights[j1 + j2] += split[j1][j2]
+        for t in range(1, b + 1):
+            t_tallies[t].add(kernels[j, t], oracle._regroup(weights, t), at)
+    base = {"m": m, "b": b, "bytes": len(bytes_sample), "exhaustive": exhaustive}
+    reports = [tally.report(lem, base) for lem, tally in tallies.items()]
+    return reports + [
+        tally.report("3.6", {**base, "t": t}) for t, tally in t_tallies.items()
+    ]
+
+
+@st.composite
+def _skewed_cells(draw):
+    """A cell, its bytes (the zero byte and at least one duplicate among
+    them), up to three ±d bumps on support buckets keyed by byte value, and
+    a block size that may put one or two bytes in each chunk."""
+    m = draw(st.integers(1, 4))
+    b = draw(st.integers(1, 5))
+    digit = st.integers(0, (1 << m) - 1)
+    distinct = [(0,) * b] + draw(
+        st.lists(st.tuples(*[digit] * b), max_size=4 if m * b <= 12 else 1)
+    )
+    again = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=3))
+    order = draw(st.permutations(distinct + again))
+    bumps = draw(st.lists(
+        st.tuples(
+            st.sampled_from(distinct),
+            st.integers(0, (1 << b) - 1),
+            st.integers(1, 3) | st.integers(-3, -1),
+        ),
+        max_size=3,
+    ))
+    block = draw(st.sampled_from([oracle._BLOCK_PAIRS, 1 << b, 2 << b]))
+    return m, b, order, bumps, block
+
+
+@settings(max_examples=60, deadline=None)
+@given(_skewed_cells())
+def test_cell_reports_match_per_instance_reference(cell):
+    m, b, order, bumps, block = cell
+    cs = [tuple(RingElement(m, d) for d in digits) for digits in order]
+    real = {c: oracle._support_sums(m, b, [c])[0] for c in set(cs)}
+    for c, I, d in bumps:
+        real[tuple(RingElement(m, x) for x in c)][I] += d
+
+    def engine(m_, b_, cs_):
+        return np.array([real[c] for c in cs_]).reshape(len(cs_), 1 << b_)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_support_sums", engine)
+        patch.setattr(oracle, "_BLOCK_PAIRS", block)
+        got = [r.to_json() for r in oracle._cell_reports(m, b, cs, False)]
+        want = [r.to_json() for r in _cell_reports_reference(m, b, cs, False)]
+    assert got == want
+    if not bumps:
+        assert all(r["pass"] for r in got)
+
+
 # --- dual scan vs transform --------------------------------------------------
 
 
@@ -433,6 +563,32 @@ def test_poisson_worked_example_byte_layout():
     rows = [(one(4), monomial(4, 1), monomial(4, 2))]
     C = span(GeneratorMatrix(rows, lay, m=4))
     assert poisson_check(C).passed
+
+
+def test_poisson_scans_each_code_in_one_engine_call(monkeypatch):
+    """Every distinct byte of the code goes through one `_support_sums`
+    call, and the reports stay as they were with one call per byte."""
+    real = oracle._support_sums
+    calls = []
+
+    def counted(m, b, cs):
+        calls.append(len(cs))
+        return real(m, b, cs)
+
+    monkeypatch.setattr(oracle, "_support_sums", counted)
+    enumerators = {1: "1 + z^2", 2: "1 + z + 2z^2", 3: "1 + z + 6z^2",
+                   4: "1 + z + 14z^2", 5: "1 + z + 30z^2", 6: "1 + z + 62z^2"}
+    for m, W in enumerators.items():
+        calls.clear()
+        report = poisson_check(oracle._poisson_code(m))
+        assert calls == [1 << m]  # the code's 2^m words have distinct bytes
+        assert report.to_json() == {
+            "lemma": "3.7",
+            "params": {"m": m, "n": 1, "b": 2, "t": 1, "code_size": 1 << m},
+            "expected": W,
+            "actual": W,
+            "pass": True,
+        }
 
 
 def test_oracle_runs_without_the_fast_paths(monkeypatch):
