@@ -29,6 +29,7 @@ from .code import (
     ByteLayout,
     GeneratorMatrix,
     LinearCode,
+    _ascii_int,
     _word_strings,
     dual,
     load_matrix,
@@ -72,26 +73,6 @@ _READING_NOTE = (
     "subset of supp(c), which is 0; truncating instead at partial weight "
     "k < w(c) gives (-1)^k*C(w(c)-1, k), not 0"
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation, validated."""
-
-    path: str | None
-    fmt: str
-    max_space: int
-    workers: int
-    seed: int
-    out: str | None
-
-    def __post_init__(self):
-        if self.max_space < 1:
-            raise ParameterError(f"--max-space must be positive, got {self.max_space}")
-        if self.workers < 1:
-            raise ParameterError(f"--workers must be >= 1, got {self.workers}")
-        if not 0 <= self.seed < 1 << 64:
-            raise ParameterError(f"--seed must fit in 64 bits, got {self.seed}")
 
 
 # --- report model -------------------------------------------------------
@@ -209,12 +190,12 @@ def _statistics(C: LinearCode) -> tuple[DistributionTable, Polynomial]:
     return dist, W
 
 
-def cmd_enumerate(cfg: RunConfig, args) -> tuple[str, int]:
-    G = load_matrix(cfg.path)
-    C = span(G, budget=cfg.max_space)
+def cmd_enumerate(args) -> tuple[str, int]:
+    G = load_matrix(args.file)
+    C = span(G, budget=args.max_space)
     dist, W = _statistics(C)
     notes = [Section("note", _MISPRINT_NOTE)] if (C.m, C.layout, W) == _MISPRINT else []
-    return _render(cfg.fmt, "enumerate", [
+    return _render(args.format, "enumerate", [
         _layout(G),
         Section("size", len(C), "code_size", "|C|"),
         Section("dist", dist),
@@ -223,17 +204,19 @@ def cmd_enumerate(cfg: RunConfig, args) -> tuple[str, int]:
     ]), 0
 
 
-def cmd_tables(cfg: RunConfig, args) -> tuple[str, int]:
+def cmd_tables(args) -> tuple[str, int]:
     m, b, t = args.m, args.b, args.t
     _check_m(m)  # the ring's range, as the matrix header and `info` state it
+    if b < 1:  # as the matrix header states it
+        raise ParameterError(f"byte size b must be >= 1, got {b}")
     kernels = [Section("kernel", F, j) for j, F in enumerate(kernel_table(b, m, t))]
     params = Section("params", {"m": m, "b": b, "t": t})
-    return _render(cfg.fmt, "tables", [params, *kernels]), 0
+    return _render(args.format, "tables", [params, *kernels]), 0
 
 
-def cmd_transform(cfg: RunConfig, args) -> tuple[str, int]:
-    G = load_matrix(cfg.path)
-    C = span(G, budget=cfg.max_space)
+def cmd_transform(args) -> tuple[str, int]:
+    G = load_matrix(args.file)
+    C = span(G, budget=args.max_space)
     dist, W = _statistics(C)
     ambient = 1 << (G.m * G.layout.N)
     if ambient % len(C):
@@ -247,7 +230,7 @@ def cmd_transform(cfg: RunConfig, args) -> tuple[str, int]:
             f"dual enumerator evaluates to {W_dual(1)} at z=1, expected {dual_size}"
         )
     notes = [Section("note", _MISPRINT_NOTE)] if (C.m, C.layout, W) == _MISPRINT else []
-    return _render(cfg.fmt, "transform", [
+    return _render(args.format, "transform", [
         _layout(G),
         Section("size", len(C), "code_size", "|C|"),
         Section("poly", W, "enumerator", "W(z)"),
@@ -257,12 +240,12 @@ def cmd_transform(cfg: RunConfig, args) -> tuple[str, int]:
     ]), 0
 
 
-def cmd_dual(cfg: RunConfig, args) -> tuple[str, int]:
-    G = load_matrix(cfg.path)
-    Cd = dual(G, budget=cfg.max_space, workers=cfg.workers)
+def cmd_dual(args) -> tuple[str, int]:
+    G = load_matrix(args.file)
+    Cd = dual(G, budget=args.max_space, workers=args.workers)
     dist, W = _statistics(Cd)
     words = [Section("codewords", _word_strings(Cd))] if args.codewords else []
-    return _render(cfg.fmt, "dual", [
+    return _render(args.format, "dual", [
         _layout(G),
         Section("size", len(Cd), "dual_size", "|C-dual|"),
         Section("dist", dist),
@@ -272,44 +255,36 @@ def cmd_dual(cfg: RunConfig, args) -> tuple[str, int]:
 
 
 def _parse_grid(text: str, what: str) -> tuple[int, ...]:
-    # ASCII digits only, as in the matrix header: int() would also take a
-    # sign, underscores and non-ASCII digits
-    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
-    if not tokens or not all(tok.isascii() and tok.isdigit() for tok in tokens):
-        raise ParameterError(f"bad {what} grid: {text!r}")
-    try:
-        values = tuple(int(tok) for tok in tokens)
-    except ValueError:  # more digits than int() takes from a string
-        raise ParameterError(f"bad {what} grid: {text!r}") from None
-    if any(v < 1 for v in values):
+    values = tuple(_ascii_int(tok.strip()) for tok in text.split(",") if tok.strip())
+    if not values or any(v is None or v < 1 for v in values):
         raise ParameterError(f"bad {what} grid: {text!r}")
     return values
 
 
-def cmd_verify(cfg: RunConfig, args) -> tuple[str, int]:
+def cmd_verify(args) -> tuple[str, int]:
     ms = _parse_grid(args.grid_m, "m")
     bs = _parse_grid(args.grid_b, "b")
     reports = campaign(
         ms=ms,
         bs=bs,
         samples=args.samples,
-        seed=cfg.seed,
+        seed=args.seed,
         inject_fault=args.inject_fault,
     )
     all_pass = all(r.passed for r in reports)
     code = 0 if all_pass else _EXIT_VERIFY
-    if cfg.fmt == "json":
+    if args.format == "json":
         obj = {
             "command": "verify",
             "grid": {"m": list(ms), "b": list(bs)},
             "samples": args.samples,
-            "seed": cfg.seed,
+            "seed": args.seed,
             "pass": all_pass,
             "reports": [r.to_json() for r in reports],
             "notes": [_READING_NOTE],
         }
         return _json_dump(obj), code
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         rows = [["lemma", "params", "expected", "actual", "pass"]]
         for r in reports:
             rows.append(
@@ -336,7 +311,7 @@ def cmd_verify(cfg: RunConfig, args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", code
 
 
-def cmd_info(cfg: RunConfig, args) -> tuple[str, int]:
+def cmd_info(args) -> tuple[str, int]:
     fields = {
         "name": "mspotty",
         "version": __version__,
@@ -349,9 +324,9 @@ def cmd_info(cfg: RunConfig, args) -> tuple[str, int]:
         "subcommands": "enumerate tables transform dual verify info",
         "exit_codes": "0 ok, 2 parse, 3 budget, 4 integrity, 5 verification",
     }
-    if cfg.fmt == "json":
+    if args.format == "json":
         return _json_dump({"command": "info", **fields}), 0
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         rows = [["section", "key", "value"]]
         rows += [["info", k, v] for k, v in fields.items()]
         return _csv_body(rows), 0
@@ -447,17 +422,15 @@ _DISPATCH = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            path=getattr(args, "file", None),
-            fmt=args.format,
-            max_space=args.max_space,
-            workers=args.workers,
-            seed=args.seed,
-            out=args.out,
-        )
-        body, code = _DISPATCH[args.command](cfg, args)
-        if cfg.out:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
+        if args.max_space < 1:
+            raise ParameterError(f"--max-space must be positive, got {args.max_space}")
+        if args.workers < 1:
+            raise ParameterError(f"--workers must be >= 1, got {args.workers}")
+        if not 0 <= args.seed < 1 << 64:
+            raise ParameterError(f"--seed must fit in 64 bits, got {args.seed}")
+        body, code = _DISPATCH[args.command](args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(body)
         else:
             sys.stdout.write(body)

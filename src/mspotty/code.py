@@ -566,8 +566,9 @@ def dual(
     `method="kernel"` solves the F2 system by elimination and returns a code
     that holds the kernel basis (its digit array is built on first read);
     `method="scan"` tests every vector of R^N (in chunks of `chunk_size`,
-    on up to `workers` processes) and is kept as the independent referee.
-    Both return the same code, and `budget` caps |R|^N for either.
+    on up to `workers` processes, packing each into at most 62 bits) and is
+    kept as the independent referee.  Both return the same code, and
+    `budget` caps |R|^N for either.
     """
     if method not in _DUAL_METHODS:
         raise ParameterError(
@@ -576,7 +577,7 @@ def dual(
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     m, N = G.m, G.layout.N
-    if m * N > 62:
+    if method == "scan" and m * N > 62:
         raise ParameterError(
             f"scan index needs {m * N} bits, beyond 64-bit packing"
         )
@@ -621,6 +622,18 @@ def generating_rows(C: LinearCode) -> GeneratorMatrix:
 # Every row must have the same length; n is inferred from it.
 
 
+def _ascii_int(text: str) -> int | None:
+    """text as a non-negative integer, or None if it is not one."""
+    # ASCII digits only, as in the element grammar: int() would also take
+    # a sign, underscores and non-ASCII digits
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() takes from a string
+        return None
+
+
 def _parse_header(line: str, lineno: int) -> tuple[int, int, int]:
     fields = line.split()
     keys = ("m", "b", "t")
@@ -633,14 +646,10 @@ def _parse_header(line: str, lineno: int) -> tuple[int, int, int]:
     values = []
     for field, key in zip(fields, keys):
         body = field[len(key) + 1 :]
-        # ASCII digits only, as in the element grammar: int() would also take
-        # a sign, underscores and non-ASCII digits
-        if not (body.isascii() and body.isdigit()):
+        value = _ascii_int(body)
+        if value is None:
             raise MatrixParseError(f"bad integer for {key}: {body!r}", lineno)
-        try:
-            values.append(int(body))
-        except ValueError:  # more digits than int() takes from a string
-            raise MatrixParseError(f"bad integer for {key}: {body!r}", lineno) from None
+        values.append(value)
     if not 1 <= values[0] <= MAX_M:
         raise MatrixParseError(
             f"m must be an integer in [1, {MAX_M}], got {values[0]}", lineno

@@ -8,7 +8,10 @@ the one-vector-at-a-time `sum_chi_*` functions, and the per-byte checks
 read three exact integer regroupings of its bucket totals; chi is never
 used beyond the engine.  Each check compares whole arrays of those totals
 with tables of closed-form values, one comparison per chunk of bytes, and
-describes only its first mismatch.  The closed forms live in `macwilliams`
+describes only its first mismatch.  Inside the campaign a cell's bytes
+are one integer array, a row of b coefficient masks per byte, from
+sampling to report; a byte becomes `RingElement`s only to describe a
+mismatch.  The closed forms live in `macwilliams`
 and in the campaign's expected values: the transform is the fast path,
 these are the referee.  Codes are closed row by row and enumerators
 summed word by word: nothing here calls `span`, the vectorized statistics
@@ -109,23 +112,30 @@ def _check_subset(c: Byte, I: Sequence[int]) -> tuple[int, ...]:
     return I
 
 
+def _chi_sum(c: Byte, I: Sequence[int], values: Sequence[RingElement]) -> int:
+    """chi(<c, v>) summed literally over every v that takes a value from
+    `values` at each index of I and is zero elsewhere, one v at a time."""
+    m, b = c[0].m, len(c)
+    total = 0
+    for combo in itertools.product(values, repeat=len(I)):
+        v = [zero(m)] * b
+        for i, x in zip(I, combo):
+            v[i] = x
+        total += chi(inner_product(c, v))
+    return total
+
+
 def sum_chi_subspace(c: Byte, I: Sequence[int]) -> int:
     """chi(<c, v>) summed over all v supported inside I, zeros included.
 
     I must be a nonempty subset of supp(c).  The sum factors into one
     full-ring character sum per index, so it is 0 whenever I is nonempty.
     """
-    m, b = _byte_params(c)
+    m, _ = _byte_params(c)
     I = _check_subset(c, I)
     if not I:
         raise ParameterError("index set must be nonempty")
-    total = 0
-    for values in itertools.product(elements(m), repeat=len(I)):
-        v = [zero(m)] * b
-        for i, x in zip(I, values):
-            v[i] = x
-        total += chi(inner_product(c, v))
-    return total
+    return _chi_sum(c, I, tuple(elements(m)))
 
 
 def sum_chi_fixed_support(c: Byte, I: Sequence[int]) -> int:
@@ -134,28 +144,18 @@ def sum_chi_fixed_support(c: Byte, I: Sequence[int]) -> int:
     I must be a subset of supp(c); the empty set contributes the single
     term chi(0) = 1.
     """
-    m, b = _byte_params(c)
-    I = _check_subset(c, I)
-    total = 0
-    for values in itertools.product(_nonzero(m), repeat=len(I)):
-        v = [zero(m)] * b
-        for i, x in zip(I, values):
-            v[i] = x
-        total += chi(inner_product(c, v))
-    return total
+    m, _ = _byte_params(c)
+    return _chi_sum(c, _check_subset(c, I), _nonzero(m))
 
 
 def sum_chi_Sk(c: Byte, k: int) -> int:
     """chi-sum over v of Hamming weight k supported inside supp(c);
     equals (-1)^k * C(j, k) for j = w(c)."""
-    m, b = _byte_params(c)
+    _byte_params(c)
     sup = support(c)
     if not 0 <= k <= len(sup):
         raise ParameterError(f"need 0 <= k <= w(c)={len(sup)}, got {k}")
-    total = 0
-    for I in itertools.combinations(sup, k):
-        total += sum_chi_fixed_support(c, I)
-    return total
+    return sum(sum_chi_fixed_support(c, I) for I in itertools.combinations(sup, k))
 
 
 def sum_chi_Sbar(c: Byte, k: int) -> int:
@@ -165,14 +165,9 @@ def sum_chi_Sbar(c: Byte, k: int) -> int:
     outside = tuple(i for i in range(b) if c[i].is_zero())
     if not 0 <= k <= len(outside):
         raise ParameterError(f"need 0 <= k <= b-w(c)={len(outside)}, got {k}")
-    total = 0
-    for I in itertools.combinations(outside, k):
-        for values in itertools.product(_nonzero(m), repeat=k):
-            v = [zero(m)] * b
-            for i, x in zip(I, values):
-                v[i] = x
-            total += chi(inner_product(c, v))
-    return total
+    return sum(
+        _chi_sum(c, I, _nonzero(m)) for I in itertools.combinations(outside, k)
+    )
 
 
 def sum_chi_Sj1j2(c: Byte, j1: int, j2: int) -> int:
@@ -185,16 +180,11 @@ def sum_chi_Sj1j2(c: Byte, j1: int, j2: int) -> int:
         raise ParameterError(f"need 0 <= j1 <= w(c)={len(sup)}, got {j1}")
     if not 0 <= j2 <= len(outside):
         raise ParameterError(f"need 0 <= j2 <= b-w(c)={len(outside)}, got {j2}")
-    total = 0
-    for I_in in itertools.combinations(sup, j1):
-        for I_out in itertools.combinations(outside, j2):
-            I = I_in + I_out
-            for values in itertools.product(_nonzero(m), repeat=j1 + j2):
-                v = [zero(m)] * b
-                for i, x in zip(I, values):
-                    v[i] = x
-                total += chi(inner_product(c, v))
-    return total
+    return sum(
+        _chi_sum(c, I_in + I_out, _nonzero(m))
+        for I_in in itertools.combinations(sup, j1)
+        for I_out in itertools.combinations(outside, j2)
+    )
 
 
 def byte_transform_bruteforce(
@@ -210,15 +200,13 @@ def byte_transform_bruteforce(
     if not 1 <= t <= b:
         raise ParameterError(f"need 1 <= t <= b={b}, got t={t}")
     BudgetError.guard("byte scan over R^b", budget, shift=m * b)
-    return _byte_transforms(m, b, t, [c])[0]
+    return _byte_transforms(m, b, t, np.array([[x.bits for x in c]]))[0]
 
 
-def _byte_transforms(m: int, b: int, t: int, cs: Sequence[Byte]) -> list[Polynomial]:
-    """`byte_transform_bruteforce` of every byte in cs, from one engine call."""
-    sums = _support_sums(m, b, cs)
-    # with no coordinate inside, [k, 0] totals by weight
-    inside = np.zeros(sums.shape, dtype=np.uint8)
-    weights = _split_sums(sums, inside, _popcounts(b))[:, 0]
+def _byte_transforms(m: int, b: int, t: int, cs: np.ndarray) -> list[Polynomial]:
+    """`byte_transform_bruteforce` of every row of coefficient masks in cs,
+    from one engine call."""
+    weights = _weight_totals(_support_sums(m, b, cs), _popcounts(b))
     return [_regroup(row, t) for row in weights.tolist()]
 
 
@@ -345,10 +333,10 @@ class _Tally:
         )
 
 
-def _support_sums(m: int, b: int, cs: Sequence[Byte]) -> np.ndarray:
+def _support_sums(m: int, b: int, cs: np.ndarray) -> np.ndarray:
     """chi(<c, v>) totals for every byte c of one (m, b) cell, bucketed by
     the exact support mask of v: entry [k, I] sums over the v with
-    supp(v) = I, for c = cs[k].
+    supp(v) = I, for the byte c whose b coefficient masks are row cs[k].
 
     The single brute-force engine of the per-byte checks: each identity is
     a regrouping of these buckets.  Every v in R^b is visited for every c
@@ -364,12 +352,11 @@ def _support_sums(m: int, b: int, cs: Sequence[Byte]) -> np.ndarray:
     coordinate value; the result holds 2^b exact int64 totals per byte.
     """
     size = 1 << m
-    elems = sorted({x.bits for c in cs for x in c})
-    where = {a: k for k, a in enumerate(elems)}
+    elems, coords = np.unique(cs, return_inverse=True)
     products = np.array(
-        [[mul_bits(a, r, m) for r in range(size)] for a in elems], dtype=np.uint16
+        [[mul_bits(a, r, m) for r in range(size)] for a in elems.tolist()],
+        dtype=np.uint16,
     )
-    coords = np.array([[where[x.bits] for x in c] for c in cs], dtype=np.intp)
     coords = coords.reshape(len(cs), b)
     run = min(1 << (m * b), _BLOCK_PAIRS)
     per = max(1, _BLOCK_PAIRS // run)  # bytes per block
@@ -425,6 +412,17 @@ def _split_sums(sums: np.ndarray, inside: np.ndarray, pop: np.ndarray) -> np.nda
     return split.reshape(len(sums), width, width)
 
 
+def _weight_totals(sums: np.ndarray, pop: np.ndarray) -> np.ndarray:
+    """Support buckets totalled by |I|: entry [k, w] sums sums[k, I] over
+    the I with pop[I] = w, where pop = `_popcounts(b)`.  Exact: the totals
+    accumulate in int64 through `np.add.at`."""
+    width = len(pop).bit_length()  # b + 1
+    key = np.arange(len(sums))[:, None] * width + pop
+    totals = np.zeros(len(sums) * width, dtype=np.int64)
+    np.add.at(totals, key.ravel(), sums.ravel())
+    return totals.reshape(len(sums), width)
+
+
 def _subset_totals(sums: np.ndarray) -> np.ndarray:
     """[k, I] = sum of sums[k, J] over the J inside I: a copy of sums with
     one in-place pass per support bit."""
@@ -440,18 +438,15 @@ def _regroup(weights: Sequence[int], t: int) -> Polynomial:
     return Polynomial((-(-k // t), v) for k, v in enumerate(weights))
 
 
-def _sample_bytes(
-    m: int, b: int, samples: int, rng: random.Random
-) -> list[Byte]:
+def _sample_bytes(m: int, b: int, samples: int, rng: random.Random) -> np.ndarray:
+    """The bytes of one cell as a (count, b) array of coefficient masks:
+    all of R^b when m*b <= _EXHAUSTIVE_BITS, else the zero byte and
+    `samples` random bytes drawn coordinate by coordinate."""
     if m * b <= _EXHAUSTIVE_BITS:
-        return [
-            tuple(RingElement(m, d) for d in digits)
-            for digits in itertools.product(range(1 << m), repeat=b)
-        ]
-    out: list[Byte] = [tuple(zero(m) for _ in range(b))]
-    for _ in range(samples):
-        out.append(tuple(RingElement(m, rng.randrange(1 << m)) for _ in range(b)))
-    return out
+        every = itertools.product(range(1 << m), repeat=b)
+        return np.array(list(every), dtype=np.int64)
+    draws = [rng.randrange(1 << m) for _ in range(samples * b)]
+    return np.array([0] * b + draws, dtype=np.int64).reshape(samples + 1, b)
 
 
 def _add_row(
@@ -491,17 +486,16 @@ def poisson_check(
     """Summation identity: the dual's enumerator equals the average over C
     of the per-word transforms, each a product of per-byte scans.  The
     distinct bytes of C are scanned together, in one engine call."""
-    t = C.layout.t
+    t, b = C.layout.t, C.layout.b
     scanned = dual_enumerator_bruteforce(_generators(C), budget, workers)
-    distinct = {tuple(x.bits for x in byte): byte for w in C for byte in w.bytes()}
-    BudgetError.guard("byte scan over R^b", budget, shift=C.m * C.layout.b)
-    transforms = _byte_transforms(C.m, C.layout.b, t, list(distinct.values()))
-    cache = dict(zip(distinct, transforms))
+    distinct, which = np.unique(C.digits.reshape(-1, b), axis=0, return_inverse=True)
+    BudgetError.guard("byte scan over R^b", budget, shift=C.m * b)
+    transforms = _byte_transforms(C.m, b, t, distinct)
     acc = Polynomial.zero()
-    for w in C:
+    for word in which.reshape(len(C), -1).tolist():
         prod = Polynomial.one()
-        for byte in w.bytes():
-            prod = prod * cache[tuple(x.bits for x in byte)]
+        for k in word:
+            prod = prod * transforms[k]
         acc = acc + prod
     averaged = acc.exact_div(len(C))
     return LemmaReport(
@@ -519,18 +513,20 @@ def poisson_check(
     )
 
 
-def _at(c: Byte) -> str:
-    return f"c=({','.join(str(x) for x in c)})"
+def _at(m: int, c: np.ndarray) -> str:
+    """A byte given as a row of coefficient masks, as reports print it."""
+    return f"c=({','.join(str(RingElement(m, x)) for x in c.tolist())})"
 
 
 def _cell_reports(
-    m: int, b: int, bytes_sample: list[Byte], exhaustive: bool
+    m: int, b: int, bytes_sample: np.ndarray, exhaustive: bool
 ) -> list[LemmaReport]:
     """All per-byte identity checks for one (m, b) cell, plus the per-t
-    byte-transform comparison.  Each check reads the literal support
-    buckets (3.4) or one of three exact views of them: subset totals (3.3),
-    weights split by supp(c) (c3.1, 3.5, c3.2), and totals by weight
-    grouped by ceil(k/t) (3.6).  chi is evaluated only in the engine.
+    byte-transform comparison, for the bytes given as rows of coefficient
+    masks.  Each check reads the literal support buckets (3.4) or one of
+    three exact views of them: subset totals (3.3), weights split by
+    supp(c) (c3.1, 3.5, c3.2), and totals by weight grouped by ceil(k/t)
+    (3.6).  chi is evaluated only in the engine.
 
     Each tally is one array comparison per chunk of bytes, against tables
     indexed by the byte weight j and built once per cell from the closed
@@ -582,13 +578,14 @@ def _cell_reports(
         )
     full = (1 << b) - 1
     masks = np.arange(1 << b)
+    bits = 1 << np.arange(b)
     pop = _popcounts(b)
     parity = 1 - 2 * (pop & 1).astype(np.int8)  # (-1)^|I|
     step = max(1, _BLOCK_PAIRS >> b)
     for lo in range(0, len(bytes_sample), step):
         cs = bytes_sample[lo : lo + step]
         sums = _support_sums(m, b, cs)
-        smasks = np.array([sum(1 << i for i in support(c)) for c in cs], dtype=np.int64)
+        smasks = (cs != 0) @ bits
         js = pop[smasks].astype(np.intp)
 
         # |I & supp(c)| for every mask I; I lies inside supp(c) when that
@@ -601,7 +598,7 @@ def _cell_reports(
         tallies["3.4"].add_many(
             int(np.count_nonzero(within)),
             (within & (sums != parity))[:, ::-1],
-            lambda k, r: (f"{_at(cs[k])} I=0b{full - r:0{b}b}",
+            lambda k, r: (f"{_at(m, cs[k])} I=0b{full - r:0{b}b}",
                           (-1) ** (full - r).bit_count(), int(sums[k, full - r])),
         )
         below = _subset_totals(sums)
@@ -609,7 +606,7 @@ def _cell_reports(
         tallies["3.3"].add_many(
             int(np.count_nonzero(within)),
             (within & (below != 0))[:, ::-1],
-            lambda k, r: (f"{_at(cs[k])} I=0b{full - r:0{b}b}",
+            lambda k, r: (f"{_at(m, cs[k])} I=0b{full - r:0{b}b}",
                           0, int(below[k, full - r])),
         )
         del within, below
@@ -623,18 +620,15 @@ def _cell_reports(
             tallies[lem].add_many(
                 int(np.count_nonzero(mask)),
                 mask & (split != expect),
-                lambda k, j1, j2: (f"{_at(cs[k])} {label.format(j1=j1, j2=j2)}",
+                lambda k, j1, j2: (f"{_at(m, cs[k])} {label.format(j1=j1, j2=j2)}",
                                    int(expect[k, j1, j2]), int(split[k, j1, j2])),
             )
-        # totals by weight j1 + j2 give the byte transform
-        weights = np.zeros((len(cs), b + 1), dtype=np.int64)
-        for j1 in range(b + 1):
-            weights[:, j1:] += split[:, j1, : b + 1 - j1]
+        weights = _weight_totals(sums, pop)
         for t, tally in t_tallies.items():
             tally.add_many(
                 len(cs),
                 (weights @ group[t] != dense[t][js]).any(axis=1),
-                lambda k: (_at(cs[k]), kernels[int(js[k]), t],
+                lambda k: (_at(m, cs[k]), kernels[int(js[k]), t],
                            _regroup(weights[k].tolist(), t)),
             )
         del sums  # before the next chunk's engine call

@@ -98,6 +98,14 @@ def test_tables_bad_range_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("b", ["-1", "0"])
+def test_tables_b_below_one_exits_2(capsys, b):
+    # the matrix header's message; t is not reached
+    code, out, err = run_cli(capsys, "tables", "4", b, "-5")
+    assert code == 2 and out == ""
+    assert err == f"error: byte size b must be >= 1, got {b}\n"
+
+
 @pytest.mark.parametrize("m", ["0", "17", "99999999999999999999"])
 def test_tables_m_outside_the_ring_exits_2(capsys, m):
     code, out, err = run_cli(capsys, "tables", m, "1", "1")
@@ -318,7 +326,7 @@ def test_verify_summation_check_capped_below_m_8(capsys):
 
 
 def test_integrity_exit_4(capsys, monkeypatch):
-    def boom(cfg, args):
+    def boom(args):
         raise IntegrityError("forced")
 
     monkeypatch.setitem(cli._DISPATCH, "info", boom)
@@ -330,6 +338,17 @@ def test_bad_flag_values_exit_2(capsys):
     assert run_cli(capsys, "info", "--workers", "0")[0] == 2
     assert run_cli(capsys, "info", "--max-space", "0")[0] == 2
     assert run_cli(capsys, "info", "--seed", "-1")[0] == 2
+    # --max-space, then --workers, then --seed, each with its own line
+    flags = ["--seed", "-1", "--workers", "0", "--max-space", "0"]
+    assert run_cli(capsys, "info", *flags) == (
+        2, "", "error: --max-space must be positive, got 0\n"
+    )
+    assert run_cli(capsys, "info", *flags[:4]) == (
+        2, "", "error: --workers must be >= 1, got 0\n"
+    )
+    assert run_cli(capsys, "info", *flags[:2]) == (
+        2, "", "error: --seed must fit in 64 bits, got -1\n"
+    )
 
 
 def test_out_writes_file(capsys, tmp_path):

@@ -369,9 +369,25 @@ def test_dual_rejects_bad_workers_and_overflow():
         dual(G, workers=0)
     wide = GeneratorMatrix([], ByteLayout(b=8, t=1, n=8), m=1)
     with pytest.raises(ParameterError):
-        dual(wide, budget=1 << 70)
+        dual(wide, budget=1 << 70, method="scan")
     with pytest.raises(ParameterError, match="method"):
         dual(G, method="mitm")
+
+
+def test_dual_kernel_route_packs_no_scan_index():
+    """At m*N = 63 the kernel route solves by elimination; only the scan
+    packs each vector into a 64-bit index, and it still refuses."""
+    m, N = 1, 63
+    # rows e_i + e_62: the kernel is {0, all-ones}
+    rows = [
+        [one(m) if j in (i, N - 1) else zero(m) for j in range(N)]
+        for i in range(N - 1)
+    ]
+    G = GeneratorMatrix(rows, ByteLayout(b=N, t=1, n=1), m=m)
+    Cd = dual(G, budget=1 << 64)
+    assert Cd.digits.tolist() == [[0] * N, [1] * N]
+    with pytest.raises(ParameterError, match="scan index needs 63 bits"):
+        dual(G, budget=1 << 64, method="scan")
 
 
 def _assert_kernel_equals_scan(G):

@@ -63,6 +63,11 @@ def _random_byte(rng, m, b):
     return tuple(RingElement(m, rng.randrange(1 << m)) for _ in range(b))
 
 
+def _rows(cs):
+    """Bytes as the engine takes them: one row of coefficient masks each."""
+    return np.array([[x.bits for x in c] for c in cs])
+
+
 # --- elementwise sums -------------------------------------------------------
 
 
@@ -243,7 +248,7 @@ def _cells(lo, hi):
 def test_support_sums_match_literal_sum_exhaustive():
     for m, b in _cells(1, 8):
         cs = _all_bytes(m, b)
-        got = oracle._support_sums(m, b, cs).tolist()
+        got = oracle._support_sums(m, b, _rows(cs)).tolist()
         assert got == [_literal_support_sums(c) for c in cs], (m, b)
 
 
@@ -252,7 +257,7 @@ def test_support_sums_match_literal_sum_sampled():
     for m, b in _cells(9, 12):
         cs = [_random_byte(rng, m, b) for _ in range(3)]
         cs.append(tuple(zero(m) for _ in range(b)))
-        got = oracle._support_sums(m, b, cs).tolist()
+        got = oracle._support_sums(m, b, _rows(cs)).tolist()
         for c, sums in zip(cs, got):
             assert sums == _literal_support_sums(c), (m, b, c)
             # the literal per-support sums of the referee agree too
@@ -270,7 +275,7 @@ def test_support_sums_partial_byte_block():
     assert oracle._BLOCK_PAIRS // (1 << (m * b)) == 256
     rng = random.Random(127)
     cs = [_random_byte(rng, m, b) for _ in range(300)]
-    got = oracle._support_sums(m, b, cs).tolist()
+    got = oracle._support_sums(m, b, _rows(cs)).tolist()
     assert got == [_literal_support_sums(c) for c in cs]
 
 
@@ -279,7 +284,7 @@ def test_support_sums_runs_straddle_a_coordinate():
     # between runs, so its support bit is fixed per run only in part
     rng = random.Random(131)
     cs = [_random_byte(rng, 5, 3), (one(5), zero(5), monomial(5, 4))]
-    got = oracle._support_sums(5, 3, cs).tolist()
+    got = oracle._support_sums(5, 3, _rows(cs)).tolist()
     assert got == [_literal_support_sums(c) for c in cs]
 
 
@@ -291,7 +296,7 @@ def test_support_sums_beyond_one_block():
     cs = [tuple(zero(m) for _ in range(b))]
     cs += [_random_byte(rng, m, b) for _ in range(3)]
     cs.append((zero(m), monomial(m, 5), zero(m)))
-    sums = oracle._support_sums(m, b, cs)
+    sums = oracle._support_sums(m, b, _rows(cs))
     assert sums.sum(axis=1).tolist() == [1 << (m * b), 0, 0, 0, 0]
     for c in cs:
         j = len(support(c))
@@ -352,7 +357,7 @@ def test_cell_reports_bucket_negative_control(monkeypatch, I):
         return sums
 
     monkeypatch.setattr(oracle, "_support_sums", skewed)
-    reports = oracle._cell_reports(m, b, cs, True)
+    reports = oracle._cell_reports(m, b, _rows(cs), True)
     assert {r.lemma for r in reports if not r.passed} == _bucket_kind(I, 0b101)
     assert all("c=(1,0,u)" in r.actual for r in reports if not r.passed)
 
@@ -362,7 +367,7 @@ def test_cell_reports_wide_cell():
     # one submask at a time
     m, b = 1, 16
     cs = [tuple(zero(m) for _ in range(b)), (one(m),) * b]
-    reports = oracle._cell_reports(m, b, cs, False)
+    reports = oracle._cell_reports(m, b, _rows(cs), False)
     assert len(reports) == 5 + b
     assert all(r.passed for r in reports), [r.actual for r in reports]
 
@@ -376,7 +381,7 @@ def test_cell_reports_memory_is_bounded_by_the_chunk():
     cs += [_random_byte(rng, m, b) for _ in range(62)]
     tracemalloc.start()
     try:
-        reports = oracle._cell_reports(m, b, cs, False)
+        reports = oracle._cell_reports(m, b, _rows(cs), False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -384,6 +389,54 @@ def test_cell_reports_memory_is_bounded_by_the_chunk():
     instances = sum(2 ** len(support(c)) for c in cs)
     assert reports[1].actual == f"{instances}/{instances} exact"  # 3.4
     assert peak < 16 << 20
+
+
+def test_sample_bytes_draw_coordinate_by_coordinate():
+    """Sampled bytes take the seeded draws in the order of a byte-by-byte,
+    coordinate-by-coordinate loop, after the zero byte."""
+    m, b, samples = 3, 4, 9
+    rng, again = random.Random(151), random.Random(151)
+    got = oracle._sample_bytes(m, b, samples, rng)
+    want = [[0] * b] + [[again.randrange(1 << m) for _ in range(b)]
+                        for _ in range(samples)]
+    assert got.tolist() == want
+    assert rng.random() == again.random()
+    assert oracle._sample_bytes(2, 3, samples, rng).tolist() == [
+        list(c) for c in itertools.product(range(4), repeat=3)
+    ]
+
+
+def test_cell_path_builds_no_ring_elements(monkeypatch):
+    """Sampling and a passing cell carry bytes as coefficient masks only."""
+    real = RingElement.__init__
+    built = []
+
+    def counted(self, m, bits):
+        built.append((m, bits))
+        real(self, m, bits)
+
+    monkeypatch.setattr(RingElement, "__init__", counted)
+    rng = random.Random(157)
+    for m, b in ((2, 3), (3, 3), (1, 12)):
+        sample = oracle._sample_bytes(m, b, 6, rng)
+        reports = oracle._cell_reports(m, b, sample, m * b <= 8)
+        assert all(r.passed for r in reports), [r.actual for r in reports]
+    assert built == []
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 5, 8])
+def test_weight_totals_match_the_split_regrouping(b):
+    """Totals by |I| equal the (j1, j2) split summed along j1 + j2, for any
+    inside counts."""
+    rng = np.random.default_rng(b)
+    sums = rng.integers(-(1 << 40), 1 << 40, size=(7, 1 << b))
+    pop = oracle._popcounts(b)
+    smasks = rng.integers(0, 1 << b, size=(7, 1))
+    split = oracle._split_sums(sums, pop[np.arange(1 << b) & smasks], pop)
+    want = np.zeros((7, b + 1), dtype=np.int64)
+    for j1 in range(b + 1):
+        want[:, j1:] += split[:, j1, : b + 1 - j1]
+    assert oracle._weight_totals(sums, pop).tolist() == want.tolist()
 
 
 # --- per-byte checks, one comparison per instance --------------------------------
@@ -416,7 +469,7 @@ def _cell_reports_reference(m, b, bytes_sample, exhaustive):
     kernels = {
         (j, t): f_poly(j, b, m, t) for j in range(b + 1) for t in range(1, b + 1)
     }
-    sums = oracle._support_sums(m, b, bytes_sample).tolist()
+    sums = oracle._support_sums(m, b, _rows(bytes_sample)).tolist()
     for c, row in zip(bytes_sample, sums):
         smask = sum(1 << i for i in support(c))
         j = smask.bit_count()
@@ -477,17 +530,18 @@ def _skewed_cells(draw):
 def test_cell_reports_match_per_instance_reference(cell):
     m, b, order, bumps, block = cell
     cs = [tuple(RingElement(m, d) for d in digits) for digits in order]
-    real = {c: oracle._support_sums(m, b, [c])[0] for c in set(cs)}
+    real = {c: oracle._support_sums(m, b, _rows([c]))[0] for c in set(cs)}
     for c, I, d in bumps:
         real[tuple(RingElement(m, x) for x in c)][I] += d
 
     def engine(m_, b_, cs_):
-        return np.array([real[c] for c in cs_]).reshape(len(cs_), 1 << b_)
+        rows = [tuple(RingElement(m_, x) for x in c) for c in cs_.tolist()]
+        return np.array([real[c] for c in rows]).reshape(len(cs_), 1 << b_)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "_support_sums", engine)
         patch.setattr(oracle, "_BLOCK_PAIRS", block)
-        got = [r.to_json() for r in oracle._cell_reports(m, b, cs, False)]
+        got = [r.to_json() for r in oracle._cell_reports(m, b, _rows(cs), False)]
         want = [r.to_json() for r in _cell_reports_reference(m, b, cs, False)]
     assert got == want
     if not bumps:
@@ -623,7 +677,7 @@ def test_oracle_runs_without_the_fast_paths(monkeypatch):
     monkeypatch.setattr(mspotty.code, "_scan_chunk", disabled)
     monkeypatch.setattr(mspotty.code, "_times_table", disabled)
     monkeypatch.setattr(mspotty.macwilliams, "_fold", disabled)
-    reports = oracle._cell_reports(3, 2, _all_bytes(3, 2), True)
+    reports = oracle._cell_reports(3, 2, _rows(_all_bytes(3, 2)), True)
     assert len(reports) == 7 and all(r.passed for r in reports)
     c = (one(4), monomial(4, 1), zero(4))
     assert byte_transform_bruteforce(c, 2) == f_poly(2, 3, 4, 2)
