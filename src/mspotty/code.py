@@ -8,17 +8,19 @@ rows in canonical order (coordinate 0 most significant, the order
 for them.
 
 R = F2[u]/(u^m) is an F2-algebra, so both sides are F2-linear.  A vector
-packs into an integer with coordinate i in bits [m*i, m*(i+1)).  The span
-is the F2-span of the m*k vectors u^i*g_r, and the dual is the kernel of
-the (m*k) x (m*N) bit matrix of v -> (<g_r, v>)_r.  Gaussian elimination
-over Python-int bit rows gives a basis of either side (so |C| = 2^rank),
-and the code keeps that basis: its words are enumerated in blocks of at
-most 2^14 (`_blocks`), which is all the statistics in `weight` read, and
-the digit array is built from the same blocks only when it is read.  The
-exhaustive scan of R^N, optionally in contiguous chunks on parallel
-workers merged in chunk order, is kept as the independent referee.  Every
-digit array goes through one builder that sorts the words canonically,
-so results are identical for any route and any worker count.
+packs into an integer with coordinate i in bits [m*i, m*(i+1)).  One
+Gaussian elimination over Python-int bit rows gives the fully reduced
+basis of the m*k vectors u^i*g_r, which spans the code (|C| = 2^rank);
+coefficient s of <g, v> is the F2 dot product of v with u^(m-1-s)*g with
+each coordinate's bits mirrored, so the dual is the bit-mirrored binary
+dual of that basis.  A code keeps its basis: its words are enumerated in
+blocks of at most 2^14 (`_blocks`), which is all the statistics in
+`weight` read, and the digit array is built from the same blocks only
+when it is read.  The exhaustive scan of R^N, optionally in contiguous
+chunks on parallel workers merged in chunk order, is kept as the
+independent referee.  Every digit array goes through one builder that
+sorts the words canonically, so results are identical for any route and
+any worker count.
 """
 
 from __future__ import annotations
@@ -68,9 +70,8 @@ class ByteLayout:
 
 def _uniform_m(coords: Sequence[RingElement]) -> int:
     m = coords[0].m
-    for x in coords:
-        if x.m != m:
-            raise ParameterError("coordinates mix different ring parameters")
+    if any(x.m != m for x in coords):
+        raise ParameterError("coordinates mix different ring parameters")
     return m
 
 
@@ -223,8 +224,7 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _canonical(digits: np.ndarray) -> np.ndarray:
-    """The distinct rows of a (rows, N) digit array in canonical order,
-    read-only."""
+    """The distinct rows of a (rows, N) digit array, canonical, read-only."""
     digits = _group_rows(digits)[0]
     digits.flags.writeable = False
     return digits
@@ -274,10 +274,10 @@ class LinearCode:
     def _from_digits(
         cls, digits: np.ndarray, layout: ByteLayout, m: int
     ) -> "LinearCode":
-        """A code from a nonempty (rows, N) digit array of words bound to
-        `layout` and `m`; rows are sorted and deduplicated here."""
+        """A code from a nonempty (rows, N) integer array of words bound to
+        `layout` and `m`; rows are cast, sorted and deduplicated here."""
         C = object.__new__(cls)
-        C._set(layout, m, None, _canonical(digits))
+        C._set(layout, m, None, _canonical(digits.astype(_digit_dtype(m))))
         return C
 
     @classmethod
@@ -388,7 +388,7 @@ def inner_product(x: Sequence[RingElement], y: Sequence[RingElement]) -> RingEle
 # --- F2 elimination over packed vectors -----------------------------------
 #
 # A vector of R^N is an integer with coordinate i in bits [m*i, m*(i+1));
-# an echelon basis maps each leading bit to the one row that has it.
+# an echelon basis maps each leading bit to the row that it leads.
 
 
 def _pack(digits: Iterable[int], m: int) -> int:
@@ -426,21 +426,37 @@ def _multiples(digits: Sequence[int], m: int) -> Iterator[int]:
         yield _pack((mul_bits(1 << i, x, m) for x in digits), m)
 
 
+def _mirror(i: int, m: int) -> int:
+    """Bit i of a packed vector with each coordinate's m bits reversed."""
+    return i + m - 1 - 2 * (i % m)
+
+
+def _row_space(m: int, rows_bits: Iterable[Sequence[int]]) -> dict[int, int]:
+    """Fully reduced echelon basis of the F2-span of the m*k vectors
+    u^i * row: each leading bit appears in the one row that it leads."""
+    basis: dict[int, int] = {}
+    for row in rows_bits:
+        for v in _multiples(row, m):
+            _insert(v, basis)
+    for p in sorted(basis):  # ascending: row p already lacks earlier pivots
+        for q, other in basis.items():
+            if q != p and other >> p & 1:
+                basis[q] = other ^ basis[p]
+    return basis
+
+
 def span(G: GeneratorMatrix, budget: int = DEFAULT_SPAN_BUDGET) -> LinearCode:
     """All R-linear combinations of the rows of G, deduplicated.
 
     The contract is an enumeration of |R|^k coefficient tuples, so that count
-    is what the budget guards; internally the span is the F2-span of the
-    m*k vectors u^i * row.  The code holds its echelon basis, of rank r,
-    and builds its 2^r-row digit array only when that is read.
+    is what the budget guards; internally the code holds the fully reduced
+    basis of the m*k vectors u^i * row, of rank r, and builds its 2^r-row
+    digit array only when that is read.
     """
     m = G.m
     BudgetError.guard("span over R^k coefficient tuples", budget, shift=m * G.k)
-    basis: dict[int, int] = {}
-    for row in G.rows:
-        for v in _multiples([x.bits for x in row], m):
-            _insert(v, basis)
-    return LinearCode._from_basis(list(basis.values()), G.layout, m)
+    basis = _row_space(m, ([x.bits for x in row] for row in G.rows)).values()
+    return LinearCode._from_basis(list(basis), G.layout, m)
 
 
 def code_size_from_profile(m: int, profile: Sequence[int]) -> int:
@@ -475,46 +491,27 @@ def _scan_chunk(
     for row in rows_bits:
         acc = np.zeros(idx.shape, dtype=np.uint16)
         for i, c in enumerate(row):
-            if c == 0:
-                continue
-            acc ^= _times_table(c, m)[digits[i]]
+            if c:
+                acc ^= _times_table(c, m)[digits[i]]
         ok &= acc == 0
     return idx[ok]
 
 
-def _kernel_basis(
-    m: int, N: int, rows_bits: tuple[tuple[int, ...], ...]
-) -> list[int]:
+def _kernel_basis(m: int, N: int, rows_bits: tuple[tuple[int, ...], ...]) -> list[int]:
     """Packed basis of {v : <row, v> = 0 for every row}.
 
-    Coefficient s of <g, v> is an F2-linear form in the bits of v: bit e of
-    coordinate i enters it when u^e * g_i has coefficient s.  The m forms of
-    each row are reduced to row echelon form and then fully reduced (each
-    leading bit appears in one row only), so every free bit f gives the
-    kernel vector with bit f set and each leading bit p set to bit f of
-    p's row.
+    Coefficient s of <g, v> (chi reads s = m-1) is the F2 dot product of v
+    with u^(m-1-s) * g with each coordinate's m bits mirrored (bit e to
+    m-1-e), so the dual is the mirrored binary dual of the row space: each
+    bit f that leads no row of the fully reduced basis gives bit f plus the
+    leading bit p of each row that has bit f, every bit index mirrored.
     """
-    basis: dict[int, int] = {}
-    for row in rows_bits:
-        for s in range(m):
-            form = 0
-            for i, g in enumerate(row):
-                for e in range(m):
-                    if mul_bits(g, 1 << e, m) >> s & 1:
-                        form |= 1 << (m * i + e)
-            _insert(form, basis)
-    for p in sorted(basis):  # ascending: row p already lacks earlier pivots
-        for q, other in basis.items():
-            if q != p and other >> p & 1:
-                basis[q] = other ^ basis[p]
+    basis = _row_space(m, rows_bits)
     kernel = []
     for f in range(m * N):
         if f not in basis:
-            v = 1 << f
-            for p, row in basis.items():
-                if row >> f & 1:
-                    v |= 1 << p
-            kernel.append(v)
+            bits = [f] + [p for p, row in basis.items() if row >> f & 1]
+            kernel.append(sum(1 << _mirror(i, m) for i in bits))
     return kernel
 
 
@@ -546,7 +543,7 @@ def _code_from_packed(packed: np.ndarray, layout: ByteLayout, m: int) -> LinearC
     [m*i, m*(i+1))), as the scan finds them."""
     shifts = np.arange(layout.N, dtype=np.uint64) * np.uint64(m)
     digits = (packed[:, None] >> shifts) & np.uint64((1 << m) - 1)
-    return LinearCode._from_digits(digits.astype(_digit_dtype(m)), layout, m)
+    return LinearCode._from_digits(digits, layout, m)
 
 
 _DUAL_METHODS = ("kernel", "scan")
@@ -563,12 +560,11 @@ def dual(
 
     Orthogonality to the generators implies orthogonality to the whole code
     by bilinearity.  An empty matrix dualizes to the full space.
-    `method="kernel"` solves the F2 system by elimination and returns a code
-    that holds the kernel basis (its digit array is built on first read);
-    `method="scan"` tests every vector of R^N (in chunks of `chunk_size`,
-    on up to `workers` processes, packing each into at most 62 bits) and is
-    kept as the independent referee.  Both return the same code, and
-    `budget` caps |R|^N for either.
+    `method="kernel"` returns a code that holds the kernel basis read off
+    the row space's elimination (digits built on first read); "scan" tests
+    every vector of R^N (in chunks of `chunk_size`, on up to `workers`
+    processes, each packed into at most 62 bits) as the independent
+    referee.  Both give the same code; `budget` caps |R|^N for either.
     """
     if method not in _DUAL_METHODS:
         raise ParameterError(
@@ -703,5 +699,9 @@ def parse_matrix_text(text: str) -> GeneratorMatrix:
 
 
 def load_matrix(path) -> GeneratorMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise MatrixParseError("file is not UTF-8 text") from None
+    return parse_matrix_text(text)

@@ -36,7 +36,6 @@ from .code import (
     ByteLayout,
     GeneratorMatrix,
     LinearCode,
-    Word,
     dual,
     inner_product,
 )
@@ -464,7 +463,7 @@ def _poisson_code(m: int) -> LinearCode:
     layout = ByteLayout(b=2, t=1, n=1)
     row = (one(m), monomial(m, 1 if m >= 2 else 0))
     words = _add_row({(0, 0)}, tuple(x.bits for x in row), m)
-    return LinearCode((Word.from_bits(w, m, layout) for w in words), layout, m)
+    return LinearCode._from_digits(np.array(list(words)), layout, m)
 
 
 def _generators(C: LinearCode) -> GeneratorMatrix:
@@ -543,27 +542,17 @@ def _cell_reports(
     kernels = {
         (j, t): f_poly(j, b, m, t) for j in range(b + 1) for t in range(1, b + 1)
     }
-    # want[lem][j, j1, j2]: the closed form at (j1 inside, j2 outside) for
-    # a byte of weight j, wherever checked[lem][j, j1, j2] holds
-    shape = (b + 1,) * 3
-    want = {lem: np.zeros(shape, dtype=np.int64) for lem in ("c3.1", "3.5", "c3.2")}
-    checked = {lem: np.zeros(shape, dtype=bool) for lem in want}
-    for j in range(b + 1):
-        # weight k inside the support: (-1)^k * C(j, k)
-        for k in range(j + 1):
-            want["c3.1"][j, k, 0] = (-1) ** k * comb(j, k)
-            checked["c3.1"][j, k, 0] = True
-        # weight k outside the support: (2^m - 1)^k * C(b - j, k)
-        for k in range(b - j + 1):
-            want["3.5"][j, 0, k] = q1**k * comb(b - j, k)
-            checked["3.5"][j, 0, k] = True
-        # split weights: product of both factors
-        for j1 in range(j + 1):
-            for j2 in range(b - j + 1):
-                want["c3.2"][j, j1, j2] = (
-                    (-1) ** j1 * q1**j2 * comb(j, j1) * comb(b - j, j2)
-                )
-                checked["c3.2"][j, j1, j2] = True
+    # closed[j, j1, j2]: weight j1 inside and j2 outside the support of a
+    # byte of weight j sum to (-1)^j1 C(j, j1) times (2^m - 1)^j2 C(b-j, j2),
+    # nonzero exactly where j1 <= j and j2 <= b - j; c3.1 reads its j2 = 0
+    # face, 3.5 its j1 = 0 face and c3.2 all of it
+    r = range(b + 1)
+    inside = np.array([[(-1) ** k * comb(j, k) for k in r] for j in r], dtype=object)
+    outside = np.array([[q1**k * comb(b - j, k) for k in r] for j in r], dtype=object)
+    closed = (inside[:, :, None] * outside[:, None, :]).astype(np.int64)
+    defined = closed != 0
+    first = np.arange(b + 1) == 0
+    checked = {"c3.1": defined & first, "3.5": defined & first[:, None], "c3.2": defined}
     # totals by weight k times group[t] are totals by exponent ceil(k/t),
     # compared with the dense coefficients of F_j
     ks = np.arange(b + 1)
@@ -615,7 +604,7 @@ def _cell_reports(
         for lem, label in (
             ("c3.1", "k={j1}"), ("3.5", "k={j2}"), ("c3.2", "j1={j1} j2={j2}")
         ):
-            expect = want[lem][js]
+            expect = closed[js]
             mask = checked[lem][js]
             tallies[lem].add_many(
                 int(np.count_nonzero(mask)),

@@ -218,6 +218,15 @@ def test_parse_error_exit_2(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("command", ["enumerate", "transform", "dual"])
+def test_non_utf8_file_exit_2(capsys, tmp_path, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe m=2")
+    code, out, err = run_cli(capsys, command, str(bad))
+    assert code == 2 and out == ""
+    assert err == "error: file is not UTF-8 text\n"
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "enumerate", "/no/such/file")
     assert code == 2 and "error:" in err

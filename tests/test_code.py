@@ -19,7 +19,9 @@ from mspotty.code import (
     _code_from_packed,
     _insert,
     _kernel_basis,
+    _mirror,
     _multiples,
+    _row_space,
     code_size_from_profile,
     dual,
     generating_rows,
@@ -30,7 +32,7 @@ from mspotty.code import (
 )
 from mspotty.errors import BudgetError, MatrixParseError, ParameterError
 from mspotty.oracle import _add_row, _generators
-from mspotty.ring import RingElement, elements, monomial, one, zero
+from mspotty.ring import RingElement, elements, monomial, mul_bits, one, zero
 
 DATA = Path(__file__).parent / "data"
 
@@ -418,21 +420,71 @@ def test_dual_kernel_matches_scan_property(G):
     _assert_kernel_equals_scan(G)
 
 
+def _constraint_forms(G):
+    """Reference: the m forms "coefficient s of <row, v>" of each row, as
+    packed masks over the bits of v, built literally: bit e of coordinate i
+    enters form s when u^e * g_i has coefficient s."""
+    m = G.m
+    forms = []
+    for row in G.rows:
+        for s in range(m):
+            form = 0
+            for i, g in enumerate(row):
+                for e in range(m):
+                    if mul_bits(g.bits, 1 << e, m) >> s & 1:
+                        form |= 1 << (m * i + e)
+            forms.append(form)
+    return forms
+
+
 @settings(max_examples=100, deadline=None)
 @given(_small_matrices(max_bits=62, max_rows=24))
 def test_rank_and_kernel_dimension_fill_the_space(G):
-    """|C| * |C-dual| = |R|^N read off the two eliminations, without
-    enumerating either side: the F2 rank of the m*k vectors u^i * row plus
-    the kernel dimension of the constraint forms is m*N."""
+    """|C| * |C-dual| = |R|^N without enumerating either side: the rank of
+    the one elimination plus the kernel dimension is m*N, and every kernel
+    vector is orthogonal to the constraint forms built literally, which
+    span a space of the same rank, so the kernel is exactly their null
+    space."""
     rows_bits = tuple(tuple(x.bits for x in row) for row in G.rows)
-    basis = {}
-    for row in rows_bits:
-        for v in _multiples(row, G.m):
-            _insert(v, basis)
+    rank = len(_row_space(G.m, rows_bits))
     kernel = _kernel_basis(G.m, G.layout.N, rows_bits)
-    assert len(basis) + len(kernel) == G.m * G.layout.N
-    if len(basis) <= 12:  # the span is small enough to list: check |C| too
-        assert len(span(G, budget=1 << (G.m * G.k))) == 1 << len(basis)
+    assert rank + len(kernel) == G.m * G.layout.N
+    forms = _constraint_forms(G)
+    assert all((v & f).bit_count() % 2 == 0 for v in kernel for f in forms)
+    form_basis, kernel_basis = {}, {}
+    for f in forms:
+        _insert(f, form_basis)
+    for v in kernel:
+        _insert(v, kernel_basis)
+    assert len(form_basis) == rank and len(kernel_basis) == len(kernel)
+    if rank <= 12:  # the span is small enough to list: check |C| too
+        assert len(span(G, budget=1 << (G.m * G.k))) == 1 << rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 16), st.integers(1, 4), st.data())
+def test_inner_product_bits_are_mirrored_dot_products(m, N, data):
+    """Bit s of <g, v> is the parity of v AND mirror(u^(m-1-s) * g): the
+    identity that makes the dual the mirrored binary dual of the span."""
+    word = st.lists(st.integers(0, (1 << m) - 1), min_size=N, max_size=N)
+    g, v = data.draw(word), data.draw(word)
+    c = inner_product(*([RingElement(m, x) for x in w] for w in (g, v))).bits
+    multiples = list(_multiples(g, m))
+    packed_v = sum(x << (m * i) for i, x in enumerate(v))
+    for s in range(m):
+        w = multiples[m - 1 - s]
+        mirrored = sum(1 << _mirror(i, m) for i in range(m * N) if w >> i & 1)
+        assert c >> s & 1 == (packed_v & mirrored).bit_count() % 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_matrices(max_bits=40, max_rows=8))
+def test_span_basis_is_fully_reduced(G):
+    """Each leading bit of span(G)'s basis appears in exactly one basis
+    vector, the one that it leads."""
+    basis = span(G, budget=1 << (G.m * G.k))._basis
+    for p in (v.bit_length() - 1 for v in basis):
+        assert sum(v >> p & 1 for v in basis) == 1
 
 
 def test_dual_kernel_matches_scan_wide_matrices():

@@ -43,6 +43,7 @@ from mspotty.ring import (
     chi,
     elements,
     monomial,
+    mul_bits,
     one,
     partition,
     zero,
@@ -422,6 +423,25 @@ def test_cell_path_builds_no_ring_elements(monkeypatch):
         reports = oracle._cell_reports(m, b, sample, m * b <= 8)
         assert all(r.passed for r in reports), [r.actual for r in reports]
     assert built == []
+
+
+def test_poisson_code_is_built_from_integer_rows(monkeypatch):
+    """The Poisson code {a * (1, u) : a in R} is its closure's integer rows:
+    only the generator row's two elements are built as `RingElement`s."""
+    real = RingElement.__init__
+    built = []
+
+    def counted(self, m, bits):
+        built.append((m, bits))
+        real(self, m, bits)
+
+    monkeypatch.setattr(RingElement, "__init__", counted)
+    for m in (1, 2, 5, 9):
+        built.clear()
+        C = oracle._poisson_code(m)
+        u = 2 if m >= 2 else 1
+        want = sorted([a, mul_bits(a, u, m)] for a in range(1 << m))
+        assert C.digits.tolist() == want and len(built) == 2
 
 
 @pytest.mark.parametrize("b", [1, 2, 3, 5, 8])
