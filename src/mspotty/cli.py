@@ -2,9 +2,9 @@
 
 Subcommands: enumerate, tables, transform, dual, verify, info.  Output is
 deterministic: no timestamps, sorted JSON keys, fixed iteration orders, and
-a worker count that can only change wall time, never bytes.  Each command
-but verify and info builds an ordered list of typed `Section`s, and
-`_render` prints that list as text, JSON or CSV.
+a worker count that can only change wall time, never bytes.  Every command
+builds an ordered list of typed `Section`s, and `_render` alone prints that
+list as text, JSON or CSV.
 
 Exit codes: 0 success, 2 parse/parameter error, 3 budget exceeded,
 4 integrity failure (inexact division or internal cross-check), 5
@@ -38,7 +38,7 @@ from .code import (
 from .errors import (
     BudgetError,
     IntegrityError,
-    MatrixParseError,
+    MSpottyError,
     ParameterError,
 )
 from .macwilliams import enumerator_from_distribution, kernel_table, transform
@@ -51,6 +51,8 @@ _EXIT_PARSE = 2
 _EXIT_BUDGET = 3
 _EXIT_INTEGRITY = 4
 _EXIT_VERIFY = 5
+# Any other package error, and a file that cannot be read, exits _EXIT_PARSE.
+_EXIT_CODES = {BudgetError: _EXIT_BUDGET, IntegrityError: _EXIT_INTEGRITY}
 
 # Known discrepancy on the bundled worked example: some circulated
 # tabulations list the top enumerator term as 104z^6, which exceeds the
@@ -66,8 +68,15 @@ _MISPRINT_NOTE = (
     "above the ceiling and is treated as a misprint"
 )
 
+
+def _misprint_notes(C: LinearCode, W: Polynomial) -> list[Section]:
+    """The misprint note when C is the worked example, else nothing."""
+    return [Section("note", _MISPRINT_NOTE)] if (C.m, C.layout, W) == _MISPRINT else []
+
+
 # The inside-support character sum has a second, stricter reading; both are
-# stated wherever campaign results are shown.
+# stated wherever campaign results are shown (in text and JSON; the CSV
+# report table has no row for it).
 _READING_NOTE = (
     "note: check 3.3 sums chi over all v supported inside a fixed nonempty "
     "subset of supp(c), which is 0; truncating instead at partial weight "
@@ -83,9 +92,11 @@ class Section:
     """One typed piece of a report, printed by `_render` in any format.
 
     kind is one of: layout (m, b, t, n, N), params (the `tables` header),
+    header (scalars printed in JSON only: `verify`'s grid, samples, seed,
+    pass), fields (`info`'s key/value strings; key is the CSV section),
     size, dist, poly, kernel (key is j), codewords (a list of `str(Word)`
-    strings), note.  key names the JSON key or CSV section, label the text
-    form.
+    strings), reports (a list of `LemmaReport`s), note.  key names the JSON
+    key or CSV section, label the text form.
     """
 
     kind: str
@@ -99,23 +110,15 @@ def _layout(G: GeneratorMatrix) -> Section:
     return Section("layout", {"m": G.m, "b": lay.b, "t": lay.t, "n": lay.n, "N": lay.N})
 
 
-def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _csv_body(rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
-
-
 def _render(fmt: str, command: str, sections: list[Section]) -> str:
-    """Print sections in order; in CSV every scalar becomes a leading
-    `meta` row, and in JSON kernels collect under `kernels`."""
+    """Print sections in order.  In CSV every scalar becomes a leading
+    `meta` row, and reports replace the `section,key,value` header with
+    their own; in JSON kernels collect under `kernels`.  Reports end with
+    the reading note in text and carry it as the `notes` list in JSON."""
     if fmt == "json":
         obj: dict = {"command": command}
         for s in sections:
-            if s.kind in ("layout", "params"):
+            if s.kind in ("layout", "params", "header", "fields"):
                 obj.update(s.value)
             elif s.kind == "size":
                 obj[s.key] = str(s.value)
@@ -131,10 +134,14 @@ def _render(fmt: str, command: str, sections: list[Section]) -> str:
                 )
             elif s.kind == "codewords":
                 obj["codewords"] = s.value
+            elif s.kind == "reports":
+                obj["reports"] = [r.to_json() for r in s.value]
+                obj["notes"] = [_READING_NOTE]
             else:
                 obj["note"] = s.value
-        return _json_dump(obj)
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
+        head = ["section", "key", "value"]
         meta: list[list[str]] = []
         rows: list[list[str]] = []
         for s in sections:
@@ -152,9 +159,20 @@ def _render(fmt: str, command: str, sections: list[Section]) -> str:
                 rows += [[section, f"z^{e}", str(c)] for e, c in s.value.terms()]
             elif s.kind == "codewords":
                 rows += [["codeword", str(i), w] for i, w in enumerate(s.value)]
+            elif s.kind == "fields":
+                rows += [[s.key, k, v] for k, v in s.value.items()]
+            elif s.kind == "reports":
+                head = ["lemma", "params", "expected", "actual", "pass"]
+                rows += [
+                    [r.lemma, json.dumps(dict(r.params), sort_keys=True),
+                     r.expected, r.actual, "true" if r.passed else "false"]
+                    for r in s.value
+                ]
             elif s.kind == "note":
                 rows.append(["note", "", s.value])
-        return _csv_body([["section", "key", "value"], *meta, *rows])
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([head, *meta, *rows])
+        return buf.getvalue()
     lines = []
     for s in sections:
         if s.kind in ("layout", "params"):
@@ -170,7 +188,18 @@ def _render(fmt: str, command: str, sections: list[Section]) -> str:
         elif s.kind == "codewords":
             lines.append("codewords:")
             lines += [f"  {w}" for w in s.value]
-        else:
+        elif s.kind == "fields":
+            width = max(map(len, s.value))
+            lines += [f"{k:<{width}}  {v}" for k, v in s.value.items()]
+        elif s.kind == "reports":
+            for r in s.value:
+                params = " ".join(f"{k}={v}" for k, v in r.params.items())
+                status = "ok  " if r.passed else "FAIL"
+                lines.append(f"{status} {r.lemma:<9} {params:<40} {r.actual}")
+            failed = sum(not r.passed for r in s.value)
+            verdict = f"{failed} FAILED" if failed else "all passed"
+            lines += [f"campaign: {len(s.value)} checks, {verdict}", _READING_NOTE]
+        elif s.kind == "note":
             lines.append(s.value)
     return "\n".join(lines) + "\n"
 
@@ -194,13 +223,12 @@ def cmd_enumerate(args) -> tuple[str, int]:
     G = load_matrix(args.file)
     C = span(G, budget=args.max_space)
     dist, W = _statistics(C)
-    notes = [Section("note", _MISPRINT_NOTE)] if (C.m, C.layout, W) == _MISPRINT else []
     return _render(args.format, "enumerate", [
         _layout(G),
         Section("size", len(C), "code_size", "|C|"),
         Section("dist", dist),
         Section("poly", W, "enumerator", "W(z)"),
-        *notes,
+        *_misprint_notes(C, W),
     ]), 0
 
 
@@ -229,14 +257,13 @@ def cmd_transform(args) -> tuple[str, int]:
         raise IntegrityError(
             f"dual enumerator evaluates to {W_dual(1)} at z=1, expected {dual_size}"
         )
-    notes = [Section("note", _MISPRINT_NOTE)] if (C.m, C.layout, W) == _MISPRINT else []
     return _render(args.format, "transform", [
         _layout(G),
         Section("size", len(C), "code_size", "|C|"),
         Section("poly", W, "enumerator", "W(z)"),
         Section("size", dual_size, "dual_size", "|C-dual|"),
         Section("poly", W_dual, "dual_enumerator", "W-dual(z)"),
-        *notes,
+        *_misprint_notes(C, W),
     ]), 0
 
 
@@ -272,43 +299,17 @@ def cmd_verify(args) -> tuple[str, int]:
         inject_fault=args.inject_fault,
     )
     all_pass = all(r.passed for r in reports)
-    code = 0 if all_pass else _EXIT_VERIFY
-    if args.format == "json":
-        obj = {
-            "command": "verify",
-            "grid": {"m": list(ms), "b": list(bs)},
-            "samples": args.samples,
-            "seed": args.seed,
-            "pass": all_pass,
-            "reports": [r.to_json() for r in reports],
-            "notes": [_READING_NOTE],
-        }
-        return _json_dump(obj), code
-    if args.format == "csv":
-        rows = [["lemma", "params", "expected", "actual", "pass"]]
-        for r in reports:
-            rows.append(
-                [
-                    r.lemma,
-                    json.dumps(dict(r.params), sort_keys=True),
-                    r.expected,
-                    r.actual,
-                    "true" if r.passed else "false",
-                ]
-            )
-        return _csv_body(rows), code
-    lines = []
-    for r in reports:
-        status = "ok  " if r.passed else "FAIL"
-        params = " ".join(f"{k}={v}" for k, v in r.params.items())
-        lines.append(f"{status} {r.lemma:<9} {params:<40} {r.actual}")
-    failed = sum(1 for r in reports if not r.passed)
-    if failed:
-        lines.append(f"campaign: {len(reports)} checks, {failed} FAILED")
-    else:
-        lines.append(f"campaign: {len(reports)} checks, all passed")
-    lines.append(_READING_NOTE)
-    return "\n".join(lines) + "\n", code
+    header = {
+        "grid": {"m": list(ms), "b": list(bs)},
+        "samples": args.samples,
+        "seed": args.seed,
+        "pass": all_pass,
+    }
+    body = _render(args.format, "verify", [
+        Section("header", header),
+        Section("reports", reports),
+    ])
+    return body, 0 if all_pass else _EXIT_VERIFY
 
 
 def cmd_info(args) -> tuple[str, int]:
@@ -324,15 +325,7 @@ def cmd_info(args) -> tuple[str, int]:
         "subcommands": "enumerate tables transform dual verify info",
         "exit_codes": "0 ok, 2 parse, 3 budget, 4 integrity, 5 verification",
     }
-    if args.format == "json":
-        return _json_dump({"command": "info", **fields}), 0
-    if args.format == "csv":
-        rows = [["section", "key", "value"]]
-        rows += [["info", k, v] for k, v in fields.items()]
-        return _csv_body(rows), 0
-    width = max(len(k) for k in fields)
-    lines = [f"{k:<{width}}  {v}" for k, v in fields.items()]
-    return "\n".join(lines) + "\n", 0
+    return _render(args.format, "info", [Section("fields", fields, "info")]), 0
 
 
 # --- argument parsing and dispatch ----------------------------------------
@@ -435,15 +428,10 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(body)
         return code
-    except (MatrixParseError, ParameterError, OSError) as exc:
+    except (MSpottyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_PARSE
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_BUDGET
-    except IntegrityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INTEGRITY
+        codes = (c for t, c in _EXIT_CODES.items() if isinstance(exc, t))
+        return next(codes, _EXIT_PARSE)
 
 
 if __name__ == "__main__":

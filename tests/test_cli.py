@@ -360,13 +360,59 @@ def test_bad_flag_values_exit_2(capsys):
     )
 
 
-def test_out_writes_file(capsys, tmp_path):
-    target = tmp_path / "report.json"
-    code, out, _ = run_cli(
-        capsys, "tables", "4", "3", "2", "--format", "json", "--out", str(target)
-    )
-    assert code == 0 and out == ""
-    assert json.loads(target.read_text())["m"] == 4
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("case", ["tables_4_3_2", "info", "verify_fault"])
+def test_out_writes_file(capsys, tmp_path, case, fmt):
+    argv, want_code = GOLDEN_CASES[case]
+    target = tmp_path / f"report.{fmt}"
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt, "--out", str(target))
+    assert code == want_code and out == ""
+    assert target.read_bytes() == (GOLDEN / f"{case}.{fmt}").read_bytes()
+
+
+def _text_reports(out: str) -> list[tuple]:
+    """(lemma, params, passed) per `ok  `/`FAIL` line; params as strings."""
+    reports = []
+    for line in out.splitlines()[:-2]:  # the campaign line and the note
+        status, lemma, *rest = line.split()
+        params = {}
+        for token in rest:
+            key, eq, value = token.partition("=")
+            if not eq:
+                break
+            params[key] = value
+        reports.append((lemma, params, status == "ok"))
+    return reports
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--seed", "0", "--grid-m", "1,2", "--grid-b", "1,2", "--samples", "5"],
+        ["--seed", "5", "--grid-m", "1,3", "--grid-b", "1", "--samples", "4",
+         "--inject-fault"],
+        ["--seed", "11", "--grid-m", "2", "--grid-b", "3", "--samples", "3",
+         "--inject-fault"],
+        ["--seed", str(2**64 - 1), "--grid-m", "3,1", "--grid-b", "2", "--samples", "2"],
+    ],
+)
+def test_verify_formats_agree(capsys, flags):
+    """JSON, CSV and text list the same reports in the same order, and the
+    exit code is 5 exactly when one of them fails."""
+    runs = {fmt: run_cli(capsys, "verify", *flags, "--format", fmt)
+            for fmt in ("text", "json", "csv")}
+    obj = json.loads(runs["json"][1])
+    from_json = [(r["lemma"], r["params"], r["pass"]) for r in obj["reports"]]
+    rows = list(csv.reader(io.StringIO(runs["csv"][1])))
+    assert rows[0] == ["lemma", "params", "expected", "actual", "pass"]
+    from_csv = [(r[0], json.loads(r[1]), r[4] == "true") for r in rows[1:]]
+    assert from_csv == from_json and all(r[4] in ("true", "false") for r in rows[1:])
+    as_text = [(lemma, {k: str(v) for k, v in params.items()}, passed)
+               for lemma, params, passed in from_json]
+    assert _text_reports(runs["text"][1]) == as_text
+    passed = all(p for _, _, p in from_json)
+    assert obj["pass"] is passed and passed != ("--inject-fault" in flags)
+    assert {code for code, _, _ in runs.values()} == {0 if passed else 5}
 
 
 def test_info(capsys):
