@@ -19,8 +19,12 @@ polynomial is held as its value at z = 2^K.  Evaluation at 2^K is a ring
 homomorphism Z[z] -> Z, so the folded int is exactly the numerator's value
 there, and only the numerator's own coefficients must fit a signed K-bit
 slot.  Their magnitudes are at most B = sum over alpha of
-A_alpha * prod_j ||F_j||_1^alpha_j (triangle inequality), computed by the
-same fold over the kernels' l1 norms, and K = bitlen(B) + 2.
+A_alpha * prod_j ||F_j||_1^alpha_j (triangle inequality).  B is not
+computed: `_slot_bound` gives an integer at least B from the rows' bit
+lengths, each row's term bounded by a power of 2 whose exponent is
+bitlen(A_alpha) plus sum_j alpha_j * log2 ||F_j||_1 rounded up in
+integers, and K is its bit length plus 2.  For n < 255 that is at most
+3 bits wider than bitlen(B) + 2, and the trie is folded once.
 
 Everything is exact integer arithmetic; the final division must leave no
 remainder, and a remainder is reported as a corrupted-input error rather
@@ -29,7 +33,10 @@ than rounded away.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb
+
+import numpy as np
 
 from .errors import BudgetError, ParameterError
 from .polynomial import Polynomial
@@ -40,6 +47,9 @@ from .weight import DistributionTable, weight_from_alpha
 #: Each term is a bigint of up to m*b bits: at m = 16, b = 200 (1,373,701
 #: terms) they took 3.1 s on 2 CPUs, at b = 400 (10,827,401 terms) 50 s.
 KERNEL_TERM_BUDGET = 1 << 20
+
+#: `_slot_bound` measures base-2 logarithms in units of 2^-_LOG_BITS bits.
+_LOG_BITS = 8
 
 
 def _check_t(b: int, t: int) -> None:
@@ -156,6 +166,53 @@ def _fold(rows: list[tuple[tuple[int, ...], int]], bases: list[int]) -> int:
     return acc[0]
 
 
+def _log2_ceil(x: int) -> int:
+    """An integer lam >= 2^S * log2(x) for an integer x >= 1, S = _LOG_BITS.
+
+    With shift = max(0, bitlen(x) - 32), x <= top * 2^shift for
+    top = ceil(x / 2^shift), which has at most 33 bits, and
+    ceil(2^S * log2(top)) = bitlen(top^(2^S) - 1) exactly, since
+    ceil(log2(y)) = bitlen(y - 1) for every integer y >= 1.  So lam exceeds
+    2^S * log2(x) by less than 1 plus 2^S * log2(1 + 2^-31), and equals it
+    when x is a power of 2.
+    """
+    shift = max(0, x.bit_length() - 32)
+    top = -(-x >> shift)
+    return (shift << _LOG_BITS) + (top ** (1 << _LOG_BITS) - 1).bit_length()
+
+
+def _slot_bound(rows: list[tuple[tuple[int, ...], int]], norms: list[int]) -> int:
+    """An integer at least B = sum over rows of count * prod_j norms[j]^alpha_j.
+
+    Each norm is at least 1 (every kernel has constant term 1).  With
+    lam_j = `_log2_ceil`(norms[j]) and S = _LOG_BITS, a row's term is below
+    2^e_row for
+    e_row = ceil((2^S * bitlen(count) + sum_j alpha_j * lam_j) / 2^S),
+    because count < 2^bitlen(count) and norms[j] <= 2^(lam_j / 2^S).  The
+    bound is the sum over rows of 2^e_row, taken from a histogram of e_row:
+    b + 1 column multiply-adds and one `np.bincount`, no fold.  Per row,
+    2^e_row is below 2^(2 + 1.001 * n / 2^S) times the row's term (up to
+    one bit for bitlen(count), one for the ceiling and 1/2^S per unit of
+    alpha for lam_j), so for n < 255 the bound is below 8 * B and its bit
+    length is at most bitlen(B) + 3.  All three can meet: at m=1, b=6, t=3
+    the norms are (64, 20, 6, 6, 4, 4, 22), and the one row
+    alpha = (0, 1, 0, 3, 0, 0, 2) with count 1 has B = 20 * 6^3 * 22^2,
+    21 bits, and a bound of 24 bits.
+    """
+    width = len(norms)
+    alphas = np.fromiter(
+        chain.from_iterable(alpha for alpha, _ in rows), np.int32, len(rows) * width
+    ).reshape(len(rows), width)
+    fine = np.fromiter((count.bit_length() for _, count in rows), np.int64, len(rows))
+    fine <<= _LOG_BITS
+    # column by column: an int32 matrix times int64 weights would first copy
+    # the whole matrix to int64
+    for column, x in zip(alphas.T, norms):
+        fine += column * np.int64(_log2_ceil(x))
+    hist = np.bincount((fine + (1 << _LOG_BITS) - 1) >> _LOG_BITS)
+    return sum(h << e for e, h in enumerate(hist.tolist()) if h)
+
+
 def transform(
     dist: DistributionTable, code_size: int, m: int | None = None, t: int | None = None
 ) -> Polynomial:
@@ -173,10 +230,13 @@ def transform(
     per row.  Evaluation at 2^K is a ring homomorphism Z[z] -> Z, so the
     folded integer is exactly N(2^K), whatever the intermediate values were.
     By the triangle inequality every coefficient of N has magnitude at most
-    B = sum over rows of count * prod_j ||F_j||_1^alpha_j, which is the same
-    fold run over the l1 norms of the kernels.  With K = bitlen(B) + 2 every
-    coefficient fits a signed K-bit slot, so N's coefficients are read back
-    as signed base-2^K digits, and N is divided by code_size once.
+    B = sum over rows of count * prod_j ||F_j||_1^alpha_j.  `_slot_bound`
+    bounds B from above without a fold: each row's term is below 2^e_row,
+    with e_row read off bitlen(count) and integer upper bounds on
+    log2 ||F_j||_1, and the bound sums those powers of 2 (for n < 255 at
+    most 3 bits longer than B).  With K = bitlen(bound) + 2 every coefficient fits a
+    signed K-bit slot, so N's coefficients are read back as signed
+    base-2^K digits, and N is divided by code_size once.
     The kernels come from `kernel_table`, so a byte length b whose kernels
     exceed `KERNEL_TERM_BUDGET` raises `BudgetError` before any is built.
     """
@@ -187,7 +247,7 @@ def transform(
     t = dist.layout.t if t is None else t
     kernels = kernel_table(b, m, t)
     rows = list(dist.items())
-    bound = _fold(rows, [sum(abs(c) for _, c in F.terms()) for F in kernels])
+    bound = _slot_bound(rows, [sum(abs(c) for _, c in F.terms()) for F in kernels])
     K = bound.bit_length() + 2
     packed = _fold(rows, [F(1 << K) for F in kernels])
     # signed digits: a digit of 2^(K-1) or more borrows one from the next

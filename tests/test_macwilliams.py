@@ -6,7 +6,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mspotty import macwilliams
@@ -247,11 +247,11 @@ def test_transform_multiplies_once_per_trie_edge(monkeypatch):
     got = transform(table, 1)
     monkeypatch.undo()
     assert got == expected
-    # one fold for the coefficient bound, one for the packed sum; each does
-    # at most one multiply per trie edge above depth b - 1, one per distinct
-    # pair, one count per row and the powers
-    assert len(calls) == 2
-    assert all(0 < c <= edges + pairs + len(rows) + power_builds for c in calls)
+    # one fold, for the packed sum (the slot width comes from `_slot_bound`);
+    # it does at most one multiply per trie edge above depth b - 1, one per
+    # distinct pair, one count per row and the powers
+    assert len(calls) == 1
+    assert 0 < calls[0] <= edges + pairs + len(rows) + power_builds
     assert poly_muls == []
 
 
@@ -389,6 +389,72 @@ def test_transform_adversarial_slot_width(mixed_sign):
     assert transform(table, 1, m=16, t=1) == want
     with pytest.raises(IntegrityError):
         transform(table, 3)  # the constant term is a power of 2
+
+
+# --- the slot bound ---------------------------------------------------------
+
+
+def _norms_and_literal_bound(table, m, t):
+    """The kernels' l1 norms and B = sum over rows of
+    count * prod_j ||F_j||_1^alpha_j, computed row by row."""
+    b = table.layout.b
+    norms = [sum(abs(c) for _, c in f_poly(j, b, m, t).terms()) for j in range(b + 1)]
+    B = 0
+    for alpha, count in table.items():
+        for x, a in zip(norms, alpha):
+            count *= x**a
+        B += count
+    return norms, B
+
+
+def _assert_slot_bound_covers_B(table, m, t):
+    norms, B = _norms_and_literal_bound(table, m, t)
+    bound = macwilliams._slot_bound(list(table.items()), norms)
+    assert bound >= B
+    assert bound.bit_length() <= B.bit_length() + 3
+    return norms
+
+
+def _one_row(m, b, t, alpha, count):
+    layout = ByteLayout(b=b, t=t, n=sum(alpha))
+    return DistributionTable({alpha: count}, layout, m), m, t
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_tables(), _composition_tables()))
+# a count just below a power of 2 leaves bitlen(count) almost no slack, so
+# only log2 of the norms rounded up keeps this bound >= B
+@example(_one_row(2, 3, 1, (0, 4, 1, 0), (1 << 200) - 1))
+# bitlen(count), the ceiling and the norms' logs all round up by nearly
+# their most here: B has 21 bits, the bound 24
+@example(_one_row(1, 6, 3, (0, 1, 0, 3, 0, 0, 2), 1))
+def test_slot_bound_covers_B_property(args):
+    _assert_slot_bound_covers_B(*args)
+
+
+@pytest.mark.parametrize(
+    "m,b,t,rows",
+    [
+        (4, 3, 2, {(1, 0, 2, 0): 7}),
+        (3, 1, 1, {(5, 0): 1 << 40, (2, 3): 3, (0, 5): 1}),
+        (16, 40, 1, {(1,) + (0,) * 19 + (1,) + (0,) * 19 + (1,): 5}),
+    ],
+    ids=["one-row", "b1", "m16-b40"],
+)
+def test_slot_bound_edge_cases(m, b, t, rows):
+    """One row; b = 1, where F_1 = 1 - z has norm 2; and m=16, b=40, where
+    ||F_0||_1 = 2^640 and the norms' logs come from their top bits."""
+    table = DistributionTable(rows, ByteLayout(b=b, t=t, n=sum(next(iter(rows)))), m)
+    norms = _assert_slot_bound_covers_B(table, m, t)
+    assert norms[0] == 1 << (m * b)
+    assert transform(table, 1) == _per_row_reference(table, m, t)
+
+
+def test_transform_of_an_empty_table_is_zero():
+    table = DistributionTable({}, ByteLayout(b=3, t=2, n=2), 2)
+    norms, B = _norms_and_literal_bound(table, 2, 2)
+    assert B == macwilliams._slot_bound([], norms) == 0
+    assert transform(table, 1) == Polynomial.zero()
 
 
 @st.composite
