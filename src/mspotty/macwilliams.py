@@ -5,14 +5,21 @@ The dual enumerator comes from the code's alpha-vector distribution alone:
     W_dual(z) = (1/|C|) * sum over alpha of A_alpha * prod_j F_j(z)^alpha_j
 
 where F_j is a fixed per-byte kernel polynomial depending on (b, m, t).
-The sorted alpha rows form a trie and rows sharing a prefix share its
-product of kernel powers, so `transform` sums node by node: one multiply
-by a tabulated power F_j^a per trie edge, not a product of powers per row.
-The trie stops at depth b - 1.  There a row adds its count times the
-monomial F_{b-1}^x * F_b^y of its last two entries (x, y), and for b >= 3
-each distinct pair's monomial is built once and kept, so a row costs one
-multiply of its small count by a large monomial.  For b <= 2 a pair fixes
-the whole row, so its monomial is built for that row and not kept.
+The alpha rows form a trie and rows sharing a prefix share its product
+of kernel powers, so `transform` sums node by node.  A node at depth j
+sums its children by Horner's rule over their entries alpha_j, largest
+first: acc <- acc * F_j^gap + child, gap being the step from the previous
+child's entry, and one multiply by F_j^a_min if the smallest entry is
+positive.  So a node multiplies by small powers of F_j, by F_j itself when
+the entries are consecutive as in a full-composition table, and never by
+a large F_j^a.  Each trie level is read off one alpha matrix at once, and
+per-row products and per-node sums run inside `map` and `sum`, not in a
+loop per row.  For b >= 3 the trie stops at depth b - 1: there a row adds
+its count times the monomial F_{b-1}^x * F_b^y of its last two entries
+(x, y), each distinct pair's monomial built once and kept, so a row costs
+one multiply of its small count by a large monomial.  For b <= 2 a pair
+fixes the whole row and no monomial would repeat, so a row adds
+count * F_b^alpha_b and Horner runs over alpha_{b-1} as well.
 
 The trie is folded over plain Python ints (Kronecker substitution): each
 polynomial is held as its value at z = 2^K.  Evaluation at 2^K is a ring
@@ -33,8 +40,10 @@ than rounded away.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice, repeat
 from math import comb
+from operator import lshift, mul, sub
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -105,65 +114,130 @@ def enumerator_from_distribution(dist: DistributionTable) -> Polynomial:
     return Polynomial(terms)
 
 
-def _fold(rows: list[tuple[tuple[int, ...], int]], bases: list[int]) -> int:
+def _alpha_matrix(dist: DistributionTable) -> tuple[np.ndarray, list[int]]:
+    """The table's rows in descending lex order: an (R, b + 1) alpha matrix
+    of the narrowest unsigned dtype that holds n, and the R counts."""
+    alphas, counts = dist.columns()
+    alphas.reverse()
+    counts.reverse()
+    flat = chain.from_iterable(alphas)
+    n, width = dist.layout.n, dist.layout.b + 1
+    if n < 256:
+        matrix = np.frombuffer(bytes(flat), np.uint8)
+    else:
+        matrix = np.fromiter(flat, np.min_scalar_type(n), len(alphas) * width)
+    return matrix.reshape(len(alphas), width), counts
+
+
+class _Powers(dict):
+    """x^g for every g >= 0, made as _Powers({0: 1, 1: x}) and built on
+    first use by repeated multiplication, so it never grows past the
+    largest exponent asked for."""
+
+    def __missing__(self, g: int) -> int:
+        top = len(self) - 1
+        power, x = self[top], self[1]
+        for e in range(top + 1, g + 1):
+            power = self[e] = power * x
+        return power
+
+
+class _Monomials(dict):
+    """xs[i] * ys[j] for a pair (i, j), built on first use and kept."""
+
+    def __init__(self, xs: _Powers, ys: _Powers):
+        self.xs, self.ys = xs, ys
+
+    def __missing__(self, pair: tuple[int, int]) -> int:
+        monomial = self[pair] = self.xs[pair[0]] * self.ys[pair[1]]
+        return monomial
+
+
+def _horner(
+    children: Iterator[int],
+    exps: list[int],
+    firsts: list[int],
+    depth: int,
+    powers: _Powers,
+) -> Iterator[int]:
+    """The value of each node at `depth` from its children's, in order.
+
+    A child comes with its exponent a and the first column where its first
+    row differs from the row before it; a column below `depth` opens a new
+    parent.  Each parent's children come in descending a, and the parent
+    sums powers[a] * child over them by Horner's rule, acc <- acc *
+    powers[a_prev - a] + child, then multiplies once by powers[a_min] if
+    its smallest exponent a_min is positive.
+    """
+    children = zip(children, exps, firsts)
+    acc, last, _ = next(children)
+    for child, a, f in children:
+        if f < depth:
+            yield acc * powers[last] if last else acc
+            acc = child
+        else:
+            acc = acc * powers[last - a] + child
+        last = a
+    yield acc * powers[last] if last else acc
+
+
+def _fold(alphas: np.ndarray, counts: Sequence[int], bases: list[int]) -> int:
     """Sum over rows of count * prod_j bases[j]^alpha_j, grouped by the trie.
 
-    The rows must come in lexicographic order with equal sums, as a
-    `DistributionTable` yields them.  The node for a prefix
-    alpha_0..alpha_{j-1} stands for the sum over its rows of
-    count * prod_{j' >= j} bases[j']^alpha_j', which is sum over a of
-    bases[j]^a * (node for the prefix extended by a).  The trie stops at
-    depth b - 1: a row adds count * M[x, y] to its node there, where
-    (x, y) = (alpha_{b-1}, alpha_b) and M[x, y] = bases[b-1]^x * bases[b]^y.
-    Each base gets one power table built by repeated multiplication.  The
-    sum costs one balanced multiply per trie edge above depth b - 1 with
-    alpha_j > 0 and one per distinct pair (x, y), and one multiply of a
-    count, which is small, by M per row, all on plain integers.
+    The rows come as `_alpha_matrix` gives them: distinct, with equal sums,
+    in descending lex order.  The node for a prefix alpha_0..alpha_{d-1}
+    stands for the sum over its rows of count * prod_{j >= d}
+    bases[j]^alpha_j, which is sum over a of bases[d]^a * (node for the
+    prefix extended by a).  `_horner` takes the children in the order they
+    come, descending a: one multiply by bases[d]^gap per child after the
+    first and one by bases[d]^a_min if a_min > 0, which is as many
+    multiplies as one per child with a > 0, but by small powers of the
+    base, not by bases[d]^a.  Each base's powers are built on first use.
 
-    M[x, y] is cached for b >= 3, where it holds at most
-    min(rows, C(n + 2, 2)) entries.  For b <= 2 a pair fixes the whole row
-    (alpha_0 = n - x - y), so no pair repeats and M is built per row and
-    not kept.
+    Row i opens a node at every depth d > first[i], first[i] being the
+    first column where it differs from row i - 1, so each level's nodes
+    and their exponents come off the matrix in a few numpy calls, and the
+    levels run as a chain of lazy iterators, deepest first, holding one
+    open node per level.  For b >= 3 the trie stops at depth b - 1: a node
+    there sums count * M[x, y] over its rows, where (x, y) =
+    (alpha_{b-1}, alpha_b) and M[x, y] = bases[b-1]^x * bases[b]^y is
+    built once per distinct pair and kept (at most min(rows, C(n + 2, 2))
+    entries); `map` multiplies the counts and `sum` adds each node's run of
+    rows.  For b <= 2 a pair fixes its row, so none would repeat: a row is
+    a node at depth b with value count * bases[b]^alpha_b, and Horner runs
+    over alpha_{b-1} too, so no multiply has two operands larger than a
+    base.
     """
-    b = len(bases) - 1
-    tops = map(max, zip(*(alpha for alpha, _ in rows), (0,) * (b + 1)))
-    powers = []
-    for x, top in zip(bases, tops):
-        table = [1]
-        for _ in range(top):
-            table.append(table[-1] * x)
-        powers.append(table)
-    # acc[j] sums the finished children of the open node at depth j (at
-    # depth b - 1, its rows); the rows arrive sorted, so a node is finished
-    # once a row leaves its prefix.
-    acc = [0] * b
-    pairs: dict[tuple[int, ...], int] = {}
-
-    def close(alpha: tuple[int, ...], depth: int) -> None:
-        for j in range(b - 2, depth - 1, -1):
-            child, acc[j + 1] = acc[j + 1], 0
-            a = alpha[j]
-            acc[j] += powers[j][a] * child if a else child
-
-    prev: tuple[int, ...] | None = None
-    for alpha, count in rows:
-        if prev is not None:
-            # distinct rows with equal sums first differ before index b
-            depth = 0
-            while alpha[depth] == prev[depth]:
-                depth += 1
-            close(prev, depth)
-        pair = alpha[b - 1 :]
-        monomial = pairs.get(pair)
-        if monomial is None:
-            monomial = powers[b - 1][pair[0]] * powers[b][pair[1]]
-            if b > 2:
-                pairs[pair] = monomial
-        acc[b - 1] += count * monomial
-        prev = alpha
-    if prev is not None:
-        close(prev, 0)
-    return acc[0]
+    R, width = alphas.shape
+    if not R:
+        return 0
+    b = width - 1
+    powers = [_Powers({0: 1, 1: x}) for x in bases]
+    first = np.zeros(R, np.min_scalar_type(b))
+    first[1:] = (alphas[1:] != alphas[:-1]).argmax(axis=1)
+    if b >= 3:
+        depth = b - 1
+        pairs = zip(alphas[:, b - 1].tolist(), alphas[:, b].tolist())
+        monomials = map(_Monomials(powers[b - 1], powers[b]).__getitem__, pairs)
+        terms = map(mul, counts, monomials)
+        # a node at depth b - 1 sums the rows from its first to the next's
+        heads = (first < depth).nonzero()[0].tolist()
+        heads.append(R)
+        values = map(sum, map(islice, repeat(terms), map(sub, heads[1:], heads)))
+    else:
+        depth = b
+        values = map(mul, counts, map(powers[b].__getitem__, alphas[:, b].tolist()))
+    for d in range(depth, 0, -1):
+        # the first rows of the nodes at depth d, children of depth d - 1
+        nodes = first < d
+        values = _horner(
+            values,
+            alphas[:, d - 1][nodes].tolist(),
+            first[nodes].tolist(),
+            d - 1,
+            powers[d - 1],
+        )
+    return next(values)
 
 
 def _log2_ceil(x: int) -> int:
@@ -174,14 +248,17 @@ def _log2_ceil(x: int) -> int:
     ceil(2^S * log2(top)) = bitlen(top^(2^S) - 1) exactly, since
     ceil(log2(y)) = bitlen(y - 1) for every integer y >= 1.  So lam exceeds
     2^S * log2(x) by less than 1 plus 2^S * log2(1 + 2^-31), and equals it
-    when x is a power of 2.
+    when x is a power of 2, which is read off its bit length without the
+    power (||F_0||_1 = 2^(m*b) always, and at t = 1 every norm is one).
     """
+    if not x & (x - 1):
+        return (x.bit_length() - 1) << _LOG_BITS
     shift = max(0, x.bit_length() - 32)
     top = -(-x >> shift)
     return (shift << _LOG_BITS) + (top ** (1 << _LOG_BITS) - 1).bit_length()
 
 
-def _slot_bound(rows: list[tuple[tuple[int, ...], int]], norms: list[int]) -> int:
+def _slot_bound(alphas: np.ndarray, counts: Sequence[int], norms: list[int]) -> int:
     """An integer at least B = sum over rows of count * prod_j norms[j]^alpha_j.
 
     Each norm is at least 1 (every kernel has constant term 1).  With
@@ -190,27 +267,25 @@ def _slot_bound(rows: list[tuple[tuple[int, ...], int]], norms: list[int]) -> in
     e_row = ceil((2^S * bitlen(count) + sum_j alpha_j * lam_j) / 2^S),
     because count < 2^bitlen(count) and norms[j] <= 2^(lam_j / 2^S).  The
     bound is the sum over rows of 2^e_row, taken from a histogram of e_row:
-    b + 1 column multiply-adds and one `np.bincount`, no fold.  Per row,
-    2^e_row is below 2^(2 + 1.001 * n / 2^S) times the row's term (up to
-    one bit for bitlen(count), one for the ceiling and 1/2^S per unit of
-    alpha for lam_j), so for n < 255 the bound is below 8 * B and its bit
-    length is at most bitlen(B) + 3.  All three can meet: at m=1, b=6, t=3
+    one int64 `np.einsum` over the alpha matrix and one `np.bincount`, no
+    fold.  Per row, 2^e_row is below 2^(2 + 1.001 * n / 2^S) times the
+    row's term (up to one bit for bitlen(count), one for the ceiling and
+    1/2^S per unit of alpha for lam_j), so for n < 255 the bound is below
+    8 * B and its bit length is at most bitlen(B) + 3.  All three can meet: at m=1, b=6, t=3
     the norms are (64, 20, 6, 6, 4, 4, 22), and the one row
     alpha = (0, 1, 0, 3, 0, 0, 2) with count 1 has B = 20 * 6^3 * 22^2,
     21 bits, and a bound of 24 bits.
     """
-    width = len(norms)
-    alphas = np.fromiter(
-        chain.from_iterable(alpha for alpha, _ in rows), np.int32, len(rows) * width
-    ).reshape(len(rows), width)
-    fine = np.fromiter((count.bit_length() for _, count in rows), np.int64, len(rows))
-    fine <<= _LOG_BITS
-    # column by column: an int32 matrix times int64 weights would first copy
-    # the whole matrix to int64
-    for column, x in zip(alphas.T, norms):
-        fine += column * np.int64(_log2_ceil(x))
-    hist = np.bincount((fine + (1 << _LOG_BITS) - 1) >> _LOG_BITS)
-    return sum(h << e for e, h in enumerate(hist.tolist()) if h)
+    # einsum casts the narrow alpha matrix to int64 a buffer at a time;
+    # `alphas @ lam` would first copy all of it
+    lam = np.array([_log2_ceil(x) for x in norms], np.int64)
+    e_row = np.einsum("ij,j->i", alphas, lam, dtype=np.int64)
+    # 2^S * bitlen(count) is a multiple of 2^S, so it leaves the ceiling
+    e_row += (1 << _LOG_BITS) - 1
+    e_row >>= _LOG_BITS
+    e_row += np.fromiter(map(int.bit_length, counts), np.int64, len(counts))
+    hist = np.bincount(e_row)
+    return sum(map(lshift, hist.tolist(), range(len(hist))))
 
 
 def transform(
@@ -224,19 +299,21 @@ def transform(
 
     The numerator N(z) = sum over rows of count * prod_j F_j(z)^alpha_j is
     folded along the alpha trie (`_fold`) with every polynomial held as one
-    integer, its value at z = 2^K: one multiply per trie edge above depth
-    b - 1, one per distinct pair (alpha_{b-1}, alpha_b) for b >= 3 (one per
-    row for b <= 2), and one multiply of a count by that pair's monomial
-    per row.  Evaluation at 2^K is a ring homomorphism Z[z] -> Z, so the
-    folded integer is exactly N(2^K), whatever the intermediate values were.
+    integer, its value at z = 2^K.  Each node sums its children by Horner's
+    rule, one multiply by a small power F_j^gap per trie edge; below that,
+    for b >= 3, one multiply per distinct pair (alpha_{b-1}, alpha_b) and
+    one of a count by that pair's monomial per row, and for b <= 2 one
+    multiply of a count by F_b^alpha_b and one Horner step per row.
+    Evaluation at 2^K is a ring homomorphism Z[z] -> Z, so the folded
+    integer is exactly N(2^K), whatever the intermediate values were.
     By the triangle inequality every coefficient of N has magnitude at most
     B = sum over rows of count * prod_j ||F_j||_1^alpha_j.  `_slot_bound`
     bounds B from above without a fold: each row's term is below 2^e_row,
     with e_row read off bitlen(count) and integer upper bounds on
     log2 ||F_j||_1, and the bound sums those powers of 2 (for n < 255 at
-    most 3 bits longer than B).  With K = bitlen(bound) + 2 every coefficient fits a
-    signed K-bit slot, so N's coefficients are read back as signed
-    base-2^K digits, and N is divided by code_size once.
+    most 3 bits longer than B).  With K = bitlen(bound) + 2 every
+    coefficient fits a signed K-bit slot, so N's coefficients are read back
+    as signed base-2^K digits, and N is divided by code_size once.
     The kernels come from `kernel_table`, so a byte length b whose kernels
     exceed `KERNEL_TERM_BUDGET` raises `BudgetError` before any is built.
     """
@@ -246,10 +323,10 @@ def transform(
     m = dist.m if m is None else m
     t = dist.layout.t if t is None else t
     kernels = kernel_table(b, m, t)
-    rows = list(dist.items())
-    bound = _slot_bound(rows, [sum(abs(c) for _, c in F.terms()) for F in kernels])
-    K = bound.bit_length() + 2
-    packed = _fold(rows, [F(1 << K) for F in kernels])
+    alphas, counts = _alpha_matrix(dist)
+    norms = [sum(abs(c) for _, c in F.terms()) for F in kernels]
+    K = _slot_bound(alphas, counts, norms).bit_length() + 2
+    packed = _fold(alphas, counts, [F(1 << K) for F in kernels])
     # signed digits: a digit of 2^(K-1) or more borrows one from the next
     # slot.  |N(2^K)| >= 2^(K*deg N - 1), so these slots reach the top one.
     mask, half = (1 << K) - 1, 1 << (K - 1)

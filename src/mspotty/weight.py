@@ -86,6 +86,12 @@ class DistributionTable:
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
         return iter(sorted(self._counts.items()))
 
+    def columns(self) -> tuple[list[tuple[int, ...]], list[int]]:
+        """The alpha vectors in lex order and their counts, as two lists:
+        the rows of `items` without a tuple per row."""
+        alphas = sorted(self._counts)
+        return alphas, list(map(self._counts.__getitem__, alphas))
+
     def count(self, alpha: Sequence[int]) -> int:
         return self._counts.get(tuple(alpha), 0)
 

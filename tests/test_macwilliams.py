@@ -231,9 +231,9 @@ def test_transform_multiplies_once_per_trie_edge(monkeypatch):
     calls = []
     fold = macwilliams._fold
 
-    def counting_fold(rows, bases):
+    def counting_fold(alphas, counts, bases):
         calls.append(0)
-        return fold(rows, [Counted(x) for x in bases])
+        return fold(alphas, counts, [Counted(x) for x in bases])
 
     poly_muls = []
     poly_mul = Polynomial.__mul__
@@ -253,6 +253,48 @@ def test_transform_multiplies_once_per_trie_edge(monkeypatch):
     assert len(calls) == 1
     assert 0 < calls[0] <= edges + pairs + len(rows) + power_builds
     assert poly_muls == []
+
+
+def test_transform_builds_no_balanced_product_at_b_2(monkeypatch):
+    """At b <= 2 a row costs one multiply of its count by F_b^alpha_b and
+    one Horner step, and neither multiplies two large values: every multiply
+    has an operand no wider than the widest kernel value.  A monomial
+    F_{b-1}^x * F_b^y built per row would break both the operand check and,
+    on this small dense table, the count bound, which leaves no room for a
+    third multiply per row."""
+    b, n = 2, 5
+    rows = {alpha: 1 + alpha[1] + 7 * i for i, alpha in enumerate(_compositions(n, b))}
+    table = DistributionTable(rows, ByteLayout(b=b, t=2, n=n), 2)
+    edges = len({alpha[:d] for alpha in rows for d in range(1, b)})
+    power_builds = sum(max(alpha[j] for alpha in rows) for j in range(b + 1))
+    calls, widths = [0], []
+
+    class Counted(int):
+        def __mul__(self, other):
+            calls[0] += 1
+            widths.append(min(int(self).bit_length(), int(other).bit_length()))
+            return Counted(int(self) * int(other))
+
+        __rmul__ = __mul__
+
+        def __add__(self, other):
+            return Counted(int(self) + int(other))
+
+        __radd__ = __add__
+
+    fold = macwilliams._fold
+    base_widths = []
+
+    def counting_fold(alphas, counts, bases):
+        base_widths.extend(x.bit_length() for x in bases)
+        return fold(alphas, counts, [Counted(x) for x in bases])
+
+    monkeypatch.setattr(macwilliams, "_fold", counting_fold)
+    got = transform(table, 1)
+    monkeypatch.undo()
+    assert got == _per_row_reference(table, 2, 2)
+    assert 0 < calls[0] <= edges + len(rows) + power_builds
+    assert max(widths) <= max(base_widths)
 
 
 # --- dense tables, whose rows share their last two entries ---------------------
@@ -289,8 +331,23 @@ def test_transform_dense_tables_match_per_row_reference_property(args):
         (2, 8, _compositions(8, 2)),  # a pair fixes the row
         (4, 6, [(1, 0, 2, 3, 0)]),
         (4, 8, [alpha + (2, 1) for alpha in _compositions(5, 2)]),  # one pair
+        # Full compositions give every node a child with alpha_j = 0 and
+        # consecutive exponents; these sparse rows reach F_j^gap with
+        # gap > 1 and a trailing F_j^a_min.  Node (1,) has children
+        # alpha_1 in {3, 1}: a gap of 2, then a trailing F_1^1.
+        (3, 4, [(1, 3, 0, 0), (1, 1, 2, 0)]),
+        # the root's children alpha_0 in {5, 2} and those of node (2,),
+        # alpha_1 in {4, 1}: gaps of 3, then trailing F_0^2 and F_1^1
+        (4, 9, [(5, 1, 1, 1, 1), (5, 0, 3, 1, 0), (2, 4, 1, 1, 1), (2, 1, 4, 1, 1)]),
+        # the Horner leaf of b <= 2: alpha_1 in {6, 3, 1} under alpha_0 = 1
+        (2, 7, [(1, 6, 0), (1, 3, 3), (1, 1, 5), (4, 3, 0)]),
+        (1, 9, [(9, 0), (6, 3), (1, 8)]),  # gaps 3 and 5, a trailing F_0^1
+        (1, 256, [(256, 0), (100, 156), (3, 253)]),  # n > 255: a uint16 matrix
     ],
-    ids=["b1", "b2", "one-row", "one-pair"],
+    ids=[
+        "b1", "b2", "one-row", "one-pair",
+        "b3-gap", "b4-trailing", "b2-gap", "b1-gap", "n256",
+    ],
 )
 def test_transform_dense_cases_match_per_row_reference(b, n, alphas):
     counts = {alpha: 1 + i * (1 << 190) for i, alpha in enumerate(alphas)}
@@ -301,9 +358,11 @@ def test_transform_dense_cases_match_per_row_reference(b, n, alphas):
 
 def test_transform_keeps_no_monomial_at_b_2():
     """At b = 2 no two rows share a pair (alpha_1, alpha_2), so the fold
-    builds each row's monomial and keeps none of them.  On this dense m=1,
-    n=120 table (7,381 rows) the traced peak of `transform` is about 1.6 MB;
-    keeping every monomial raises it to about 21 MB."""
+    builds no pair monomial: a row's value is count * F_2^alpha_2, and each
+    node over alpha_0 sums its rows by Horner's rule over alpha_1, one
+    multiply by F_1 per step.  On this dense m=1, n=120 table (7,381 rows)
+    the traced peak of `transform` is about 0.6 MB; keeping a monomial per
+    row would raise it to about 21 MB."""
     n = 120
     rows = {alpha: 1 + alpha[1] for alpha in _compositions(n, 2)}
     table = DistributionTable(rows, ByteLayout(b=2, t=2, n=n), 1)
@@ -391,6 +450,45 @@ def test_transform_adversarial_slot_width(mixed_sign):
         transform(table, 3)  # the constant term is a power of 2
 
 
+# --- t = 1: the kernels factor, an independent route --------------------------
+
+
+def _binomial_route(table, m):
+    """The numerator at t = 1 without the trie or the kernel table.  There
+    F_j(z) = (1 - z)^j (1 + (2^m - 1)z)^(b - j) exactly, so a row
+    contributes count * (1 - z)^w (1 + (2^m - 1)z)^(nb - w) with
+    w = sum_j j * alpha_j, and the rows are summed by w first."""
+    b, n = table.layout.b, table.layout.n
+    by_w = {}
+    for alpha, count in table.items():
+        w = sum(j * a for j, a in enumerate(alpha))
+        by_w[w] = by_w.get(w, 0) + count
+    down, up = [Polynomial.one()], [Polynomial.one()]
+    for _ in range(n * b):
+        down.append(down[-1] * Polynomial({0: 1, 1: -1}))
+        up.append(up[-1] * Polynomial({0: 1, 1: (1 << m) - 1}))
+    total = Polynomial.zero()
+    for w, count in by_w.items():
+        total = total + (down[w] * up[n * b - w]).scale(count)
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_tables(), _composition_tables()))
+def test_transform_at_t_1_matches_binomial_route_property(args):
+    table, m, _ = args
+    assert transform(table, 1, m=m, t=1) == _binomial_route(table, m)
+
+
+def test_transform_dense_b_2_matches_binomial_route():
+    """The dense m=1, b=2, n=120 table of the b = 2 test, folded with the
+    t = 1 kernels: 7,381 rows through the Horner leaf."""
+    n = 120
+    rows = {alpha: 1 + alpha[1] for alpha in _compositions(n, 2)}
+    table = DistributionTable(rows, ByteLayout(b=2, t=2, n=n), 1)
+    assert transform(table, 1, t=1) == _binomial_route(table, 1)
+
+
 # --- the slot bound ---------------------------------------------------------
 
 
@@ -409,7 +507,7 @@ def _norms_and_literal_bound(table, m, t):
 
 def _assert_slot_bound_covers_B(table, m, t):
     norms, B = _norms_and_literal_bound(table, m, t)
-    bound = macwilliams._slot_bound(list(table.items()), norms)
+    bound = macwilliams._slot_bound(*macwilliams._alpha_matrix(table), norms)
     assert bound >= B
     assert bound.bit_length() <= B.bit_length() + 3
     return norms
@@ -453,7 +551,7 @@ def test_slot_bound_edge_cases(m, b, t, rows):
 def test_transform_of_an_empty_table_is_zero():
     table = DistributionTable({}, ByteLayout(b=3, t=2, n=2), 2)
     norms, B = _norms_and_literal_bound(table, 2, 2)
-    assert B == macwilliams._slot_bound([], norms) == 0
+    assert B == macwilliams._slot_bound(*macwilliams._alpha_matrix(table), norms) == 0
     assert transform(table, 1) == Polynomial.zero()
 
 
