@@ -44,7 +44,7 @@ from .errors import (
 from .macwilliams import enumerator_from_distribution, kernel_table, transform
 from .oracle import campaign
 from .polynomial import Polynomial
-from .ring import _check_m
+from .ring import MAX_M, _check_m
 from .weight import DistributionTable, distribution, enumerator
 
 _EXIT_PARSE = 2
@@ -246,7 +246,7 @@ def cmd_transform(args) -> tuple[str, int]:
     G = load_matrix(args.file)
     C = span(G, budget=args.max_space)
     dist, W = _statistics(C)
-    ambient = 1 << (G.m * G.layout.N)
+    ambient = C.ambient_size()
     if ambient % len(C):
         raise IntegrityError(
             f"code size {len(C)} does not divide the ambient size {ambient}"
@@ -316,7 +316,7 @@ def cmd_info(args) -> tuple[str, int]:
     fields = {
         "name": "mspotty",
         "version": __version__,
-        "ring": "F2[u]/(u^m), 1 <= m <= 16",
+        "ring": f"F2[u]/(u^m), 1 <= m <= {MAX_M}",
         "element_grammar": "'0' or '+'-separated monomials 1, u, u2, ... (u^k ok)",
         "matrix_header": "m=<int> b=<int> t=<int>",
         "span_budget_default": str(DEFAULT_SPAN_BUDGET),
@@ -347,7 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_SPACE_BUDGET,
         metavar="COUNT",
-        help="largest enumeration allowed for span/dual scans (default 2^28)",
+        help="largest enumeration allowed for span/dual scans "
+        f"(default 2^{DEFAULT_SPACE_BUDGET.bit_length() - 1})",
     )
     common.add_argument(
         "--workers",

@@ -520,11 +520,11 @@ def _scan_dual(
     N: int,
     rows_bits: tuple[tuple[int, ...], ...],
     workers: int,
-    chunk_size: int,
 ) -> np.ndarray:
-    """Packed dual words found by testing every vector of R^N."""
-    space = 1 << (m * N)
-    chunks = [(lo, min(lo + chunk_size, space)) for lo in range(0, space, chunk_size)]
+    """Packed dual words found by testing every vector of R^N, in chunks of
+    `_SCAN_CHUNK` (read at call time) on up to `workers` processes."""
+    space, step = 1 << (m * N), _SCAN_CHUNK
+    chunks = [(lo, min(lo + step, space)) for lo in range(0, space, step)]
     procs = min(workers, len(chunks), os.cpu_count() or 1)
     if procs == 1:
         hits = [_scan_chunk(lo, hi, m, N, rows_bits) for lo, hi in chunks]
@@ -553,7 +553,6 @@ def dual(
     G: GeneratorMatrix,
     budget: int = DEFAULT_SPACE_BUDGET,
     workers: int = 1,
-    chunk_size: int = _SCAN_CHUNK,
     method: str = "kernel",
 ) -> LinearCode:
     """Every v in R^N with <row, v> = 0 for all rows of G.
@@ -562,7 +561,7 @@ def dual(
     by bilinearity.  An empty matrix dualizes to the full space.
     `method="kernel"` returns a code that holds the kernel basis read off
     the row space's elimination (digits built on first read); "scan" tests
-    every vector of R^N (in chunks of `chunk_size`, on up to `workers`
+    every vector of R^N (in chunks of `_SCAN_CHUNK`, on up to `workers`
     processes, each packed into at most 62 bits) as the independent
     referee.  Both give the same code; `budget` caps |R|^N for either.
     """
@@ -581,7 +580,7 @@ def dual(
     rows_bits = tuple(tuple(x.bits for x in row) for row in G.rows)
     if method == "kernel":
         return LinearCode._from_basis(_kernel_basis(m, N, rows_bits), G.layout, m)
-    found = _scan_dual(m, N, rows_bits, workers, chunk_size)
+    found = _scan_dual(m, N, rows_bits, workers)
     return _code_from_packed(found, G.layout, m)
 
 

@@ -288,14 +288,11 @@ def _slot_bound(alphas: np.ndarray, counts: Sequence[int], norms: list[int]) -> 
     return sum(map(lshift, hist.tolist(), range(len(hist))))
 
 
-def transform(
-    dist: DistributionTable, code_size: int, m: int | None = None, t: int | None = None
-) -> Polynomial:
+def transform(dist: DistributionTable, code_size: int) -> Polynomial:
     """Dual enumerator from a primal distribution table.
 
-    m and t default to the table's own parameters; passing them explicitly
-    is only for probing mismatched kernels.  code_size is the primal |C|
-    and must divide the accumulated sum exactly.
+    The kernels F_j are those of the table's own (b, m, t).  code_size is
+    the primal |C| and must divide the accumulated sum exactly.
 
     The numerator N(z) = sum over rows of count * prod_j F_j(z)^alpha_j is
     folded along the alpha trie (`_fold`) with every polynomial held as one
@@ -319,10 +316,7 @@ def transform(
     """
     if code_size < 1:
         raise ParameterError(f"code size must be >= 1, got {code_size}")
-    b = dist.layout.b
-    m = dist.m if m is None else m
-    t = dist.layout.t if t is None else t
-    kernels = kernel_table(b, m, t)
+    kernels = kernel_table(dist.layout.b, dist.m, dist.layout.t)
     alphas, counts = _alpha_matrix(dist)
     norms = [sum(abs(c) for _, c in F.terms()) for F in kernels]
     K = _slot_bound(alphas, counts, norms).bit_length() + 2

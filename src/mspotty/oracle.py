@@ -186,11 +186,10 @@ def sum_chi_Sj1j2(c: Byte, j1: int, j2: int) -> int:
     )
 
 
-def byte_transform_bruteforce(
-    c: Byte, t: int, budget: int = DEFAULT_BYTE_BUDGET
-) -> Polynomial:
+def byte_transform_bruteforce(c: Byte, t: int) -> Polynomial:
     """Sum over ALL v in R^b of chi(<c, v>) * z^ceil(w_H(v)/t): the
     `_support_sums` buckets totalled by weight k, grouped by ceil(k/t).
+    |R|^b above `DEFAULT_BYTE_BUDGET` raises BudgetError before any scan.
 
     The closed form is f_poly(w(c), b, m, t); equality is checked
     term-for-term by the campaign and the tests.
@@ -198,7 +197,7 @@ def byte_transform_bruteforce(
     m, b = _byte_params(c)
     if not 1 <= t <= b:
         raise ParameterError(f"need 1 <= t <= b={b}, got t={t}")
-    BudgetError.guard("byte scan over R^b", budget, shift=m * b)
+    BudgetError.guard("byte scan over R^b", DEFAULT_BYTE_BUDGET, shift=m * b)
     return _byte_transforms(m, b, t, np.array([[x.bits for x in c]]))[0]
 
 
@@ -209,11 +208,10 @@ def _byte_transforms(m: int, b: int, t: int, cs: np.ndarray) -> list[Polynomial]
     return [_regroup(row, t) for row in weights.tolist()]
 
 
-def dual_enumerator_bruteforce(
-    G: GeneratorMatrix, budget: int = DEFAULT_SPACE_BUDGET, workers: int = 1
-) -> Polynomial:
-    """Weight enumerator of the scanned dual; no transform involved."""
-    return _word_enumerator(dual(G, budget=budget, workers=workers, method="scan"))
+def dual_enumerator_bruteforce(G: GeneratorMatrix) -> Polynomial:
+    """Weight enumerator of the dual scanned on one worker, |R|^N capped at
+    `DEFAULT_SPACE_BUDGET`; no transform involved."""
+    return _word_enumerator(dual(G, method="scan"))
 
 
 def _word_enumerator(C: LinearCode) -> Polynomial:
@@ -479,16 +477,15 @@ def _generators(C: LinearCode) -> GeneratorMatrix:
     return GeneratorMatrix(gens, C.layout, m=C.m)
 
 
-def poisson_check(
-    C: LinearCode, budget: int = DEFAULT_SPACE_BUDGET, workers: int = 1
-) -> LemmaReport:
+def poisson_check(C: LinearCode) -> LemmaReport:
     """Summation identity: the dual's enumerator equals the average over C
     of the per-word transforms, each a product of per-byte scans.  The
-    distinct bytes of C are scanned together, in one engine call."""
+    distinct bytes of C are scanned together, in one engine call.  Both
+    scans, of R^N and of R^b, are capped at `DEFAULT_SPACE_BUDGET`."""
     t, b = C.layout.t, C.layout.b
-    scanned = dual_enumerator_bruteforce(_generators(C), budget, workers)
+    scanned = dual_enumerator_bruteforce(_generators(C))
     distinct, which = np.unique(C.digits.reshape(-1, b), axis=0, return_inverse=True)
-    BudgetError.guard("byte scan over R^b", budget, shift=C.m * b)
+    BudgetError.guard("byte scan over R^b", DEFAULT_SPACE_BUDGET, shift=C.m * b)
     transforms = _byte_transforms(C.m, b, t, distinct)
     acc = Polynomial.zero()
     for word in which.reshape(len(C), -1).tolist():

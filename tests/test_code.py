@@ -344,16 +344,15 @@ def test_dual_of_empty_matrix_is_full_space():
     assert len(Cd) == 4
 
 
-def test_dual_worker_and_chunk_invariance():
+def test_dual_worker_and_chunk_invariance(monkeypatch):
     lay = ByteLayout(b=2, t=1, n=2)
     G = _random_matrix(random.Random(43), 2, 2, lay)
     base = dual(G, method="scan")
     assert dual(G, workers=3, method="scan").codewords == base.codewords
-    assert dual(G, chunk_size=7, method="scan").codewords == base.codewords
-    assert (
-        dual(G, workers=2, chunk_size=16, method="scan").codewords
-        == base.codewords
-    )
+    monkeypatch.setattr(code_module, "_SCAN_CHUNK", 7)
+    assert dual(G, method="scan").codewords == base.codewords
+    monkeypatch.setattr(code_module, "_SCAN_CHUNK", 16)
+    assert dual(G, workers=2, method="scan").codewords == base.codewords
 
 
 def test_dual_budget_error_names_space():
@@ -563,10 +562,13 @@ def test_dual_scan_clamps_process_count(monkeypatch):
     lay = ByteLayout(b=2, t=1, n=2)  # m = 2: 256 vectors
     G = _random_matrix(random.Random(97), 2, 1, lay)
     base = dual(G, method="scan")
+    default_chunk = code_module._SCAN_CHUNK
     for workers, chunk_size in ((10**6, 128), (10**6, 16), (2, 16)):
-        Cd = dual(G, method="scan", workers=workers, chunk_size=chunk_size)
+        monkeypatch.setattr(code_module, "_SCAN_CHUNK", chunk_size)
+        Cd = dual(G, method="scan", workers=workers)
         assert Cd.codewords == base.codewords
     assert requested == [2, 3, 2]
+    monkeypatch.setattr(code_module, "_SCAN_CHUNK", default_chunk)
     dual(G, method="scan", workers=10**6)  # one chunk: no pool at all
     assert requested == [2, 3, 2]
 

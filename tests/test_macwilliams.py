@@ -166,6 +166,13 @@ def _direct_sum_table(rng, m, b, t, n):
     return DistributionTable(counts, ByteLayout(b=b, t=t, n=n), m), size, W_dual
 
 
+def _with_kernels(table, m, t):
+    """The same rows and counts as a table of ring exponent m and spotty
+    parameter t, so `transform` folds them with the kernels of (b, m, t)."""
+    layout = ByteLayout(table.layout.b, t, table.layout.n)
+    return DistributionTable(dict(table.items()), layout, m)
+
+
 def _per_row_reference(dist, m, t):
     """The literal sum over rows of count * prod_j F_j^alpha_j."""
     b = dist.layout.b
@@ -189,9 +196,11 @@ def test_transform_direct_sum_matches_scanned_duals(m, b, t, n):
 
 
 def test_transform_kernel_overrides_match_per_row_product():
+    """One table's rows folded with the kernels of several (m, t)."""
     table, size, _ = _direct_sum_table(random.Random(5), 2, 3, 2, 4)
     for m, t in ((1, 1), (2, 1), (3, 2), (4, 3)):
-        assert transform(table, 1, m=m, t=t) == _per_row_reference(table, m, t)
+        got = transform(_with_kernels(table, m, t), 1)
+        assert got == _per_row_reference(table, m, t)
 
 
 def _compositions(n, b):
@@ -303,8 +312,8 @@ def test_transform_builds_no_balanced_product_at_b_2(monkeypatch):
 @st.composite
 def _composition_tables(draw):
     """Full or randomly thinned tables of the compositions of n into b + 1
-    entries (counts up to 2^200), with kernel parameters that may differ
-    from the table's own.  At most 300 rows keep the per-row reference cheap."""
+    entries (counts up to 2^200), of any m and t.  At most 300 rows keep
+    the per-row reference cheap."""
     b = draw(st.integers(1, 6))
     n = draw(st.integers(1, 8))
     rng = draw(st.randoms(use_true_random=False))
@@ -313,15 +322,14 @@ def _composition_tables(draw):
         alphas = rng.sample(alphas, draw(st.integers(1, min(len(alphas), 300))))
     counts = {alpha: rng.randrange(1, 2 << rng.randrange(200)) for alpha in alphas}
     layout = ByteLayout(b=b, t=draw(st.integers(1, b)), n=n)
-    table = DistributionTable(counts, layout, draw(st.integers(1, 16)))
-    return table, draw(st.integers(1, 16)), draw(st.integers(1, b))
+    return DistributionTable(counts, layout, draw(st.integers(1, 16)))
 
 
 @settings(max_examples=80, deadline=None)
 @given(_composition_tables())
-def test_transform_dense_tables_match_per_row_reference_property(args):
-    table, m, t = args
-    assert transform(table, 1, m=m, t=t) == _per_row_reference(table, m, t)
+def test_transform_dense_tables_match_per_row_reference_property(table):
+    want = _per_row_reference(table, table.m, table.layout.t)
+    assert transform(table, 1) == want
 
 
 @pytest.mark.parametrize(
@@ -353,7 +361,8 @@ def test_transform_dense_cases_match_per_row_reference(b, n, alphas):
     counts = {alpha: 1 + i * (1 << 190) for i, alpha in enumerate(alphas)}
     table = DistributionTable(counts, ByteLayout(b=b, t=1, n=n), 2)
     for m, t in ((2, 1), (3, 1), (16, b)):
-        assert transform(table, 1, m=m, t=t) == _per_row_reference(table, m, t)
+        got = transform(_with_kernels(table, m, t), 1)
+        assert got == _per_row_reference(table, m, t)
 
 
 def test_transform_keeps_no_monomial_at_b_2():
@@ -382,8 +391,7 @@ def test_transform_keeps_no_monomial_at_b_2():
 
 @st.composite
 def _tables(draw):
-    """Random alpha tables (positive counts up to 2^200) with kernel
-    parameters that may differ from the table's own."""
+    """Random alpha tables (positive counts up to 2^200) of any m and t."""
     b = draw(st.integers(1, 4))
     n = draw(st.integers(1, 6))
     t = draw(st.integers(1, b))
@@ -402,21 +410,19 @@ def _tables(draw):
             max_size=12,
         )
     )
-    table = DistributionTable(counts, ByteLayout(b=b, t=t, n=n), m)
-    return table, draw(st.integers(1, 16)), draw(st.integers(1, b))
+    return DistributionTable(counts, ByteLayout(b=b, t=t, n=n), m)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_tables(), st.integers(1, 1 << 70))
-def test_transform_matches_per_row_reference_property(args, d):
-    table, m, t = args
-    numerator = _per_row_reference(table, m, t)
+def test_transform_matches_per_row_reference_property(table, d):
+    numerator = _per_row_reference(table, table.m, table.layout.t)
     assume(any(c < 0 for _, c in numerator.terms()))
-    assert transform(table, 1, m=m, t=t) == numerator
+    assert transform(table, 1) == numerator
     scaled = DistributionTable(
         {alpha: c * d for alpha, c in table.items()}, table.layout, table.m
     )
-    assert transform(scaled, d, m=m, t=t) == numerator
+    assert transform(scaled, d) == numerator
 
 
 def _adversarial(mixed_sign):
@@ -445,7 +451,6 @@ def test_transform_adversarial_slot_width(mixed_sign):
     assert 2 * max(abs(c) for _, c in want.terms()) > bound
     assert any(c < 0 for _, c in want.terms()) == mixed_sign
     assert transform(table, 1) == want
-    assert transform(table, 1, m=16, t=1) == want
     with pytest.raises(IntegrityError):
         transform(table, 3)  # the constant term is a power of 2
 
@@ -475,9 +480,9 @@ def _binomial_route(table, m):
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(_tables(), _composition_tables()))
-def test_transform_at_t_1_matches_binomial_route_property(args):
-    table, m, _ = args
-    assert transform(table, 1, m=m, t=1) == _binomial_route(table, m)
+def test_transform_at_t_1_matches_binomial_route_property(table):
+    got = transform(_with_kernels(table, table.m, 1), 1)
+    assert got == _binomial_route(table, table.m)
 
 
 def test_transform_dense_b_2_matches_binomial_route():
@@ -486,7 +491,7 @@ def test_transform_dense_b_2_matches_binomial_route():
     n = 120
     rows = {alpha: 1 + alpha[1] for alpha in _compositions(n, 2)}
     table = DistributionTable(rows, ByteLayout(b=2, t=2, n=n), 1)
-    assert transform(table, 1, t=1) == _binomial_route(table, 1)
+    assert transform(_with_kernels(table, 1, 1), 1) == _binomial_route(table, 1)
 
 
 # --- the slot bound ---------------------------------------------------------
@@ -505,8 +510,8 @@ def _norms_and_literal_bound(table, m, t):
     return norms, B
 
 
-def _assert_slot_bound_covers_B(table, m, t):
-    norms, B = _norms_and_literal_bound(table, m, t)
+def _assert_slot_bound_covers_B(table):
+    norms, B = _norms_and_literal_bound(table, table.m, table.layout.t)
     bound = macwilliams._slot_bound(*macwilliams._alpha_matrix(table), norms)
     assert bound >= B
     assert bound.bit_length() <= B.bit_length() + 3
@@ -515,7 +520,7 @@ def _assert_slot_bound_covers_B(table, m, t):
 
 def _one_row(m, b, t, alpha, count):
     layout = ByteLayout(b=b, t=t, n=sum(alpha))
-    return DistributionTable({alpha: count}, layout, m), m, t
+    return DistributionTable({alpha: count}, layout, m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -526,8 +531,8 @@ def _one_row(m, b, t, alpha, count):
 # bitlen(count), the ceiling and the norms' logs all round up by nearly
 # their most here: B has 21 bits, the bound 24
 @example(_one_row(1, 6, 3, (0, 1, 0, 3, 0, 0, 2), 1))
-def test_slot_bound_covers_B_property(args):
-    _assert_slot_bound_covers_B(*args)
+def test_slot_bound_covers_B_property(table):
+    _assert_slot_bound_covers_B(table)
 
 
 @pytest.mark.parametrize(
@@ -543,7 +548,7 @@ def test_slot_bound_edge_cases(m, b, t, rows):
     """One row; b = 1, where F_1 = 1 - z has norm 2; and m=16, b=40, where
     ||F_0||_1 = 2^640 and the norms' logs come from their top bits."""
     table = DistributionTable(rows, ByteLayout(b=b, t=t, n=sum(next(iter(rows)))), m)
-    norms = _assert_slot_bound_covers_B(table, m, t)
+    norms = _assert_slot_bound_covers_B(table)
     assert norms[0] == 1 << (m * b)
     assert transform(table, 1) == _per_row_reference(table, m, t)
 

@@ -218,10 +218,17 @@ def test_byte_transform_examples():
     assert byte_transform_bruteforce((one(1),), 1) == Polynomial({0: 1, 1: -1})
 
 
-def test_byte_transform_budget_and_validation():
+def test_byte_transform_budget_and_validation(monkeypatch):
+    def scanned(*args):
+        raise AssertionError("the byte scan started")
+
+    # seven coordinates at m=4: |R|^b = 2^28 > DEFAULT_BYTE_BUDGET = 2^24
+    wide = tuple(zero(4) for _ in range(7))
+    monkeypatch.setattr(oracle, "_support_sums", scanned)
+    with pytest.raises(BudgetError) as exc:
+        byte_transform_bruteforce(wide, 2)
+    assert exc.value.required == 1 << 28
     c = tuple(zero(4) for _ in range(3))
-    with pytest.raises(BudgetError):
-        byte_transform_bruteforce(c, 2, budget=1 << 10)
     with pytest.raises(ParameterError):
         byte_transform_bruteforce(c, 4)
     with pytest.raises(ParameterError):
