@@ -12,13 +12,14 @@ first: acc <- acc * F_j^gap + child, gap being the step from the previous
 child's entry, and one multiply by F_j^a_min if the smallest entry is
 positive.  So a node multiplies by small powers of F_j, by F_j itself when
 the entries are consecutive as in a full-composition table, and never by
-a large F_j^a.  Each trie level is read off one alpha matrix at once, and
-per-row products and per-node sums run inside `map` and `sum`, not in a
-loop per row.  For b >= 3 the trie stops at depth b - 1: there a row adds
-its count times the monomial F_{b-1}^x * F_b^y of its last two entries
-(x, y), each distinct pair's monomial built once and kept, so a row costs
-one multiply of its small count by a large monomial.  For b <= 2 a pair
-fixes the whole row and no monomial would repeat, so a row adds
+a large F_j^a.  Each trie level is read off the table's own sorted alpha
+matrix (`DistributionTable.alphas`, last row first) at once, and per-row
+products and per-node sums run inside `map` and `sum`, not in a loop per
+row.  For b >= 3 the trie stops at depth b - 1: there a row adds its
+count times the monomial F_{b-1}^x * F_b^y of its last two entries
+(x, y), each distinct pair's monomial built once, so a row costs one
+multiply of its small count by a large monomial.  For b <= 2 a pair fixes
+the whole row and no monomial would repeat, so a row adds
 count * F_b^alpha_b and Horner runs over alpha_{b-1} as well.
 
 The trie is folded over plain Python ints (Kronecker substitution): each
@@ -40,7 +41,7 @@ than rounded away.
 
 from __future__ import annotations
 
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from math import comb
 from operator import lshift, mul, sub
 from typing import Iterator, Sequence
@@ -114,21 +115,6 @@ def enumerator_from_distribution(dist: DistributionTable) -> Polynomial:
     return Polynomial(terms)
 
 
-def _alpha_matrix(dist: DistributionTable) -> tuple[np.ndarray, list[int]]:
-    """The table's rows in descending lex order: an (R, b + 1) alpha matrix
-    of the narrowest unsigned dtype that holds n, and the R counts."""
-    alphas, counts = dist.columns()
-    alphas.reverse()
-    counts.reverse()
-    flat = chain.from_iterable(alphas)
-    n, width = dist.layout.n, dist.layout.b + 1
-    if n < 256:
-        matrix = np.frombuffer(bytes(flat), np.uint8)
-    else:
-        matrix = np.fromiter(flat, np.min_scalar_type(n), len(alphas) * width)
-    return matrix.reshape(len(alphas), width), counts
-
-
 class _Powers(dict):
     """x^g for every g >= 0, made as _Powers({0: 1, 1: x}) and built on
     first use by repeated multiplication, so it never grows past the
@@ -140,17 +126,6 @@ class _Powers(dict):
         for e in range(top + 1, g + 1):
             power = self[e] = power * x
         return power
-
-
-class _Monomials(dict):
-    """xs[i] * ys[j] for a pair (i, j), built on first use and kept."""
-
-    def __init__(self, xs: _Powers, ys: _Powers):
-        self.xs, self.ys = xs, ys
-
-    def __missing__(self, pair: tuple[int, int]) -> int:
-        monomial = self[pair] = self.xs[pair[0]] * self.ys[pair[1]]
-        return monomial
 
 
 def _horner(
@@ -184,8 +159,9 @@ def _horner(
 def _fold(alphas: np.ndarray, counts: Sequence[int], bases: list[int]) -> int:
     """Sum over rows of count * prod_j bases[j]^alpha_j, grouped by the trie.
 
-    The rows come as `_alpha_matrix` gives them: distinct, with equal sums,
-    in descending lex order.  The node for a prefix alpha_0..alpha_{d-1}
+    The rows come as `transform` passes them, a `DistributionTable`'s
+    `alphas` and `counts` reversed: distinct, with equal sums, in
+    descending lex order.  The node for a prefix alpha_0..alpha_{d-1}
     stands for the sum over its rows of count * prod_{j >= d}
     bases[j]^alpha_j, which is sum over a of bases[d]^a * (node for the
     prefix extended by a).  `_horner` takes the children in the order they
@@ -201,12 +177,12 @@ def _fold(alphas: np.ndarray, counts: Sequence[int], bases: list[int]) -> int:
     open node per level.  For b >= 3 the trie stops at depth b - 1: a node
     there sums count * M[x, y] over its rows, where (x, y) =
     (alpha_{b-1}, alpha_b) and M[x, y] = bases[b-1]^x * bases[b]^y is
-    built once per distinct pair and kept (at most min(rows, C(n + 2, 2))
-    entries); `map` multiplies the counts and `sum` adds each node's run of
-    rows.  For b <= 2 a pair fixes its row, so none would repeat: a row is
-    a node at depth b with value count * bases[b]^alpha_b, and Horner runs
-    over alpha_{b-1} too, so no multiply has two operands larger than a
-    base.
+    built once per distinct pair, in one dict over the pairs (at most
+    min(rows, C(n + 2, 2)) entries); `map` multiplies the counts and `sum`
+    adds each node's run of rows.  For b <= 2 a pair fixes its row, so
+    none would repeat: a row is a node at depth b with value
+    count * bases[b]^alpha_b, and Horner runs over alpha_{b-1} too, so no
+    multiply has two operands larger than a base.
     """
     R, width = alphas.shape
     if not R:
@@ -217,9 +193,10 @@ def _fold(alphas: np.ndarray, counts: Sequence[int], bases: list[int]) -> int:
     first[1:] = (alphas[1:] != alphas[:-1]).argmax(axis=1)
     if b >= 3:
         depth = b - 1
-        pairs = zip(alphas[:, b - 1].tolist(), alphas[:, b].tolist())
-        monomials = map(_Monomials(powers[b - 1], powers[b]).__getitem__, pairs)
-        terms = map(mul, counts, monomials)
+        pairs = list(zip(alphas[:, b - 1].tolist(), alphas[:, b].tolist()))
+        xs, ys = powers[b - 1], powers[b]
+        monomials = {(x, y): xs[x] * ys[y] for x, y in set(pairs)}
+        terms = map(mul, counts, map(monomials.__getitem__, pairs))
         # a node at depth b - 1 sums the rows from its first to the next's
         heads = (first < depth).nonzero()[0].tolist()
         heads.append(R)
@@ -248,11 +225,9 @@ def _log2_ceil(x: int) -> int:
     ceil(2^S * log2(top)) = bitlen(top^(2^S) - 1) exactly, since
     ceil(log2(y)) = bitlen(y - 1) for every integer y >= 1.  So lam exceeds
     2^S * log2(x) by less than 1 plus 2^S * log2(1 + 2^-31), and equals it
-    when x is a power of 2, which is read off its bit length without the
-    power (||F_0||_1 = 2^(m*b) always, and at t = 1 every norm is one).
+    when x is a power of 2 (||F_0||_1 = 2^(m*b) always, and at t = 1 every
+    norm is one), since then top is a power of 2 and x = top * 2^shift.
     """
-    if not x & (x - 1):
-        return (x.bit_length() - 1) << _LOG_BITS
     shift = max(0, x.bit_length() - 32)
     top = -(-x >> shift)
     return (shift << _LOG_BITS) + (top ** (1 << _LOG_BITS) - 1).bit_length()
@@ -292,7 +267,8 @@ def transform(dist: DistributionTable, code_size: int) -> Polynomial:
     """Dual enumerator from a primal distribution table.
 
     The kernels F_j are those of the table's own (b, m, t).  code_size is
-    the primal |C| and must divide the accumulated sum exactly.
+    the primal |C| and must divide the accumulated sum exactly.  The rows
+    are `dist.alphas` and `dist.counts` as stored, read last row first.
 
     The numerator N(z) = sum over rows of count * prod_j F_j(z)^alpha_j is
     folded along the alpha trie (`_fold`) with every polynomial held as one
@@ -317,7 +293,7 @@ def transform(dist: DistributionTable, code_size: int) -> Polynomial:
     if code_size < 1:
         raise ParameterError(f"code size must be >= 1, got {code_size}")
     kernels = kernel_table(dist.layout.b, dist.m, dist.layout.t)
-    alphas, counts = _alpha_matrix(dist)
+    alphas, counts = dist.alphas[::-1], dist.counts[::-1]
     norms = [sum(abs(c) for _, c in F.terms()) for F in kernels]
     K = _slot_bound(alphas, counts, norms).bit_length() + 2
     packed = _fold(alphas, counts, [F(1 << K) for F in kernels])

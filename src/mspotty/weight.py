@@ -11,11 +11,15 @@ code's words come in coordinate-major blocks (`code._blocks`, at most 2^14
 words each for a code built from a basis), and each block is reduced to
 its (n, B) byte Hamming weights and then to alpha-row counts or a weight
 histogram.  Memory is bounded by the block, not by |C|, and no
-statistic builds the code's digit array.
+statistic builds the code's digit array.  A `DistributionTable` stores
+its rows once, in the format `macwilliams.transform` folds as it is: a
+sorted read-only alpha matrix and a tuple of counts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import index
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -60,9 +64,13 @@ def weight_from_alpha(alpha: Sequence[int], t: int) -> int:
 
 
 class DistributionTable:
-    """Count of codewords per alpha vector; rows iterate in lex order."""
+    """Count of codewords per alpha vector, stored once: `alphas` is a
+    read-only (R, b + 1) matrix of the distinct alpha vectors in ascending
+    lex order, of the narrowest unsigned dtype that holds n, and `counts`
+    the tuple of their R counts.  Entries and counts are read through
+    `operator.index`: numpy integers are ints, anything else is refused."""
 
-    __slots__ = ("layout", "m", "_counts")
+    __slots__ = ("layout", "m", "alphas", "counts")
 
     def __init__(
         self,
@@ -72,11 +80,19 @@ class DistributionTable:
     ):
         n, width = layout.n, layout.b + 1
         for alpha, c in counts.items():
-            if len(alpha) != width or sum(alpha) != n or min(alpha) < 0:
+            try:
+                key, c = tuple(map(index, alpha)), index(c)
+            except TypeError:
+                raise ParameterError("alpha entries and counts must be ints") from None
+            if len(key) != width or sum(key) != n or min(key) < 0:
                 raise ParameterError(f"not a valid alpha vector: {alpha}")
             if c < 1:
                 raise ParameterError(f"count for {alpha} must be positive, got {c}")
-        object.__setattr__(self, "_counts", dict(counts))
+        keys = sorted(counts)
+        alphas = np.array(keys, np.min_scalar_type(n)).reshape(len(keys), width)
+        alphas.flags.writeable = False
+        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "counts", tuple(index(counts[k]) for k in keys))
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "m", m)
 
@@ -84,35 +100,33 @@ class DistributionTable:
         raise AttributeError("DistributionTable is immutable")
 
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        return iter(sorted(self._counts.items()))
-
-    def columns(self) -> tuple[list[tuple[int, ...]], list[int]]:
-        """The alpha vectors in lex order and their counts, as two lists:
-        the rows of `items` without a tuple per row."""
-        alphas = sorted(self._counts)
-        return alphas, list(map(self._counts.__getitem__, alphas))
+        return zip(map(tuple, self.alphas.tolist()), self.counts)
 
     def count(self, alpha: Sequence[int]) -> int:
-        return self._counts.get(tuple(alpha), 0)
+        alpha, rows = tuple(alpha), self.alphas
+        row = lambda i: tuple(rows[i].tolist())
+        i = bisect_left(range(len(rows)), alpha, key=row)
+        return self.counts[i] if i < len(rows) and row(i) == alpha else 0
 
     @property
     def total(self) -> int:
-        return sum(self._counts.values())
+        return sum(self.counts)
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return len(self.counts)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, DistributionTable)
             and self.layout == other.layout
             and self.m == other.m
-            and self._counts == other._counts
+            and self.counts == other.counts
+            and np.array_equal(self.alphas, other.alphas)
         )
 
     def __repr__(self) -> str:
         return (
-            f"DistributionTable({len(self._counts)} alpha rows, "
+            f"DistributionTable({len(self)} alpha rows, "
             f"total={self.total}, layout={self.layout})"
         )
 

@@ -512,7 +512,7 @@ def _norms_and_literal_bound(table, m, t):
 
 def _assert_slot_bound_covers_B(table):
     norms, B = _norms_and_literal_bound(table, table.m, table.layout.t)
-    bound = macwilliams._slot_bound(*macwilliams._alpha_matrix(table), norms)
+    bound = macwilliams._slot_bound(table.alphas[::-1], table.counts[::-1], norms)
     assert bound >= B
     assert bound.bit_length() <= B.bit_length() + 3
     return norms
@@ -556,7 +556,7 @@ def test_slot_bound_edge_cases(m, b, t, rows):
 def test_transform_of_an_empty_table_is_zero():
     table = DistributionTable({}, ByteLayout(b=3, t=2, n=2), 2)
     norms, B = _norms_and_literal_bound(table, 2, 2)
-    assert B == macwilliams._slot_bound(*macwilliams._alpha_matrix(table), norms) == 0
+    assert B == macwilliams._slot_bound(table.alphas[::-1], table.counts[::-1], norms) == 0
     assert transform(table, 1) == Polynomial.zero()
 
 

@@ -4,6 +4,7 @@ import random
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from mspotty.code import (
     span,
 )
 from mspotty.errors import ParameterError
+from mspotty.macwilliams import transform
 from mspotty.oracle import _add_row
 from mspotty.polynomial import Polynomial
 from mspotty.ring import RingElement, zero
@@ -156,6 +158,51 @@ def test_distribution_table_validation():
         DistributionTable({(2, 0, 0): 0}, lay, 2)  # counts positive
     with pytest.raises(AttributeError):
         DistributionTable({(2, 0, 0): 1}, lay, 2).m = 5
+
+
+def test_distribution_table_stores_one_sorted_alpha_matrix():
+    """The rows are stored once: a read-only matrix in ascending lex order,
+    of the narrowest unsigned dtype that holds n, and a tuple of int
+    counts, the same rows that `items` and `count` read."""
+    rng = random.Random(20)
+    for n, dtype in [(255, np.uint8), (256, np.uint16)]:
+        rows = {}
+        while len(rows) < 50:
+            cuts = sorted(rng.randint(0, n) for _ in range(3))
+            alpha = tuple(hi - lo for lo, hi in zip([0, *cuts], [*cuts, n]))
+            rows[alpha] = rng.randint(1, 1 << 70)
+        table = DistributionTable(rows, ByteLayout(b=3, t=2, n=n), 2)
+        assert table.alphas.dtype == dtype and table.alphas.shape == (50, 4)
+        with pytest.raises(ValueError):
+            table.alphas[0, 0] = 1
+        listed = list(map(tuple, table.alphas.tolist()))
+        assert listed == sorted(rows)
+        assert type(table.counts) is tuple
+        assert all(type(c) is int for c in table.counts)
+        assert list(table.items()) == list(zip(listed, table.counts))
+        assert dict(table.items()) == rows
+        assert all(table.count(a) == c for a, c in rows.items())
+        for missing in [(-1, 0, 0, n + 1), (0, 0, 0, n + 1), (n + 1, 0, 0, 0)]:
+            assert table.count(missing) == 0
+    empty = DistributionTable({}, ByteLayout(b=3, t=2, n=2), 2)
+    assert empty.alphas.shape == (0, 4) and empty.counts == ()
+    assert list(empty.items()) == [] and empty.count((2, 0, 0, 0)) == 0
+
+
+def test_distribution_table_reads_integers_through_index():
+    """numpy integers count as ints; a float or str count, or a float alpha
+    entry, is refused when the table is built, not left to fail inside
+    `transform`."""
+    C = span(load_matrix(DATA / "worked_example.txt"))
+    plain = distribution(C)
+    numpy_ints = {tuple(map(np.uint8, a)): np.int64(c) for a, c in plain.items()}
+    table = DistributionTable(numpy_ints, C.layout, C.m)
+    assert table == plain
+    assert transform(table, len(C)) == transform(plain, len(C))
+    lay = ByteLayout(b=2, t=1, n=1)
+    for rows in [{(1, 0, 0): 1.0}, {(1, 0, 0): "1"}, {(1.0, 0, 0): 1}]:
+        with pytest.raises(ParameterError):
+            DistributionTable(rows, lay, 1)
 
 
 def test_minimum_distance_zero_code():
