@@ -100,6 +100,9 @@ class Word:
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
+    def __reduce__(self):
+        return Word, (self.coords, self.layout)
+
     @classmethod
     def _trusted(
         cls, coords: tuple[RingElement, ...], layout: ByteLayout, m: int
@@ -201,6 +204,9 @@ class GeneratorMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("GeneratorMatrix is immutable")
 
+    def __reduce__(self):
+        return GeneratorMatrix, (self.rows, self.layout, self.m)
+
     @property
     def k(self) -> int:
         return len(self.rows)
@@ -269,6 +275,13 @@ class LinearCode:
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearCode is immutable")
+
+    def __reduce__(self):
+        # the basis or the digit array; the cached words and index are
+        # rebuilt on first use
+        if self._basis is not None:
+            return LinearCode._from_basis, (self._basis, self.layout, self.m)
+        return LinearCode._from_digits, (self._digits, self.layout, self.m)
 
     @classmethod
     def _from_digits(

@@ -41,6 +41,7 @@ than rounded away.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import islice, repeat
 from math import comb
 from operator import lshift, mul, sub
@@ -90,11 +91,13 @@ def f_poly(j: int, b: int, m: int, t: int) -> Polynomial:
 
 
 def kernel_table(b: int, m: int, t: int) -> list[Polynomial]:
-    """F_0, ..., F_b, refused up front when they would be too large.
+    """F_0, ..., F_b as a new list, refused up front when they would be too
+    large.
 
     F_j has (j+1)*(b-j+1) terms before like powers of z merge, so the
     table costs sum over j of (j+1)*(b-j+1) = C(b+3, 3) terms (about
-    b^3/6); that count is guarded against `KERNEL_TERM_BUDGET`.  A
+    b^3/6); that count is guarded against `KERNEL_TERM_BUDGET` on every
+    call, before the kernels are built or read from the cache.  A
     negative b has no kernels.
     """
     if b >= 0:
@@ -102,7 +105,14 @@ def kernel_table(b: int, m: int, t: int) -> list[Polynomial]:
         BudgetError.guard(
             "kernel table over C(b+3, 3) terms", KERNEL_TERM_BUDGET, comb(b + 3, 3)
         )
-    return [f_poly(j, b, m, t) for j in range(b + 1)]
+    return list(_kernels(b, m, t))
+
+
+@lru_cache(maxsize=16)
+def _kernels(b: int, m: int, t: int) -> tuple[Polynomial, ...]:
+    """The kernels of one (b, m, t), built once: they depend on nothing
+    else, and `Polynomial` is immutable."""
+    return tuple(f_poly(j, b, m, t) for j in range(b + 1))
 
 
 def enumerator_from_distribution(dist: DistributionTable) -> Polynomial:
@@ -288,7 +298,8 @@ def transform(dist: DistributionTable, code_size: int) -> Polynomial:
     coefficient fits a signed K-bit slot, so N's coefficients are read back
     as signed base-2^K digits, and N is divided by code_size once.
     The kernels come from `kernel_table`, so a byte length b whose kernels
-    exceed `KERNEL_TERM_BUDGET` raises `BudgetError` before any is built.
+    exceed `KERNEL_TERM_BUDGET` raises `BudgetError` before any is built,
+    and each (b, m, t) builds its kernels once.
     """
     if code_size < 1:
         raise ParameterError(f"code size must be >= 1, got {code_size}")

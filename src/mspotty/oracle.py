@@ -3,12 +3,17 @@
 Each sum here is evaluated by literal enumeration: every term is computed
 on its own, with no factorization and no closed form.  That is what
 "naive" means here, not one Python iteration per term: the per-byte
-engine `_support_sums` evaluates chi(<c, v>) in numpy blocks, checked by
-the one-vector-at-a-time `sum_chi_*` functions, and the per-byte checks
-read three exact integer regroupings of its bucket totals; chi is never
-used beyond the engine.  Each check compares whole arrays of those totals
-with tables of closed-form values, one comparison per chunk of bytes, and
-describes only its first mismatch.  Inside the campaign a cell's bytes
+engine `_support_sums` evaluates chi(<c, v>) over boxes of v in numpy,
+checked by the one-vector-at-a-time `sum_chi_*` functions, and the
+per-byte checks read three exact integer regroupings of its bucket
+totals; chi is never used beyond the engine.  In the engine each <c, v>
+is the XOR of its b products and chi is read once per v, from that full
+XOR; XORs shared across a box only reorder the evaluation.  Taking chi
+per coordinate and multiplying the signs would be the product
+factorization these sums are meant to check, so nothing here does it.
+Each check compares whole arrays of those totals with tables of
+closed-form values, one comparison per chunk of bytes, and describes
+only its first mismatch.  Inside the campaign a cell's bytes
 are one integer array, a row of b coefficient masks per byte, from
 sampling to report; a byte becomes `RingElement`s only to describe a
 mismatch.  The closed forms live in `macwilliams`
@@ -338,50 +343,91 @@ def _support_sums(m: int, b: int, cs: np.ndarray) -> np.ndarray:
     The single brute-force engine of the per-byte checks: each identity is
     a regrouping of these buckets.  Every v in R^b is visited for every c
     and every term is evaluated literally, with no factorization and no
-    closed form: <c, v> is the XOR of per-coordinate `mul_bits` products
-    and chi is its top bit.  numpy replaces the per-v loop, nothing else.
+    closed form: <c, v> is the XOR of its b per-coordinate `mul_bits`
+    products, and chi is read once per v, as the top bit of that full XOR.
+    numpy replaces the per-v loop, nothing else.
 
     The (c, v) pairs run in blocks of about _BLOCK_PAIRS: a block takes a
     run of at most _BLOCK_PAIRS consecutive packed v (coordinate i in bits
-    m*i) and as many bytes as fit, and one `np.bincount` counts its
-    (byte, support mask, sign) triples.  Working memory is bounded by the
+    m*i) and as many bytes as fit.  A run is aligned to its size, so its v
+    form a box: the low coordinates take all 2^m values, each along its own
+    axis, one coordinate may take a stretch of its values (m > 14, or m*b
+    beyond the block), and the higher ones are fixed.  A byte's <c, v> over
+    the box is a broadcast XOR of its rows of the product table (uint8 when
+    m <= 8), the low coordinates' part shared by every run: only the order
+    of the XORs differs from one vector at a time.  Each axis is then
+    summed into its "value 0" and "values != 0" halves, which counts the
+    -1 terms of each support bucket; the bucket's total is its number of
+    v less twice that count.  Working memory is bounded by the
     block whatever m*b is, besides one 2^m-entry product table per distinct
     coordinate value; the result holds 2^b exact int64 totals per byte.
     """
     size = 1 << m
+    dtype = np.uint8 if m <= 8 else np.uint16
     elems, coords = np.unique(cs, return_inverse=True)
     products = np.array(
         [[mul_bits(a, r, m) for r in range(size)] for a in elems.tolist()],
-        dtype=np.uint16,
+        dtype=dtype,
     )
     coords = coords.reshape(len(cs), b)
-    run = min(1 << (m * b), _BLOCK_PAIRS)
-    per = max(1, _BLOCK_PAIRS // run)  # bytes per block
-    # a run is aligned to its size, so only coordinates below `low` vary
-    # inside it: its support masks lie in [fixed, fixed + 2^low)
-    low = min(b, -(-(run.bit_length() - 1) // m))
+    bits = min(m * b, _BLOCK_PAIRS.bit_length() - 1)  # a run holds 2^bits v
+    per = max(1, _BLOCK_PAIRS >> bits)  # bytes per block
+    # coordinates below `full` take all 2^m values in a run, coordinate
+    # `full` takes `span` consecutive values when span > 1, and those from
+    # `low` up are fixed; axis low - i of a box is coordinate i
+    full = min(b, bits // m)
+    span = 1 << (bits - m * full)
+    low = full + (span > 1)
+    # terms per support bucket of the full coordinates: 1 v is zero there
+    # and 2^m - 1 are not
+    terms = np.ones(1, dtype=np.int64)
+    for _ in range(full):
+        terms = np.multiply.outer(terms, (1, size - 1)).ravel()
+    # per run: its digits, its fixed support bits, the first value of
+    # coordinate `full` and the terms per bucket
+    runs = []
+    for start in range(0, 1 << (m * b), 1 << bits):
+        digits = [start >> (m * i) & (size - 1) for i in range(b)]
+        fixed = sum((d != 0) << i for i, d in enumerate(digits) if i >= low)
+        first = digits[full] if span > 1 else 0
+        pair = (1, span - 1) if first == 0 else (0, span)
+        total = np.multiply.outer(pair, terms).ravel() if span > 1 else terms
+        runs.append((digits, fixed, first, total))
     sums = np.zeros((len(cs), 1 << b), dtype=np.int64)
-    for start in range(0, 1 << (m * b), run):
-        v = np.arange(start, start + run, dtype=np.int64)
-        digits = [(v >> (m * i)) & (size - 1) for i in range(b)]
-        smask = np.zeros(run, dtype=np.int64)
-        for i, d in enumerate(digits):
-            smask |= (d != 0).astype(np.int64) << i
-        fixed = int(smask[0]) >> low << low
-        local = (smask - fixed) << 1
-        for lo in range(0, len(cs), per):
-            tables = products[coords[lo : lo + per]]  # (bytes, b, 2^m)
-            nb = len(tables)
-            ip = np.zeros((nb, run), dtype=np.uint16)
-            for i, d in enumerate(digits):
-                ip ^= tables[:, i, d]
-            sign = (ip >> (m - 1)).astype(np.int64)
-            key = (np.arange(nb, dtype=np.int64)[:, None] << (low + 1)) | local | sign
-            counts = np.bincount(key.ravel(), minlength=nb << (low + 1))
-            counts = counts.reshape(nb, 1 << low, 2)
-            signed = counts[..., 0] - counts[..., 1]
-            sums[lo : lo + nb, fixed : fixed + (1 << low)] += signed
+    for lo in range(0, len(cs), per):
+        rows = products[coords[lo : lo + per]]  # (bytes, b, 2^m)
+        nb = len(rows)
+        # XOR of the full coordinates' products, built once for all runs
+        inner = np.zeros((nb,) + (1,) * low, dtype)
+        for i in range(full):
+            axes = [nb] + [1] * low
+            axes[low - i] = size
+            inner = inner ^ rows[:, i].reshape(axes)
+        for digits, fixed, first, total in runs:
+            box = inner
+            if full < b:
+                top = np.zeros(nb, dtype)
+                for i in range(low, b):
+                    top ^= rows[:, i, digits[i]]
+                if span > 1:
+                    top = top[:, None] ^ rows[:, full, first : first + span]
+                box = top.reshape(top.shape + (1,) * full) ^ inner
+            neg = _minus_ones(box, m)
+            for axis in range(low, 0, -1):
+                if axis == 1 and first:  # a stretch without the value 0
+                    part = neg.sum(axis=1, keepdims=True, dtype=np.int32)
+                    neg = np.concatenate((np.zeros_like(part), part), axis=1)
+                elif neg.shape[axis] > 2:
+                    neg = np.add.reduceat(neg, (0, 1), axis=axis, dtype=np.int32)
+            neg = neg.reshape(nb, -1)
+            sums[lo : lo + nb, fixed : fixed + (1 << low)] += total - 2 * neg
     return sums
+
+
+def _minus_ones(ip: np.ndarray, m: int) -> np.ndarray:
+    """1 where chi(x) = -1 and 0 where chi(x) = 1, for an array of whole
+    inner products x: their coefficients of u^(m-1)."""
+    return ip >> (m - 1)
 
 
 def _popcounts(b: int) -> np.ndarray:

@@ -30,6 +30,9 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        return Polynomial, (dict(self._terms),)
+
     @classmethod
     def zero(cls) -> "Polynomial":
         return cls()

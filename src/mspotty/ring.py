@@ -76,6 +76,9 @@ class RingElement:
     def __setattr__(self, name, value):
         raise AttributeError("RingElement is immutable")
 
+    def __reduce__(self):
+        return RingElement, (self.m, self.bits)
+
     def _coerce(self, other: "RingElement") -> "RingElement":
         if not isinstance(other, RingElement):
             raise TypeError(f"expected RingElement, got {type(other).__name__}")

@@ -19,8 +19,9 @@ sorted read-only alpha matrix and a tuple of counts.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain
 from operator import index
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -79,25 +80,37 @@ class DistributionTable:
         m: int,
     ):
         n, width = layout.n, layout.b + 1
-        for alpha, c in counts.items():
-            try:
-                key, c = tuple(map(index, alpha)), index(c)
-            except TypeError:
-                raise ParameterError("alpha entries and counts must be ints") from None
-            if len(key) != width or sum(key) != n or min(key) < 0:
-                raise ParameterError(f"not a valid alpha vector: {alpha}")
-            if c < 1:
-                raise ParameterError(f"count for {alpha} must be positive, got {c}")
-        keys = sorted(counts)
-        alphas = np.array(keys, np.min_scalar_type(n)).reshape(len(keys), width)
+        dtype = np.min_scalar_type(n)
+        try:
+            keys = sorted(counts)
+            if keys and set(map(len, keys)) != {width}:
+                _refuse(counts, n, width)
+            # an entry below 0 or above the dtype's range overflows here
+            entries = map(index, chain.from_iterable(keys))
+            alphas = np.fromiter(entries, dtype, len(keys) * width)
+            values = list(map(index, map(counts.__getitem__, keys)))
+        except (TypeError, OverflowError):
+            _refuse(counts, n, width)
+        alphas = alphas.reshape(len(keys), width)
+        # entries in [0, n] sum to at most width * n
+        total = np.int64 if width * n < 1 << 63 else object
+        if keys and (
+            alphas.max() > n
+            or (alphas.sum(axis=1, dtype=total) != n).any()
+            or min(values) < 1
+        ):
+            _refuse(counts, n, width)
         alphas.flags.writeable = False
         object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "counts", tuple(index(counts[k]) for k in keys))
+        object.__setattr__(self, "counts", tuple(values))
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "m", m)
 
     def __setattr__(self, name, value):
         raise AttributeError("DistributionTable is immutable")
+
+    def __reduce__(self):
+        return DistributionTable, (dict(self.items()), self.layout, self.m)
 
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
         return zip(map(tuple, self.alphas.tolist()), self.counts)
@@ -129,6 +142,22 @@ class DistributionTable:
             f"DistributionTable({len(self)} alpha rows, "
             f"total={self.total}, layout={self.layout})"
         )
+
+
+def _refuse(counts: Mapping, n: int, width: int) -> NoReturn:
+    """Raise the refusal for the first invalid row of `counts`, in mapping
+    order, as a row-by-row check would: entries or count not integers,
+    then an alpha vector of the wrong width, sum or sign, then a count
+    below 1.  Called only once some row is known to be invalid."""
+    for alpha, c in counts.items():
+        try:
+            key, c = tuple(map(index, alpha)), index(c)
+        except TypeError:
+            raise ParameterError("alpha entries and counts must be ints") from None
+        if len(key) != width or sum(key) != n or min(key) < 0:
+            raise ParameterError(f"not a valid alpha vector: {alpha}")
+        if c < 1:
+            raise ParameterError(f"count for {alpha} must be positive, got {c}")
 
 
 def _byte_weight_blocks(C: LinearCode) -> Iterator[np.ndarray]:

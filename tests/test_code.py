@@ -1,6 +1,8 @@
 """Words, matrix parsing, span, and the dual (kernel and scan)."""
 
+import copy
 import itertools
+import pickle
 import random
 from concurrent.futures import Future
 from pathlib import Path
@@ -31,8 +33,10 @@ from mspotty.code import (
     span,
 )
 from mspotty.errors import BudgetError, MatrixParseError, ParameterError
+from mspotty.macwilliams import transform
 from mspotty.oracle import _add_row, _generators
 from mspotty.ring import RingElement, elements, monomial, mul_bits, one, zero
+from mspotty.weight import distribution
 
 DATA = Path(__file__).parent / "data"
 
@@ -624,3 +628,36 @@ def test_generator_matrix_validation():
     G = GeneratorMatrix([(one(2), zero(2))], lay)
     assert G.m == 2 and G.k == 1
     assert G.row_words()[0].bits() == (1, 0)
+
+
+def _round_trips(x):
+    return pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)
+
+
+def test_word_and_generator_matrix_round_trip_through_pickle_and_copy():
+    G = load_matrix(DATA / "worked_example.txt")
+    empty = GeneratorMatrix([], ByteLayout(b=2, t=1, n=3), m=3)
+    for M in (G, empty):
+        for back in _round_trips(M):
+            assert type(back) is GeneratorMatrix
+            assert (back.rows, back.layout, back.m) == (M.rows, M.layout, M.m)
+    w = Word(G.rows[1], G.layout)
+    for back in _round_trips(w):
+        assert type(back) is Word
+        assert back == w and back.m == w.m and str(back) == str(w)
+
+
+def test_linear_code_round_trips_through_pickle_and_copy():
+    """A basis-backed and a digits-backed code come back the same kind,
+    with the same words, distribution and dual enumerator."""
+    C = span(load_matrix(DATA / "worked_example.txt"))
+    D = LinearCode._from_digits(C.digits, C.layout, C.m)
+    for code in (C, D):
+        want = distribution(code)
+        for back in _round_trips(code):
+            assert type(back) is LinearCode
+            assert (back._basis is None) == (code._basis is None)
+            assert (back.layout, back.m, len(back)) == (code.layout, code.m, len(code))
+            assert np.array_equal(back.digits, code.digits)
+            assert distribution(back) == want
+            assert transform(distribution(back), len(back)) == transform(want, len(C))

@@ -601,3 +601,44 @@ def test_kernel_table_guards_its_term_count(monkeypatch):
     table = DistributionTable({(1, 0, 0, 0, 0, 0, 0): 1}, ByteLayout(b=6, t=2, n=1), 4)
     with pytest.raises(BudgetError, match="requires 84 > budget 56"):
         transform(table, 1)
+
+
+def test_transform_builds_each_kernel_table_once(monkeypatch):
+    """Repeated transforms of one (b, m, t) build its b + 1 kernels once;
+    `kernel_table` still hands out a new list each call."""
+    real = macwilliams.f_poly
+    built = []
+
+    def counted(j, b, m, t):
+        built.append((j, b, m, t))
+        return real(j, b, m, t)
+
+    C = span(load_matrix(DATA / "worked_example.txt"))
+    dist, b = distribution(C), C.layout.b
+    macwilliams._kernels.cache_clear()
+    monkeypatch.setattr(macwilliams, "f_poly", counted)
+    first = transform(dist, len(C))
+    assert len(built) == b + 1
+    for _ in range(3):
+        assert transform(dist, len(C)) == first
+    assert len(built) == b + 1
+    kernels = kernel_table(b, C.m, C.layout.t)
+    kernels.append(None)
+    assert kernel_table(b, C.m, C.layout.t) == kernels[:-1]
+    assert len(built) == b + 1
+    kernel_table(b, C.m, 1)  # another t: its own kernels
+    assert len(built) == 2 * (b + 1)
+
+
+def test_kernel_cache_keeps_the_term_guard(monkeypatch):
+    """A warm cache does not bypass `KERNEL_TERM_BUDGET`: the guard runs on
+    every call, before the cache is read."""
+    table = DistributionTable({(1, 0, 0, 0, 0, 0, 0): 1}, ByteLayout(b=6, t=2, n=1), 4)
+    want = transform(table, 1)
+    monkeypatch.setattr(macwilliams, "KERNEL_TERM_BUDGET", comb(5 + 3, 3))
+    with pytest.raises(BudgetError, match="requires 84 > budget 56"):
+        transform(table, 1)
+    with pytest.raises(BudgetError, match="requires 84 > budget 56"):
+        kernel_table(6, 4, 2)
+    monkeypatch.setattr(macwilliams, "KERNEL_TERM_BUDGET", comb(6 + 3, 3))
+    assert transform(table, 1) == want

@@ -312,6 +312,81 @@ def test_support_sums_beyond_one_block():
             assert byte_transform_bruteforce(c, t) == f_poly(j, b, m, t)
 
 
+@st.composite
+def _small_cells(draw):
+    """A cell with m*b <= 10 and up to five bytes, duplicates allowed."""
+    m = draw(st.integers(1, 10))
+    b = draw(st.integers(1, 10 // m))
+    digit = st.integers(0, (1 << m) - 1)
+    digits = draw(st.lists(st.tuples(*[digit] * b), min_size=1, max_size=5))
+    return m, b, [tuple(RingElement(m, d) for d in row) for row in digits]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_cells())
+def test_support_sums_match_literal_sum_property(cell):
+    m, b, cs = cell
+    got = oracle._support_sums(m, b, _rows(cs)).tolist()
+    assert got == [_literal_support_sums(c) for c in cs]
+
+
+def test_support_sums_one_coordinate_spans_several_runs():
+    # m=16, b=1: 2^16 vectors in four runs of 2^14, each a stretch of the
+    # one coordinate's values; only the first holds v = 0
+    m, b = 16, 1
+    assert 1 << m == 4 * oracle._BLOCK_PAIRS
+    cs = [(zero(m),), (one(m),), (monomial(m, 15),), (RingElement(m, 0xBEEF),)]
+    got = oracle._support_sums(m, b, _rows(cs)).tolist()
+    assert got == [_literal_support_sums(c) for c in cs]
+    assert got == [[1, (1 << m) - 1], [1, -1], [1, -1], [1, -1]]
+
+
+def test_support_sums_exactly_one_block():
+    # m=7, b=2: R^b is one run of exactly _BLOCK_PAIRS vectors, one byte
+    # per block, both coordinates on full axes
+    m, b = 7, 2
+    assert 1 << (m * b) == oracle._BLOCK_PAIRS
+    rng = random.Random(149)
+    cs = [(zero(m), zero(m)), (monomial(m, 6), zero(m)), (one(m), monomial(m, 3))]
+    cs += [_random_byte(rng, m, b) for _ in range(2)]
+    got = oracle._support_sums(m, b, _rows(cs)).tolist()
+    assert got == [_literal_support_sums(c) for c in cs]
+
+
+@pytest.mark.parametrize("m, b", [(2, 3), (5, 3), (16, 1)])
+def test_support_sums_reads_chi_from_whole_inner_products(monkeypatch, m, b):
+    """chi is read from <c, v> itself, never per coordinate: the arrays
+    the engine reads chi from, one per block of bytes and run, laid side
+    by side over the runs of each block, are <c, v> for every v,
+    coordinate i on axis b - i.  Since chi is additive, only this shows a
+    per-coordinate product of signs."""
+    cs = [tuple(RingElement(m, (5 * k + 3 * i + 1) % (1 << m)) for i in range(b))
+          for k in range(2)]
+    seen = []
+
+    def recording(ip, m_):
+        seen.append(ip.copy())
+        return real(ip, m_)
+
+    real = oracle._minus_ones
+    monkeypatch.setattr(oracle, "_minus_ones", recording)
+    oracle._support_sums(m, b, _rows(cs))
+    size = 1 << m
+    runs = size**b // seen[0][0].size
+    boxes = np.concatenate([
+        np.concatenate(seen[i : i + runs], axis=1) for i in range(0, len(seen), runs)
+    ])
+    assert boxes.shape == (len(cs),) + (size,) * b
+    for c, box in zip(cs, boxes):
+        want = np.zeros((size,) * b, dtype=np.int64)
+        for digits in itertools.product(range(size), repeat=b):
+            ip = 0
+            for x, d in zip(c, digits):
+                ip ^= mul_bits(x.bits, d, m)
+            want[digits[::-1]] = ip
+        assert np.array_equal(box, want)
+
+
 def test_support_sums_memory_is_bounded_by_the_block():
     # a 2^24-vector byte: its keys alone would take 128 MB at once
     tracemalloc = pytest.importorskip("tracemalloc")

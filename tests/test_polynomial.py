@@ -1,5 +1,7 @@
 """Exact sparse polynomials with arbitrary-precision coefficients."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -153,3 +155,10 @@ def test_hash_and_eq():
     assert a == b and hash(a) == hash(b)
     assert a != Polynomial({0: 1})
     assert a != "1 + 2z^2"
+
+
+def test_round_trips_through_pickle_and_copy():
+    for p in (Polynomial(), Polynomial({0: 1, 3: -(1 << 90), 7: 5})):
+        for back in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+            assert type(back) is Polynomial
+            assert back == p and list(back.terms()) == list(p.terms())

@@ -1,5 +1,7 @@
 """Chain-ring arithmetic, the character, and the A/B partition machinery."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -222,3 +224,10 @@ def test_format_parse_round_trip_property(x):
     assert parse_element(text, x.m) == x
     G = parse_matrix_text(f"m={x.m} b=1 t=1\n{text}\n")
     assert G.rows == ((x,),)
+
+
+def test_ring_element_round_trips_through_pickle_and_copy():
+    for x in (zero(1), one(4), monomial(16, 15), RingElement(8, 0xA5)):
+        for back in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+            assert type(back) is RingElement
+            assert back == x and back.m == x.m and back.bits == x.bits

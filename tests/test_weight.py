@@ -1,6 +1,9 @@
 """Spotty weights, alpha vectors, distribution tables, enumerators."""
 
+import copy
+import pickle
 import random
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -187,6 +190,46 @@ def test_distribution_table_stores_one_sorted_alpha_matrix():
     empty = DistributionTable({}, ByteLayout(b=3, t=2, n=2), 2)
     assert empty.alphas.shape == (0, 4) and empty.counts == ()
     assert list(empty.items()) == [] and empty.count((2, 0, 0, 0)) == 0
+
+
+@pytest.mark.parametrize("rows, message", [
+    ({(0, 0, 2): 1, (1, 1, 0): 0, (3, -1, 0): 1},
+     "count for (1, 1, 0) must be positive, got 0"),
+    ({(0, 0, 2): 1, (3, -1, 0): 1, (1, 1, 0): 0},
+     "not a valid alpha vector: (3, -1, 0)"),
+    ({(2, 0, 0): 1, (1, 0): 2}, "not a valid alpha vector: (1, 0)"),
+    ({(0, 2, 0): 1, (1, 1, 0, 0): 1}, "not a valid alpha vector: (1, 1, 0, 0)"),
+    ({(1 << 70, 0, 2 - (1 << 70)): 1},
+     f"not a valid alpha vector: ({1 << 70}, 0, {2 - (1 << 70)})"),
+    ({(0, 2, 0): 1, (258, 0, -256): 1}, "not a valid alpha vector: (258, 0, -256)"),
+    ({(0, 2, 0): 1, (1, 1, 0): -1, (2, 0, 0): "x"},
+     "count for (1, 1, 0) must be positive, got -1"),
+    ({(0, 2, 0): 1, (2, 0, 0): "x", (1, 1, 0): -1},
+     "alpha entries and counts must be ints"),
+    ({(0, 2, 0): 1, ("a", 1): 1}, "alpha entries and counts must be ints"),
+    ({5: 1}, "alpha entries and counts must be ints"),
+])
+def test_distribution_table_refuses_its_first_invalid_row(rows, message):
+    """The checks run on the whole matrix, but a refusal names the first
+    invalid row in mapping order, its first fault as a row-by-row check
+    would find it: integers, then width, sum and sign, then the count."""
+    with pytest.raises(ParameterError, match="^" + re.escape(message)):
+        DistributionTable(rows, ByteLayout(b=2, t=1, n=2), 2)
+
+
+def test_distribution_table_round_trips_through_pickle_and_copy():
+    C = span(load_matrix(DATA / "worked_example.txt"))
+    tables = [distribution(C), DistributionTable({}, ByteLayout(b=3, t=2, n=2), 2)]
+    wide = {(0, 300): 1 << 80, (300, 0): 7}
+    tables.append(DistributionTable(wide, ByteLayout(b=1, t=1, n=300), 16))
+    for table in tables:
+        pickled = pickle.loads(pickle.dumps(table))
+        for back in (pickled, copy.deepcopy(table), copy.copy(table)):
+            assert type(back) is DistributionTable
+            assert back == table and back.alphas.dtype == table.alphas.dtype
+            assert list(back.items()) == list(table.items())
+    back = pickle.loads(pickle.dumps(tables[0]))
+    assert transform(back, len(C)) == transform(tables[0], len(C))
 
 
 def test_distribution_table_reads_integers_through_index():
