@@ -8,19 +8,17 @@ rows in canonical order (coordinate 0 most significant, the order
 for them.
 
 R = F2[u]/(u^m) is an F2-algebra, so both sides are F2-linear.  A vector
-packs into an integer with coordinate i in bits [m*i, m*(i+1)).  One
-Gaussian elimination over Python-int bit rows gives the fully reduced
-basis of the m*k vectors u^i*g_r, which spans the code (|C| = 2^rank);
-coefficient s of <g, v> is the F2 dot product of v with u^(m-1-s)*g with
-each coordinate's bits mirrored, so the dual is the bit-mirrored binary
-dual of that basis.  A code keeps its basis: its words are enumerated in
-blocks of at most 2^14 (`_blocks`), which is all the statistics in
-`weight` read, and the digit array is built from the same blocks only
-when it is read.  The exhaustive scan of R^N, optionally in contiguous
-chunks on parallel workers merged in chunk order, is kept as the
-independent referee.  Every digit array goes through one builder that
-sorts the words canonically, so results are identical for any route and
-any worker count.
+packs into an integer with coordinate 0 most significant, so integer
+order is canonical order.  One Gaussian elimination over Python-int bit
+rows gives the fully reduced basis of the m*k vectors u^i*g_r, which
+spans the code (|C| = 2^rank); coefficient s of <g, v> is the F2 dot
+product of v with u^(m-1-s)*g with each coordinate's bits mirrored, so
+the dual is the bit-mirrored binary dual of that basis.  A code keeps
+its basis fully reduced: `w in C` and `generating_rows` read it, and its
+words come in canonical order in blocks of at most 2^14 (`_blocks`),
+which the statistics in `weight`, the codeword listing and the digit
+array read.  The exhaustive scan of R^N, on parallel workers merged in
+chunk order, is the independent referee; its words are sorted.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -211,9 +210,6 @@ class GeneratorMatrix:
     def k(self) -> int:
         return len(self.rows)
 
-    def row_words(self) -> tuple[Word, ...]:
-        return tuple(Word(row, self.layout) for row in self.rows)
-
 
 def _digit_dtype(m: int) -> type:
     return np.uint8 if m <= 8 else np.uint16
@@ -229,9 +225,9 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[starts], np.diff(np.append(starts, len(rows)))
 
 
-def _canonical(digits: np.ndarray) -> np.ndarray:
-    """The distinct rows of a (rows, N) digit array, canonical, read-only."""
-    digits = _group_rows(digits)[0]
+def _canonical(digits: np.ndarray, m: int) -> np.ndarray:
+    """The distinct rows of a (rows, N) integer array, canonical, read-only."""
+    digits = _group_rows(digits.astype(_digit_dtype(m)))[0]
     digits.flags.writeable = False
     return digits
 
@@ -242,12 +238,12 @@ class LinearCode:
     `digits` is the read-only (|C|, N) array of coefficient masks, one row
     per codeword in canonical order; `codewords` builds the `Word` tuple
     on first use.  A code built by `span` or `dual(method="kernel")` holds
-    r independent packed F2 vectors instead (|C| = 2^r) and builds
-    `digits` on first read; `_blocks` enumerates either kind in bounded
-    blocks without building it.
+    its fully reduced packed F2 basis instead (rank r, |C| = 2^r) and
+    builds `digits` on first read; `_blocks` enumerates either kind in
+    canonical order in bounded blocks.
     """
 
-    __slots__ = ("m", "layout", "_basis", "_digits", "_words", "_index")
+    __slots__ = ("m", "layout", "_basis", "_digits", "_words")
 
     def __init__(self, codewords: Iterable[Word], layout: ByteLayout, m: int):
         words = list(codewords)
@@ -256,8 +252,7 @@ class LinearCode:
         for w in words:
             if w.layout != layout or w.m != m:
                 raise ParameterError("codeword layout or ring parameter mismatch")
-        digits = np.array([w.bits() for w in words], dtype=_digit_dtype(m))
-        self._set(layout, m, None, _canonical(digits))
+        self._set(layout, m, None, _canonical(np.array([w.bits() for w in words]), m))
 
     def _set(
         self,
@@ -271,14 +266,12 @@ class LinearCode:
         object.__setattr__(self, "_basis", basis)
         object.__setattr__(self, "_digits", digits)
         object.__setattr__(self, "_words", None)
-        object.__setattr__(self, "_index", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearCode is immutable")
 
     def __reduce__(self):
-        # the basis or the digit array; the cached words and index are
-        # rebuilt on first use
+        # the basis or the digit array; cached words are rebuilt on first use
         if self._basis is not None:
             return LinearCode._from_basis, (self._basis, self.layout, self.m)
         return LinearCode._from_digits, (self._digits, self.layout, self.m)
@@ -290,17 +283,18 @@ class LinearCode:
         """A code from a nonempty (rows, N) integer array of words bound to
         `layout` and `m`; rows are cast, sorted and deduplicated here."""
         C = object.__new__(cls)
-        C._set(layout, m, None, _canonical(digits.astype(_digit_dtype(m))))
+        C._set(layout, m, None, _canonical(digits, m))
         return C
 
     @classmethod
     def _from_basis(
-        cls, basis: Sequence[int], layout: ByteLayout, m: int
+        cls, vectors: Iterable[int], layout: ByteLayout, m: int
     ) -> "LinearCode":
-        """The 2^r F2-combinations of r independent packed vectors (coordinate
-        i in bits [m*i, m*(i+1))) of words bound to `layout` and `m`."""
+        """The F2-span of packed vectors, kept fully reduced and sorted by leading
+        bit: the rows at the set bits of c sum to the c-th word in canonical order."""
+        basis = _echelon(vectors)
         C = object.__new__(cls)
-        C._set(layout, m, tuple(basis), None)
+        C._set(layout, m, tuple(basis[p] for p in sorted(basis)), None)
         return C
 
     @property
@@ -332,10 +326,10 @@ class LinearCode:
     def __contains__(self, w: Word) -> bool:
         if not isinstance(w, Word) or w.layout != self.layout or w.m != self.m:
             return False
-        if self._index is None:  # built on first use
-            rows = frozenset(map(tuple, self.digits.tolist()))
-            object.__setattr__(self, "_index", rows)
-        return w.bits() in self._index
+        if self._basis is None:  # a word set, maybe not linear: compare rows
+            return bool((self._digits == w.bits()).all(axis=1).any())
+        basis = {v.bit_length() - 1: v for v in self._basis}
+        return not _reduce(_pack(w.bits(), self.m), basis)
 
     def ambient_size(self) -> int:
         return 1 << (self.m * self.layout.N)
@@ -346,14 +340,14 @@ class LinearCode:
 
 def _blocks(C: LinearCode) -> Iterator[np.ndarray]:
     """Every word of C once, as coordinate-major (N, B) digit blocks, one
-    column per word, in no particular order.
+    column per word; the blocks, concatenated, are in canonical order.
 
     A digits-backed code is one block.  A basis-backed code of rank r
     yields 2^(r-l) blocks of B = 2^l words, l = min(r, 14): the table of
-    all combinations of the l low basis vectors (by doubling: words, then
-    words ^ v), XOR'd with one combination of the high vectors per block.
-    The high combinations run in Gray-code order, so block g differs from
-    block g-1 by the high vector at the lowest set bit of g.
+    all combinations of the l low basis rows, XOR'd in block g with the
+    high rows at the set bits of g, so column c of block g is word g*B + c
+    (`_from_basis`).  From g-1 to g, bits 0..j flip, j the lowest set bit
+    of g: one XOR with the prefix "high rows 0..j".
     """
     if C._basis is None:
         yield np.ascontiguousarray(C._digits.T)
@@ -365,7 +359,7 @@ def _blocks(C: LinearCode) -> Iterator[np.ndarray]:
         half = 1 << j
         table[:, half : 2 * half] = table[:, :half] ^ _unpack(v, N, m)[:, None]
     yield table
-    flips = [_unpack(v, N, m)[:, None] for v in high]
+    flips = [_unpack(v, N, m)[:, None] for v in accumulate(high, int.__xor__)]
     offset = np.zeros((N, 1), dtype=table.dtype)
     for g in range(1, 1 << len(high)):
         offset ^= flips[(g & -g).bit_length() - 1]
@@ -373,18 +367,25 @@ def _blocks(C: LinearCode) -> Iterator[np.ndarray]:
 
 
 def _materialize(C: LinearCode) -> np.ndarray:
-    """The canonical digit array of a basis-backed code, from its blocks."""
-    return _canonical(np.concatenate(list(_blocks(C)), axis=1).T)
+    """The read-only digit array of a basis-backed code, block by block."""
+    digits = np.concatenate([block.T for block in _blocks(C)])
+    digits.flags.writeable = False
+    return digits
 
 
 def _word_strings(C: LinearCode) -> list[str]:
-    """`str(w)` of every codeword in canonical order, assembled column by
-    column from one string per ring element, so no `Word` is built."""
+    """`str(w)` of every codeword in canonical order, assembled block by
+    block, column by column, from one string per ring element and
+    separator, so neither a `Word` nor the digit array is built."""
     names = [str(RingElement(C.m, x)) for x in range(1 << C.m)]
-    lines = np.full(len(C), "", dtype=object)
-    for column, sep in zip(C.digits.T, _separators(C.layout)):
-        lines = lines + np.array([x + sep for x in names], dtype=object)[column]
-    return lines.tolist()
+    tables = [np.array([x + s for x in names], object) for s in _separators(C.layout)]
+    strings: list[str] = []
+    for block in _blocks(C):
+        lines = np.full(block.shape[1], "", dtype=object)
+        for column, table in zip(block, tables):
+            lines = lines + table[column]
+        strings += lines.tolist()
+    return strings
 
 
 def inner_product(x: Sequence[RingElement], y: Sequence[RingElement]) -> RingElement:
@@ -400,20 +401,22 @@ def inner_product(x: Sequence[RingElement], y: Sequence[RingElement]) -> RingEle
 
 # --- F2 elimination over packed vectors -----------------------------------
 #
-# A vector of R^N is an integer with coordinate i in bits [m*i, m*(i+1));
-# an echelon basis maps each leading bit to the row that it leads.
+# A vector of R^N is an integer with coordinate i in bits
+# [m*(N-1-i), m*(N-i)), so integer order is canonical word order; an
+# echelon basis maps each leading bit to the row that it leads.
 
 
 def _pack(digits: Iterable[int], m: int) -> int:
     v = 0
-    for i, x in enumerate(digits):
-        v |= x << (m * i)
+    for x in digits:
+        v = v << m | x
     return v
 
 
 def _unpack(v: int, N: int, m: int) -> np.ndarray:
     mask = (1 << m) - 1
-    return np.array([(v >> (m * i)) & mask for i in range(N)], dtype=_digit_dtype(m))
+    shifts = range(m * (N - 1), -1, -m)
+    return np.array([(v >> s) & mask for s in shifts], dtype=_digit_dtype(m))
 
 
 def _reduce(v: int, basis: dict[int, int]) -> int:
@@ -444,18 +447,22 @@ def _mirror(i: int, m: int) -> int:
     return i + m - 1 - 2 * (i % m)
 
 
-def _row_space(m: int, rows_bits: Iterable[Sequence[int]]) -> dict[int, int]:
-    """Fully reduced echelon basis of the F2-span of the m*k vectors
-    u^i * row: each leading bit appears in the one row that it leads."""
+def _echelon(vectors: Iterable[int]) -> dict[int, int]:
+    """Fully reduced echelon basis of the F2-span of packed vectors: each
+    leading bit appears in the one row that it leads."""
     basis: dict[int, int] = {}
-    for row in rows_bits:
-        for v in _multiples(row, m):
-            _insert(v, basis)
+    for v in vectors:
+        _insert(v, basis)
     for p in sorted(basis):  # ascending: row p already lacks earlier pivots
         for q, other in basis.items():
             if q != p and other >> p & 1:
                 basis[q] = other ^ basis[p]
     return basis
+
+
+def _row_space(m: int, rows_bits: Iterable[Sequence[int]]) -> dict[int, int]:
+    """`_echelon` of the m*k vectors u^i * row, which span the rows' R-span."""
+    return _echelon(v for row in rows_bits for v in _multiples(row, m))
 
 
 def span(G: GeneratorMatrix, budget: int = DEFAULT_SPAN_BUDGET) -> LinearCode:
@@ -468,8 +475,8 @@ def span(G: GeneratorMatrix, budget: int = DEFAULT_SPAN_BUDGET) -> LinearCode:
     """
     m = G.m
     BudgetError.guard("span over R^k coefficient tuples", budget, shift=m * G.k)
-    basis = _row_space(m, ([x.bits for x in row] for row in G.rows)).values()
-    return LinearCode._from_basis(list(basis), G.layout, m)
+    basis = _row_space(m, ([x.bits for x in row] for row in G.rows))
+    return LinearCode._from_basis(basis.values(), G.layout, m)
 
 
 def code_size_from_profile(m: int, profile: Sequence[int]) -> int:
@@ -602,12 +609,15 @@ def generating_rows(C: LinearCode) -> GeneratorMatrix:
     a word joins when it is outside the span of those before it, tested by
     an incremental F2 rank.
 
-    Useful for re-dualizing a code that is only known by its codeword set.
+    A basis-backed code tries only its basis rows, in order: the words
+    before row j combine rows 0..j-1, so the first word outside a span is
+    a basis row.  Useful for re-dualizing a code only known by its words.
     """
-    m = C.m
+    m, N = C.m, C.layout.N
+    words = C._digits if C._basis is None else [_unpack(v, N, m) for v in C._basis]
     basis: dict[int, int] = {}
     gens: list[list[int]] = []
-    for word in C.digits:  # row by row: the loop usually stops early
+    for word in words:  # row by row: the loop usually stops early
         row = word.tolist()
         if not _reduce(_pack(row, m), basis):
             continue

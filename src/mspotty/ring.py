@@ -252,17 +252,6 @@ def satisfies_partition_axioms(m: int, A: frozenset[RingElement]) -> bool:
     return True
 
 
-def census(m: int) -> tuple[int, int]:
-    """(number of units, number of nonzero zero divisors), by exhaustion.
-
-    Equals (2^(m-1), 2^(m-1) - 1) for every m.
-    """
-    _check_m(m)
-    n_units = sum(1 for x in elements(m) if x.is_unit())
-    n_zd = (1 << m) - n_units - 1
-    return n_units, n_zd
-
-
 # --- element text grammar ---------------------------------------------------
 #
 # `0`, or `+`-separated monomials from {1, u, u2, ..., u15}; `u^k` is accepted

@@ -6,6 +6,7 @@ import pickle
 import random
 from concurrent.futures import Future
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -426,8 +427,9 @@ def test_dual_kernel_matches_scan_property(G):
 def _constraint_forms(G):
     """Reference: the m forms "coefficient s of <row, v>" of each row, as
     packed masks over the bits of v, built literally: bit e of coordinate i
-    enters form s when u^e * g_i has coefficient s."""
-    m = G.m
+    (packed bit m*(N-1-i) + e) enters form s when u^e * g_i has
+    coefficient s."""
+    m, N = G.m, G.layout.N
     forms = []
     for row in G.rows:
         for s in range(m):
@@ -435,7 +437,7 @@ def _constraint_forms(G):
             for i, g in enumerate(row):
                 for e in range(m):
                     if mul_bits(g.bits, 1 << e, m) >> s & 1:
-                        form |= 1 << (m * i + e)
+                        form |= 1 << (m * (N - 1 - i) + e)
             forms.append(form)
     return forms
 
@@ -473,7 +475,7 @@ def test_inner_product_bits_are_mirrored_dot_products(m, N, data):
     g, v = data.draw(word), data.draw(word)
     c = inner_product(*([RingElement(m, x) for x in w] for w in (g, v))).bits
     multiples = list(_multiples(g, m))
-    packed_v = sum(x << (m * i) for i, x in enumerate(v))
+    packed_v = sum(x << (m * (N - 1 - i)) for i, x in enumerate(v))
     for s in range(m):
         w = multiples[m - 1 - s]
         mirrored = sum(1 << _mirror(i, m) for i in range(m * N) if w >> i & 1)
@@ -590,6 +592,100 @@ def test_generating_rows_reproduces_code():
         assert H.rows == _generators(C).rows  # same greedy choice as the naive closure
 
 
+def _naive_dual(G):
+    """Independent route: every vector of R^N orthogonal to every row."""
+    m = G.m
+    return {
+        v
+        for v in itertools.product(range(1 << m), repeat=G.layout.N)
+        if all(
+            inner_product(row, [RingElement(m, x) for x in v]).is_zero()
+            for row in G.rows
+        )
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_matrices(max_bits=10, max_rows=3))
+def test_blocks_run_in_canonical_order(G):
+    """With blocks of 4 words most codes have several high basis rows.  The
+    blocks of the span and of the kernel, concatenated as they come, list
+    the naive closure and the naive dual in sorted order."""
+    m, N = G.m, G.layout.N
+    closure = {(0,) * N}
+    for row in G.rows:
+        closure = _add_row(closure, tuple(x.bits for x in row), m)
+    with mock.patch.object(code_module, "_BLOCK_BITS", 2):
+        for C, naive in ((span(G), closure), (dual(G), _naive_dual(G))):
+            words = np.concatenate(list(code_module._blocks(C)), axis=1).T
+            assert list(map(tuple, words.tolist())) == sorted(naive)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_matrices(max_bits=8, max_rows=3))
+def test_membership_equals_digit_row_lookup(G):
+    """Every word of R^N, in C or not, is in C exactly when it is a row of
+    the digit array: for the span, the kernel and a digits-backed copy."""
+    m, lay = G.m, G.layout
+    for C in (span(G), dual(G)):
+        rows = set(map(tuple, C.digits.tolist()))
+        copy = LinearCode._from_digits(C.digits, lay, m)
+        for bits in itertools.product(range(1 << m), repeat=lay.N):
+            w = Word.from_bits(bits, m, lay)
+            assert (w in C) == (w in copy) == (bits in rows)
+
+
+def test_basis_backed_code_answers_without_the_digit_array(monkeypatch):
+    """`generating_rows`, `w in C` and `_word_strings` read a span or
+    kernel code's basis and blocks; each answer equals the one read off a
+    digits-backed copy of the same code."""
+    G = load_matrix(DATA / "worked_example.txt")
+    want = []
+    for C in (span(G), dual(G)):
+        words = LinearCode._from_digits(C.digits, C.layout, C.m)
+        rows = sorted(map(tuple, C.digits.tolist()))
+        want.append((generating_rows(words).rows, rows, [str(w) for w in words]))
+
+    def refuse(C):
+        raise AssertionError("digit array built")
+
+    monkeypatch.setattr(code_module, "_materialize", refuse)
+    rng = random.Random(7)
+    m, lay = G.m, G.layout
+    for C, (gens, rows, strings) in zip((span(G), dual(G)), want):
+        assert generating_rows(C).rows == gens
+        assert code_module._word_strings(C) == strings
+        inside = set(rows)
+        for _ in range(200):
+            bits = rng.choice(rows)
+            outside = tuple(rng.randrange(1 << m) for _ in range(lay.N))
+            assert Word.from_bits(bits, m, lay) in C
+            assert (Word.from_bits(outside, m, lay) in C) == (outside in inside)
+
+
+def test_membership_memory_is_bounded_by_the_basis():
+    """`w in C` on a rank-20 code reduces the word against 20 basis rows:
+    the 2^20-row digit array alone would take 20 MB."""
+    tracemalloc = pytest.importorskip("tracemalloc")
+    lay = ByteLayout(b=4, t=2, n=5)
+    G = _random_matrix(random.Random(3), 2, 10, lay)
+    C = span(G)
+    assert len(C) == 1 << 20
+    inside = Word(G.rows[0], lay) + Word(G.rows[1], lay).scale(RingElement(2, 2))
+    outside = Word.from_bits([1] + [0] * (lay.N - 1), 2, lay)
+    kernel = [Word.from_bits(code_module._unpack(v, lay.N, 2).tolist(), 2, lay)
+              for v in dual(G, budget=1 << 40)._basis]
+    assert not all(inner_product(outside, d).is_zero() for d in kernel)
+    tracemalloc.start()
+    try:
+        found = [inside in C, outside in C]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == [True, False] and C._digits is None
+    assert peak < 1 << 20
+
+
 def test_linear_code_invariants():
     lay = ByteLayout(b=1, t=1, n=2)
     w0 = Word.from_bits([0, 0], 2, lay)
@@ -627,7 +723,6 @@ def test_generator_matrix_validation():
         GeneratorMatrix([(one(2), one(2))], lay, m=3)  # contradicting m
     G = GeneratorMatrix([(one(2), zero(2))], lay)
     assert G.m == 2 and G.k == 1
-    assert G.row_words()[0].bits() == (1, 0)
 
 
 def _round_trips(x):

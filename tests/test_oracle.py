@@ -761,7 +761,7 @@ def test_oracle_runs_without_the_fast_paths(monkeypatch):
 
     for name in ("span", "generating_rows", "distribution", "enumerator",
                  "_blocks", "_materialize", "_byte_weight_blocks",
-                 "_scan_chunk", "_times_table", "_fold"):
+                 "_scan_chunk", "_times_table", "_fold", "_echelon"):
         assert not hasattr(mspotty.oracle, name)
 
     def disabled(*args):
@@ -770,6 +770,7 @@ def test_oracle_runs_without_the_fast_paths(monkeypatch):
     monkeypatch.setattr(mspotty.code, "_blocks", disabled)
     monkeypatch.setattr(mspotty.code, "_materialize", disabled)
     monkeypatch.setattr(mspotty.code, "_reduce", disabled)
+    monkeypatch.setattr(mspotty.code, "_echelon", disabled)
     monkeypatch.setattr(mspotty.weight, "_byte_weight_blocks", disabled)
     reports = campaign(ms=(1, 2, 3), bs=(1, 2), samples=3)
     assert all(r.passed for r in reports)
