@@ -45,7 +45,7 @@ from .macwilliams import enumerator_from_distribution, kernel_table, transform
 from .oracle import campaign
 from .polynomial import Polynomial
 from .ring import MAX_M, _check_m
-from .weight import DistributionTable, distribution, enumerator
+from .weight import DistributionTable, _AlphaRows, _walk, _WeightHistogram
 
 _EXIT_PARSE = 2
 _EXIT_BUDGET = 3
@@ -208,10 +208,10 @@ def _render(fmt: str, command: str, sections: list[Section]) -> str:
 
 
 def _statistics(C: LinearCode) -> tuple[DistributionTable, Polynomial]:
-    """Distribution and enumerator of C, cross-checked: the direct
-    enumerator must equal the regrouped distribution."""
-    dist = distribution(C)
-    W = enumerator(C)
+    """Distribution and enumerator of C from one walk of its blocks,
+    cross-checked: the direct enumerator must equal the regrouped table."""
+    alphas, weights = _walk(C, _AlphaRows(C.layout), _WeightHistogram(C.layout))
+    dist, W = alphas.table(C.m), weights.enumerator()
     if enumerator_from_distribution(dist) != W:
         raise IntegrityError(
             "direct enumerator disagrees with the distribution regrouping"

@@ -215,14 +215,16 @@ def _digit_dtype(m: int) -> type:
     return np.uint8 if m <= 8 else np.uint16
 
 
-def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _group_rows(rows: np.ndarray, counts=None) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of a 2-D array in lexicographic order (column 0 most
-    significant), and how often each occurs."""
-    rows = rows[np.lexsort(rows.T[::-1])]
+    significant), and the sum of `counts` (1 per row by default) over each."""
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
     new = np.ones(len(rows), dtype=bool)
     new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     starts = np.flatnonzero(new)
-    return rows[starts], np.diff(np.append(starts, len(rows)))
+    counts = np.ones(len(rows), np.int64) if counts is None else counts[order]
+    return rows[starts], np.add.reduceat(counts, starts)
 
 
 def _canonical(digits: np.ndarray, m: int) -> np.ndarray:

@@ -343,7 +343,7 @@ def _support_sums(m: int, b: int, cs: np.ndarray) -> np.ndarray:
     The single brute-force engine of the per-byte checks: each identity is
     a regrouping of these buckets.  Every v in R^b is visited for every c
     and every term is evaluated literally, with no factorization and no
-    closed form: <c, v> is the XOR of its b per-coordinate `mul_bits`
+    closed form: <c, v> is the XOR of its b per-coordinate carry-less
     products, and chi is read once per v, as the top bit of that full XOR.
     numpy replaces the per-v loop, nothing else.
 
@@ -363,12 +363,9 @@ def _support_sums(m: int, b: int, cs: np.ndarray) -> np.ndarray:
     coordinate value; the result holds 2^b exact int64 totals per byte.
     """
     size = 1 << m
-    dtype = np.uint8 if m <= 8 else np.uint16
     elems, coords = np.unique(cs, return_inverse=True)
-    products = np.array(
-        [[mul_bits(a, r, m) for r in range(size)] for a in elems.tolist()],
-        dtype=dtype,
-    )
+    products = _products(elems, m)
+    dtype = products.dtype
     coords = coords.reshape(len(cs), b)
     bits = min(m * b, _BLOCK_PAIRS.bit_length() - 1)  # a run holds 2^bits v
     per = max(1, _BLOCK_PAIRS >> bits)  # bytes per block
@@ -422,6 +419,17 @@ def _support_sums(m: int, b: int, cs: np.ndarray) -> np.ndarray:
             neg = neg.reshape(nb, -1)
             sums[lo : lo + nb, fixed : fixed + (1 << low)] += total - 2 * neg
     return sums
+
+
+def _products(values: np.ndarray, m: int) -> np.ndarray:
+    """a*r for every a in `values` (rows) and r in R (columns): the XOR of
+    a << i over the set bits i of r, truncated at degree m."""
+    dtype = np.uint8 if m <= 8 else np.uint16
+    a, r = values.astype(dtype)[:, None], np.arange(1 << m, dtype=dtype)
+    out = np.zeros((len(values), 1 << m), dtype)
+    for i in range(m):
+        out ^= (a << i) * (r >> i & 1)
+    return out & (1 << m) - 1
 
 
 def _minus_ones(ip: np.ndarray, m: int) -> np.ndarray:

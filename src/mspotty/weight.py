@@ -5,15 +5,15 @@ so a word's weight is determined by its alpha vector: alpha_j counts the
 bytes having exactly j nonzero coordinates (0 <= j <= b).
 
 The word-level functions (`alpha_vector`, `m_spotty_weight`) work on one
-`Word`; the code-level statistics (`distribution`, `enumerator`,
-`minimum_distance`) are one block engine, `_byte_weight_blocks`: the
-code's words come in coordinate-major blocks (`code._blocks`, at most 2^14
-words each for a code built from a basis), and each block is reduced to
-its (n, B) byte Hamming weights and then to alpha-row counts or a weight
-histogram.  Memory is bounded by the block, not by |C|, and no
-statistic builds the code's digit array.  A `DistributionTable` stores
-its rows once, in the format `macwilliams.transform` folds as it is: a
-sorted read-only alpha matrix and a tuple of counts.
+`Word`.  The code-level statistics (`distribution`, `enumerator`,
+`minimum_distance`) walk the code's coordinate-major blocks once
+(`code._blocks`, at most 2^14 words each for a code built from a basis),
+reduce each block to its (n, B) byte Hamming weights and feed those to
+`_AlphaRows` (packed alpha keys), `_WeightHistogram` (small-integer
+ceil(h/t) sums) or both (`_walk`).  Memory is bounded by the block and the
+distinct rows, not by |C|, and no statistic builds the digit array.  A
+`DistributionTable` stores its rows once, in the format `transform` folds
+as it is: a sorted read-only alpha matrix and a tuple of counts.
 """
 
 from __future__ import annotations
@@ -163,69 +163,94 @@ def _refuse(counts: Mapping, n: int, width: int) -> NoReturn:
 def _byte_weight_blocks(C: LinearCode) -> Iterator[np.ndarray]:
     """Hamming weight of every byte of every codeword, block by block: an
     (n, B) array per block of B words, one column per word, summed over
-    each byte's b contiguous coordinate rows."""
+    each byte's b coordinate rows into a dtype that holds h + t - 1 < 2b."""
     lay = C.layout
-    dtype = np.min_scalar_type(lay.b)
+    dtype = np.min_scalar_type(2 * lay.b)
     for block in _blocks(C):
         yield (block != 0).reshape(lay.n, lay.b, -1).sum(axis=1, dtype=dtype)
 
 
-def _tally(table: dict, alphas: np.ndarray, counts: np.ndarray) -> None:
-    for alpha, count in zip(map(tuple, alphas.tolist()), counts.tolist()):
-        table[alpha] = table.get(alpha, 0) + count
+class _AlphaRows:
+    """Codewords per alpha row over the blocks given to `add` (see
+    `distribution`), regrouped after each block."""
+
+    def __init__(self, layout: ByteLayout):
+        self.layout, self.bits = layout, layout.n.bit_length()
+        width, self.count = self.bits * layout.b, np.min_scalar_type(layout.n)
+        self.key = np.uint32 if width <= 32 else np.uint64 if width <= 64 else None
+        self.rows = np.zeros((0, 1 if self.key else layout.n), self.key or np.uint8)
+        self.counts = np.zeros(0, np.int64)
+
+    def add(self, H: np.ndarray) -> None:
+        if self.key is None:
+            rows, counts = _group_rows(np.sort(H.T, axis=1))
+        else:
+            keys = np.zeros(H.shape[1], self.key)
+            for j in range(self.layout.b, 0, -1):  # alpha_j, summed as bytes
+                keys <<= self.bits
+                keys |= (H == j).view(np.uint8).sum(axis=0, dtype=self.count)
+            rows, counts = np.unique(keys, return_counts=True)
+            rows = rows[:, None]
+        rows = np.concatenate((self.rows, rows))
+        self.rows, self.counts = _group_rows(rows, np.concatenate((self.counts, counts)))
+
+    def table(self, m: int) -> DistributionTable:
+        rows, n, b = self.rows, self.layout.n, self.layout.b
+        if self.key is None:  # alpha_j counts the weights equal to j
+            alphas = np.stack([(rows == j).sum(axis=1) for j in range(b + 1)], 1)
+        else:
+            shifts = np.arange(b, dtype=self.key) * self.bits
+            rest = rows >> shifts & (1 << self.bits) - 1
+            alphas = np.column_stack((n - rest.sum(axis=1), rest))
+        counts = dict(zip(map(tuple, alphas.tolist()), self.counts.tolist()))
+        return DistributionTable(counts, self.layout, m)
+
+
+class _WeightHistogram:
+    """Codewords per m-spotty weight 0..n*ceil(b/t) over the blocks given to
+    `add`, each word's sum of ceil(h/t) taken in the narrowest dtype."""
+
+    def __init__(self, layout: ByteLayout):
+        top = layout.n * _ceil_div(layout.b, layout.t)
+        self.t, self.dtype = layout.t, np.min_scalar_type(top)
+        self.hist = np.zeros(top + 1, dtype=np.int64)
+
+    def add(self, H: np.ndarray) -> None:
+        weights = ((H + (self.t - 1)) // self.t).sum(axis=0, dtype=self.dtype)
+        self.hist += np.bincount(weights, minlength=len(self.hist))
+
+    def enumerator(self) -> Polynomial:
+        return Polynomial({e: c for e, c in enumerate(self.hist.tolist()) if c})
+
+
+def _walk(C: LinearCode, *tallies):
+    """Give every block of C's byte weights to each tally: one walk of C."""
+    for H in _byte_weight_blocks(C):
+        for tally in tallies:
+            tally.add(H)
+    return tallies
 
 
 def distribution(C: LinearCode) -> DistributionTable:
-    """Codewords per alpha vector.
-
-    A word's alpha vector is the histogram of its byte weights h_i, so its
-    key sum_i (n+1)^(h_i) = sum_j alpha_j (n+1)^j is alpha written in base
-    n+1 (every alpha_j <= n): words share an alpha row exactly when their
-    keys agree.  When (n+1)^(b+1) would overflow int64, a block is grouped
-    by its sorted byte weights instead, which agree exactly when the alpha
-    vectors do.
-    """
-    n, b = C.layout.n, C.layout.b
-    table: dict[tuple[int, ...], int] = {}
-    if (n + 1) ** (b + 1) <= 1 << 63:
-        powers = (n + 1) ** np.arange(b + 1, dtype=np.int64)
-        for H in _byte_weight_blocks(C):
-            keys, counts = np.unique(powers[H].sum(axis=0), return_counts=True)
-            _tally(table, keys[:, None] // powers % (n + 1), counts)
-    else:
-        for H in _byte_weight_blocks(C):
-            rows, counts = _group_rows(np.sort(H.T, axis=1))
-            # alpha_j of row r counts the entries equal to j: one bincount
-            # over the flat indices r*(b+1) + h
-            flat = (np.arange(len(rows))[:, None] * (b + 1) + rows).ravel()
-            alphas = np.bincount(flat, minlength=len(rows) * (b + 1))
-            _tally(table, alphas.reshape(len(rows), b + 1), counts)
-    return DistributionTable(table, C.layout, C.m)
-
-
-def _weight_histogram(C: LinearCode) -> np.ndarray:
-    """How many codewords have each m-spotty weight 0..n*ceil(b/t): a word's
-    weight is the sum over its bytes of ceil(h/t)."""
-    lay = C.layout
-    ceil = -(-np.arange(lay.b + 1) // lay.t)
-    hist = np.zeros(lay.n * int(ceil[-1]) + 1, dtype=np.int64)
-    for H in _byte_weight_blocks(C):
-        hist += np.bincount(ceil[H].sum(axis=0), minlength=len(hist))
-    return hist
+    """Codewords per alpha vector.  When b fields of bitlen(n) bits fit in
+    64, a word's row is a uint32 or uint64 key whose field j - 1 holds
+    alpha_j <= n (alpha_0 = n - the rest needs no field): words share a row
+    exactly when their keys agree.  Wider layouts group by sorted byte
+    weights, which agree exactly when the alpha rows do."""
+    return _walk(C, _AlphaRows(C.layout))[0].table(C.m)
 
 
 def enumerator(C: LinearCode) -> Polynomial:
     """W(z) = sum over codewords of z^weight, as a histogram of the
     per-word weights."""
-    hist = _weight_histogram(C)
-    return Polynomial({e: c for e, c in enumerate(hist.tolist()) if c})
+    return _walk(C, _WeightHistogram(C.layout))[0].enumerator()
 
 
 def minimum_distance(C: LinearCode) -> int:
     """Least weight among nonzero codewords (equals least pairwise
     distance, by linearity).  A word has weight 0 exactly when it is zero,
     so this is the least positive weight of the histogram."""
-    positive = np.flatnonzero(_weight_histogram(C)[1:])
+    positive = np.flatnonzero(_walk(C, _WeightHistogram(C.layout))[0].hist[1:])
     if not len(positive):
         raise ParameterError("the zero code has no minimum distance")
     return int(positive[0]) + 1

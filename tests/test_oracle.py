@@ -403,18 +403,46 @@ def test_support_sums_memory_is_bounded_by_the_block():
 
 def test_support_sums_negative_control(monkeypatch):
     """One wrong product in the engine's tables fails a per-byte check."""
-    real = oracle.mul_bits
+    real = oracle._products
 
-    def corrupt(a, r, m):
-        out = real(a, r, m)
+    def corrupt(values, m):
+        out = real(values, m)
         # u * u = 0 in F2[u]/(u^2), returned as u: chi flips on every v
         # with v_i = u where c_i = u
-        return out ^ (1 << (m - 1)) if (m, a, r) == (2, 2, 2) else out
+        if m == 2:
+            out[values == 2, 2] ^= 1 << (m - 1)
+        return out
 
-    monkeypatch.setattr(oracle, "mul_bits", corrupt)
-    reports = campaign(ms=(2,), bs=(1, 2), samples=3)
+    monkeypatch.setattr(oracle, "_products", corrupt)
+    reports = []
+    for b in (1, 2):  # every byte of R^b, as the campaign's m = 2 cells take them
+        every = np.array(list(itertools.product(range(4), repeat=b)))
+        reports += oracle._cell_reports(2, b, every, True)
     bad = {r.lemma for r in reports if not r.passed}
     assert bad & {"3.3", "3.4", "c3.1", "3.5", "c3.2", "3.6"}, bad
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_product_table_is_mul_bits_exhaustive(m):
+    """The engine's product table is the ring's multiplication: every
+    pair at m <= 8, where the table is uint8."""
+    table = oracle._products(np.arange(1 << m), m)
+    assert table.dtype == np.uint8
+    assert table.tolist() == [
+        [mul_bits(a, r, m) for r in range(1 << m)] for a in range(1 << m)
+    ]
+
+
+@pytest.mark.parametrize("m", [12, 16])
+def test_product_table_is_mul_bits_sampled(m):
+    """uint16 tables: every r for a few a, including the top element."""
+    rng = random.Random(m)
+    values = [0, 1, 2, (1 << m) - 1, 1 << (m - 1)]
+    values += [rng.randrange(1 << m) for _ in range(4)]
+    table = oracle._products(np.array(values), m)
+    assert table.dtype == np.uint16
+    for a, row in zip(values, table.tolist()):
+        assert row == [mul_bits(a, r, m) for r in range(1 << m)]
 
 
 def _bucket_kind(I, smask):

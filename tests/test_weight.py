@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mspotty import cli
 from mspotty import code as code_module
+from mspotty import weight as weight_module
 from mspotty.code import (
     ByteLayout,
     GeneratorMatrix,
@@ -394,11 +396,10 @@ def test_streamed_statistics_match_independent_routes_property(G, block_bits):
 
 @pytest.mark.parametrize("n,b", [(1, 62), (1, 63), (2, 200)])
 def test_streamed_statistics_at_the_key_overflow(n, b):
-    """The alpha key is a base-(n+1) numeral below (n+1)^(b+1): n = 1,
-    b = 62 is the widest such layout that keys in int64; b = 63 and
-    n = 2, b = 200 group sorted byte weights instead.  Each is checked word
-    by word, on a basis-backed code of several blocks, against
-    `alpha_vector` and `m_spotty_weight`."""
+    """Wide bytes: n = 1, b = 62 and 63 key alpha rows in uint64, and
+    n = 2, b = 200 groups sorted byte weights.  Each is checked word by
+    word, on a basis-backed code of several blocks, against `alpha_vector`
+    and `m_spotty_weight`."""
     rng = random.Random(b)
     lay = ByteLayout(b=b, t=1 + b // 3, n=n)
     N = lay.N
@@ -417,3 +418,59 @@ def test_streamed_statistics_at_the_key_overflow(n, b):
     assert dist == DistributionTable(counts, lay, 2)
     assert W == Polynomial(weights)
     assert d == min(m_spotty_weight(w) for w in C if any(x.bits for x in w))
+
+
+def _word_level(C):
+    counts, weights = {}, {}
+    for w in C:
+        a, e = alpha_vector(w), m_spotty_weight(w)
+        counts[a] = counts.get(a, 0) + 1
+        weights[e] = weights.get(e, 0) + 1
+    return DistributionTable(counts, C.layout, C.m), Polynomial(weights)
+
+
+# (n, b): bitlen(n) * b at 32 | 33 (uint32 | uint64 keys), 64 | 65 (uint64
+# keys | sorted byte weights), and n = 256, where a word's count of bytes
+# of one weight no longer fits a byte
+@pytest.mark.parametrize(
+    "n,b",
+    [(1, 32), (1, 33), (1, 64), (1, 65), (3, 32), (3, 33), (15, 16),
+     (16, 13), (31, 13), (256, 1), (256, 2)],
+)
+def test_statistics_at_the_key_width(n, b):
+    """On each side of the packed key's width, the tables and W of a
+    basis-backed code of several blocks equal the word-level tally.  A row
+    of units puts every byte at weight b, so some alpha_b = n fills its
+    field, and the zero word has alpha_0 = n."""
+    rng = random.Random(1000 * n + b)
+    lay = ByteLayout(b=b, t=1 + b // 4, n=n)
+    N = lay.N
+    rows = [[RingElement(2, rng.choice((0, 0, 1, 2, 3))) for _ in range(N)]
+            for _ in range(3)]
+    rows.append([RingElement(2, 1)] * N)
+    with mock.patch.object(code_module, "_BLOCK_BITS", 3):
+        C = span(GeneratorMatrix(rows, lay, m=2))
+        dist, W = cli._statistics(C)
+    assert len(C) > 1 << 3
+    assert (dist, W) == _word_level(C)
+    assert dist.count((0,) * b + (n,)) >= 1 and dist.count((n,) + (0,) * b) == 1
+
+
+def test_statistics_walk_the_blocks_once(monkeypatch):
+    """`cli._statistics` reads every block once for both tallies; each
+    standalone statistic reads them once for its own."""
+    calls = []
+    real = weight_module._blocks
+
+    def counting(C):
+        calls.append(C)
+        return real(C)
+
+    monkeypatch.setattr(weight_module, "_blocks", counting)
+    with mock.patch.object(code_module, "_BLOCK_BITS", 2):
+        C = span(load_matrix(DATA / "worked_example.txt"))
+        dist, W = cli._statistics(C)
+        assert len(calls) == 1
+        assert (distribution(C), enumerator(C)) == (dist, W) == _word_level(C)
+        minimum_distance(C)
+    assert calls == [C] * 4
