@@ -4,7 +4,8 @@ Subcommands: enumerate, tables, transform, dual, verify, info.  Output is
 deterministic: no timestamps, sorted JSON keys, fixed iteration orders, and
 a worker count that can only change wall time, never bytes.  Every command
 builds an ordered list of typed `Section`s, and `_render` alone prints that
-list as text, JSON or CSV.
+list as text, JSON or CSV.  A codeword listing is rendered and written one
+block at a time, so its memory does not grow with the size of the code.
 
 Exit codes: 0 success, 2 parse/parameter error, 3 budget exceeded,
 4 integrity failure (inexact division or internal cross-check), 5
@@ -20,6 +21,8 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable, Iterator
 
 from . import __version__
 from .code import (
@@ -94,9 +97,10 @@ class Section:
     kind is one of: layout (m, b, t, n, N), params (the `tables` header),
     header (scalars printed in JSON only: `verify`'s grid, samples, seed,
     pass), fields (`info`'s key/value strings; key is the CSV section),
-    size, dist, poly, kernel (key is j), codewords (a list of `str(Word)`
-    strings), reports (a list of `LemmaReport`s), note.  key names the JSON
-    key or CSV section, label the text form.
+    size, dist, poly, kernel (key is j), codewords (blocks of `str(Word)`
+    strings, as `_word_strings` yields them; at most one per report),
+    reports (a list of `LemmaReport`s), note.  key names the JSON key or
+    CSV section, label the text form.
     """
 
     kind: str
@@ -110,11 +114,51 @@ def _layout(G: GeneratorMatrix) -> Section:
     return Section("layout", {"m": G.m, "b": lay.b, "t": lay.t, "n": lay.n, "N": lay.N})
 
 
-def _render(fmt: str, command: str, sections: list[Section]) -> str:
-    """Print sections in order.  In CSV every scalar becomes a leading
-    `meta` row, and reports replace the `section,key,value` header with
-    their own; in JSON kernels collect under `kernels`.  Reports end with
-    the reading note in text and carry it as the `notes` list in JSON."""
+# Where the codeword listing goes in the rendered report; no report prints it.
+_LISTING = "<codewords>"
+
+
+def _render(fmt: str, command: str, sections: list[Section]) -> Iterable[str]:
+    """Print sections in order, as chunks whose concatenation is the
+    report.  Without a codewords section that is one chunk.  With one,
+    `_render_frame` prints the rest once, with `_LISTING` in the list's
+    place, and the chunks are the text before it, one per block of the
+    list (`_listing`), and the text after it."""
+    words = next((s.value for s in sections if s.kind == "codewords"), None)
+    body = _render_frame(fmt, command, sections)
+    if words is None:
+        return [body]
+    head, tail = body.split(json.dumps(_LISTING) if fmt == "json" else _LISTING + "\n")
+    return chain([head], _listing(fmt, words), [tail])
+
+
+def _listing(fmt: str, blocks: Iterable[list[str]]) -> Iterator[str]:
+    """The codeword list, one chunk per block, in the bytes that rendering
+    the whole list at once (one indent-2 `json.dumps`, csv writer or join)
+    gives."""
+    index = 0
+    for block in blocks:
+        if fmt == "json":  # indent 4 at depth 1 is indent 2 at depth 2
+            yield ("[\n" if index == 0 else ",\n") + json.dumps(block, indent=4)[2:-2]
+        elif fmt == "csv":
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(
+                ["codeword", str(i), w] for i, w in enumerate(block, index)
+            )
+            yield buf.getvalue()
+        else:
+            yield "  " + "\n  ".join(block) + "\n"
+        index += len(block)
+    if fmt == "json":
+        yield "\n  ]"
+
+
+def _render_frame(fmt: str, command: str, sections: list[Section]) -> str:
+    """The report, with `_LISTING` in place of any codeword list.  In CSV
+    every scalar becomes a leading `meta` row, and reports replace the
+    `section,key,value` header with their own; in JSON kernels collect
+    under `kernels`.  Reports end with the reading note in text and carry
+    it as the `notes` list in JSON."""
     if fmt == "json":
         obj: dict = {"command": command}
         for s in sections:
@@ -133,7 +177,7 @@ def _render(fmt: str, command: str, sections: list[Section]) -> str:
                     {"j": s.key, "terms": s.value.to_json_terms()}
                 )
             elif s.kind == "codewords":
-                obj["codewords"] = s.value
+                obj["codewords"] = _LISTING
             elif s.kind == "reports":
                 obj["reports"] = [r.to_json() for r in s.value]
                 obj["notes"] = [_READING_NOTE]
@@ -158,7 +202,7 @@ def _render(fmt: str, command: str, sections: list[Section]) -> str:
                 section = s.key if s.kind == "poly" else f"F_{s.key}"
                 rows += [[section, f"z^{e}", str(c)] for e, c in s.value.terms()]
             elif s.kind == "codewords":
-                rows += [["codeword", str(i), w] for i, w in enumerate(s.value)]
+                rows.append([_LISTING])
             elif s.kind == "fields":
                 rows += [[s.key, k, v] for k, v in s.value.items()]
             elif s.kind == "reports":
@@ -186,8 +230,7 @@ def _render(fmt: str, command: str, sections: list[Section]) -> str:
         elif s.kind == "kernel":
             lines.append(f"F_{s.key}(z) = {s.value}")
         elif s.kind == "codewords":
-            lines.append("codewords:")
-            lines += [f"  {w}" for w in s.value]
+            lines += ["codewords:", _LISTING]
         elif s.kind == "fields":
             width = max(map(len, s.value))
             lines += [f"{k:<{width}}  {v}" for k, v in s.value.items()]
@@ -425,9 +468,9 @@ def main(argv=None) -> int:
         body, code = _DISPATCH[args.command](args)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(body)
+                fh.writelines(body)
         else:
-            sys.stdout.write(body)
+            sys.stdout.writelines(body)
         return code
     except (MSpottyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

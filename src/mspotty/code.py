@@ -16,15 +16,17 @@ product of v with u^(m-1-s)*g with each coordinate's bits mirrored, so
 the dual is the bit-mirrored binary dual of that basis.  A code keeps
 its basis fully reduced: `w in C` and `generating_rows` read it, and its
 words come in canonical order in blocks of at most 2^14 (`_blocks`),
-which the statistics in `weight`, the codeword listing and the digit
-array read.  The exhaustive scan of R^N, on parallel workers merged in
-chunk order, is the independent referee; its words are sorted.
+which the statistics in `weight`, the codeword listing (one block of
+strings at a time) and the digit array read.  The exhaustive scan of
+R^N, on parallel workers merged in chunk order, is the independent
+referee; its words are sorted.  The process pool is imported only when a
+scan starts more than one process, so importing the package loads
+neither `concurrent.futures` nor `multiprocessing`.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
@@ -375,19 +377,18 @@ def _materialize(C: LinearCode) -> np.ndarray:
     return digits
 
 
-def _word_strings(C: LinearCode) -> list[str]:
-    """`str(w)` of every codeword in canonical order, assembled block by
-    block, column by column, from one string per ring element and
-    separator, so neither a `Word` nor the digit array is built."""
+def _word_strings(C: LinearCode) -> Iterator[list[str]]:
+    """`str(w)` of every codeword in canonical order, one list per block of
+    `_blocks`, assembled column by column from one string per ring element
+    and separator, so neither a `Word` nor the digit array is built and
+    only one block's strings are held at a time."""
     names = [str(RingElement(C.m, x)) for x in range(1 << C.m)]
     tables = [np.array([x + s for x in names], object) for s in _separators(C.layout)]
-    strings: list[str] = []
     for block in _blocks(C):
         lines = np.full(block.shape[1], "", dtype=object)
         for column, table in zip(block, tables):
             lines = lines + table[column]
-        strings += lines.tolist()
-    return strings
+        yield lines.tolist()
 
 
 def inner_product(x: Sequence[RingElement], y: Sequence[RingElement]) -> RingElement:
@@ -550,7 +551,9 @@ def _scan_dual(
     procs = min(workers, len(chunks), os.cpu_count() or 1)
     if procs == 1:
         hits = [_scan_chunk(lo, hi, m, N, rows_bits) for lo, hi in chunks]
-    else:
+    else:  # imported here, so that no other path loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=procs) as pool:
             futures = [
                 pool.submit(_scan_chunk, lo, hi, m, N, rows_bits)

@@ -535,7 +535,9 @@ def poisson_check(C: LinearCode) -> LemmaReport:
     """Summation identity: the dual's enumerator equals the average over C
     of the per-word transforms, each a product of per-byte scans.  The
     distinct bytes of C are scanned together, in one engine call.  Both
-    scans, of R^N and of R^b, are capped at `DEFAULT_SPACE_BUDGET`."""
+    scans, of R^N and of R^b, are capped at `DEFAULT_SPACE_BUDGET`.  A sum
+    over C that |C| does not divide (a wrong engine) fails the report,
+    which names the remainder, instead of raising."""
     t, b = C.layout.t, C.layout.b
     scanned = dual_enumerator_bruteforce(_generators(C))
     distinct, which = np.unique(C.digits.reshape(-1, b), axis=0, return_inverse=True)
@@ -547,20 +549,13 @@ def poisson_check(C: LinearCode) -> LemmaReport:
         for k in word:
             prod = prod * transforms[k]
         acc = acc + prod
+    params = {"m": C.m, "n": C.layout.n, "b": C.layout.b, "t": t, "code_size": len(C)}
+    remainder = Polynomial({e: c % len(C) for e, c in acc.terms()})
+    if remainder:  # a wrong engine: report it, as the other checks do
+        actual = f"sum over C leaves remainder {remainder} mod {len(C)}"
+        return LemmaReport("3.7", params, str(scanned), actual, False)
     averaged = acc.exact_div(len(C))
-    return LemmaReport(
-        lemma="3.7",
-        params={
-            "m": C.m,
-            "n": C.layout.n,
-            "b": C.layout.b,
-            "t": t,
-            "code_size": len(C),
-        },
-        expected=str(averaged),
-        actual=str(scanned),
-        passed=averaged == scanned,
-    )
+    return LemmaReport("3.7", params, str(averaged), str(scanned), averaged == scanned)
 
 
 def _at(m: int, c: np.ndarray) -> str:

@@ -6,7 +6,7 @@ coefficient are never stored, making equality plain term-map equality.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import IntegrityError, ParameterError
 

@@ -1,6 +1,27 @@
-"""Collects acceptance-criterion results and echoes them after the run."""
+"""Collects acceptance-criterion results and echoes them after the run,
+and holds the fixtures that more than one test module uses."""
+
+import pytest
+
+from mspotty import oracle
 
 ACCEPTANCE_LINES = []
+
+
+@pytest.fixture
+def wrong_engine(monkeypatch):
+    """The oracle's per-byte engine with one wrong product: u * u = 0 in
+    F2[u]/(u^2) comes back as u, so chi flips on every v with v_i = u where
+    c_i = u."""
+    real = oracle._products
+
+    def corrupt(values, m):
+        out = real(values, m)
+        if m == 2:
+            out[values == 2, 2] ^= 1 << (m - 1)
+        return out
+
+    monkeypatch.setattr(oracle, "_products", corrupt)
 
 
 def record(line: str) -> None:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import mspotty
 from mspotty import cli
 from mspotty import code as code_module
 from mspotty.code import ByteLayout, GeneratorMatrix, dual, load_matrix
@@ -176,6 +178,16 @@ def test_verify_inject_fault_exits_5(capsys):
     )
     assert code == 5
     assert "FAIL" in out
+
+
+def test_verify_reports_a_wrong_engine(capsys, wrong_engine):
+    """A wrong engine makes the Poisson sum inexact: verify prints every
+    report, check 3.7 among the failures, and exits 5, not 4."""
+    code, out, err = run_cli(
+        capsys, "verify", "--grid-m", "2", "--grid-b", "1,2", "--samples", "3"
+    )
+    assert code == 5 and err == ""
+    assert "FAIL 3.7" in out and "campaign: 17 checks" in out
 
 
 def test_verify_csv(capsys):
@@ -475,6 +487,81 @@ def test_dual_codewords_match_word_strings(capsys, fmt):
         got = [line[2:] for line in lines[start:]]
         assert all(line.startswith("  ") for line in lines[start:])
     assert got == want
+
+
+def run_child(script, *argv):
+    """`python -c script argv...` on this checkout's package."""
+    src = str(Path(mspotty.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, env=env
+    )
+
+
+# Runs every command on the matrix argv[1] in every format, then prints
+# the loaded modules of the process pool's packages.
+POOL_MODULES = """
+import contextlib, io, sys
+from mspotty import cli
+for argv in (["enumerate", sys.argv[1]], ["transform", sys.argv[1]],
+             ["dual", sys.argv[1], "--codewords", "--workers", "4"],
+             ["tables", "4", "3", "2"], ["info"],
+             ["verify", "--grid-m", "1,2", "--grid-b", "1", "--samples", "3"]):
+    for fmt in ("text", "json", "csv"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([*argv, "--format", fmt]) == 0, argv
+print(sorted(m for m in sys.modules
+             if m.partition(".")[0] in ("concurrent", "multiprocessing")))
+"""
+
+
+def test_commands_do_not_load_the_process_pool():
+    """Only a scan that starts more than one process imports the pool: no
+    command, in any format, loads concurrent.futures or multiprocessing."""
+    proc = run_child(POOL_MODULES, EXAMPLE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"[]\n"
+
+
+# Runs main on argv, then prints the process's peak RSS in KiB to stderr:
+# VmHWM, since ru_maxrss after exec can keep the forking process's peak.
+PEAK_RSS = """
+import sys
+from mspotty import cli
+code = cli.main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(ln.split()[1] for ln in fh if ln.startswith("VmHWM:")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_codeword_listing_is_written_block_by_block(tmp_path, fmt):
+    """`dual --codewords` on 2^18 words (10-14 MB of output) peaks within
+    20 MB of `dual` alone, since only one block's strings are held at a
+    time; --out gets the bytes that stdout gets."""
+    matrix = tmp_path / "zero.txt"
+    matrix.write_text("m=1 b=18 t=1\n" + " ".join(["0"] * 18) + "\n")
+    out = tmp_path / "out"
+    argv = ["dual", str(matrix), "--format", fmt]
+    listed, alone, saved = (
+        run_child(PEAK_RSS, *argv, *extra)
+        for extra in (["--codewords"], [], ["--codewords", "--out", str(out)])
+    )
+    assert listed.returncode == alone.returncode == saved.returncode == 0
+    rise_kib = int(listed.stderr) - int(alone.stderr)
+    assert rise_kib < 20 << 10, (listed.stderr, alone.stderr)
+    assert saved.stdout == b"" and out.read_bytes() == listed.stdout
+    if fmt == "json":
+        words = json.loads(listed.stdout)["codewords"]
+    elif fmt == "csv":
+        words = [r for r in csv.reader(io.StringIO(listed.stdout.decode()))
+                 if r[0] == "codeword"]
+    else:
+        words = listed.stdout.split(b"codewords:\n")[1].splitlines()
+    assert len(words) == 1 << 18
 
 
 # Exact stdout bytes and exit codes, pinned in tests/data/golden/ as

@@ -1,10 +1,10 @@
 """Words, matrix parsing, span, and the dual (kernel and scan)."""
 
+import concurrent.futures
 import copy
 import itertools
 import pickle
 import random
-from concurrent.futures import Future
 from pathlib import Path
 from unittest import mock
 
@@ -545,7 +545,8 @@ def test_code_from_packed_matches_public_constructor():
 
 def test_dual_scan_clamps_process_count(monkeypatch):
     """The pool gets at most min(workers, chunks, cpus) processes; a fake
-    executor records the request and runs the chunks in-process."""
+    executor, patched where the scan imports it from on first use, records
+    the request and runs the chunks in-process."""
     requested = []
 
     class RecordingPool:
@@ -559,11 +560,11 @@ def test_dual_scan_clamps_process_count(monkeypatch):
             return False
 
         def submit(self, fn, *args):
-            future = Future()
+            future = concurrent.futures.Future()
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(code_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(code_module.os, "cpu_count", lambda: 3)
     lay = ByteLayout(b=2, t=1, n=2)  # m = 2: 256 vectors
     G = _random_matrix(random.Random(97), 2, 1, lay)
@@ -654,7 +655,9 @@ def test_basis_backed_code_answers_without_the_digit_array(monkeypatch):
     m, lay = G.m, G.layout
     for C, (gens, rows, strings) in zip((span(G), dual(G)), want):
         assert generating_rows(C).rows == gens
-        assert code_module._word_strings(C) == strings
+        blocks = list(code_module._word_strings(C))  # the dual is two blocks
+        assert [len(block) for block in blocks] == [min(len(C), 1 << 14)] * len(blocks)
+        assert [w for block in blocks for w in block] == strings
         inside = set(rows)
         for _ in range(200):
             bits = rng.choice(rows)
@@ -708,7 +711,8 @@ def test_linear_code_invariants():
 def test_word_strings_match_str_of_each_word(m, b, n):
     lay = ByteLayout(b=b, t=1, n=n)
     C = dual(_random_matrix(random.Random(100 * m + b), m, 1, lay))
-    assert code_module._word_strings(C) == [str(w) for w in C]
+    blocks = code_module._word_strings(C)
+    assert [w for block in blocks for w in block] == [str(w) for w in C]
 
 
 def test_generator_matrix_validation():

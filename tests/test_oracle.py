@@ -401,19 +401,8 @@ def test_support_sums_memory_is_bounded_by_the_block():
     assert peak < 4 << 20
 
 
-def test_support_sums_negative_control(monkeypatch):
+def test_support_sums_negative_control(wrong_engine):
     """One wrong product in the engine's tables fails a per-byte check."""
-    real = oracle._products
-
-    def corrupt(values, m):
-        out = real(values, m)
-        # u * u = 0 in F2[u]/(u^2), returned as u: chi flips on every v
-        # with v_i = u where c_i = u
-        if m == 2:
-            out[values == 2, 2] ^= 1 << (m - 1)
-        return out
-
-    monkeypatch.setattr(oracle, "_products", corrupt)
     reports = []
     for b in (1, 2):  # every byte of R^b, as the campaign's m = 2 cells take them
         every = np.array(list(itertools.product(range(4), repeat=b)))
@@ -862,6 +851,18 @@ def test_campaign_fault_injection():
     assert len(bad) == 1
     assert bad[0].lemma == "3.1"
     assert "mismatch" in bad[0].actual
+
+
+def test_campaign_reports_a_wrong_engine(wrong_engine):
+    """With one wrong product in the engine, the Poisson sum over C is not
+    divisible by |C|: check 3.7 fails with the remainder named, and the
+    campaign returns every report instead of raising."""
+    reports = campaign(ms=(2,), bs=(1, 2), samples=3)
+    bad = {r.lemma: r for r in reports if not r.passed}
+    assert "3.7" in bad and bad.keys() & {"3.3", "3.4", "c3.1", "3.5", "c3.2", "3.6"}
+    assert "remainder" in bad["3.7"].actual and " mod 4" in bad["3.7"].actual
+    assert bad["3.7"].expected == "1 + z + 2z^2"  # the scan, as when it passes
+    assert reports[-1] is bad["3.7"]  # the last check of the grid ran
 
 
 def test_campaign_rejects_bad_samples():
