@@ -140,12 +140,8 @@ def _listing(fmt: str, blocks: Iterable[list[str]]) -> Iterator[str]:
     for block in blocks:
         if fmt == "json":  # indent 4 at depth 1 is indent 2 at depth 2
             yield ("[\n" if index == 0 else ",\n") + json.dumps(block, indent=4)[2:-2]
-        elif fmt == "csv":
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerows(
-                ["codeword", str(i), w] for i, w in enumerate(block, index)
-            )
-            yield buf.getvalue()
+        elif fmt == "csv":  # digits, u, +, spaces and |: nothing csv quotes
+            yield "".join(f"codeword,{i},{w}\n" for i, w in enumerate(block, index))
         else:
             yield "  " + "\n  ".join(block) + "\n"
         index += len(block)

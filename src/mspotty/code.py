@@ -1,11 +1,11 @@
 """Words over F2[u]/(u^m), byte layouts, generator matrices, codes and duals.
 
 A word of length N = n*b splits into n bytes of b coordinates each; byte i
-is coords[i*b : (i+1)*b].  A `LinearCode`'s words are read as one array of
+is coords[i*b : (i+1)*b].  A `LinearCode`'s words are read as an array of
 shape (|C|, N), one digit (coefficient mask) per coordinate, with unique
 rows in canonical order (coordinate 0 most significant, the order
-`Word.__lt__` gives).  `Word` objects are built only when a caller asks
-for them.
+`Word.__lt__` gives).  `for w in C` builds `Word` objects one block at a
+time; only `codewords` keeps them all.
 
 R = F2[u]/(u^m) is an F2-algebra, so both sides are F2-linear.  A vector
 packs into an integer with coordinate 0 most significant, so integer
@@ -17,11 +17,11 @@ the dual is the bit-mirrored binary dual of that basis.  A code keeps
 its basis fully reduced: `w in C` and `generating_rows` read it, and its
 words come in canonical order in blocks of at most 2^14 (`_blocks`),
 which the statistics in `weight`, the codeword listing (one block of
-strings at a time) and the digit array read.  The exhaustive scan of
-R^N, on parallel workers merged in chunk order, is the independent
-referee; its words are sorted.  The process pool is imported only when a
-scan starts more than one process, so importing the package loads
-neither `concurrent.futures` nor `multiprocessing`.
+strings at a time), iteration and the digit array read.  The exhaustive
+scan of R^N, on parallel workers merged in chunk order, is the
+independent referee; its words are sorted.  The process pool is imported
+only when a scan starts more than one process, so importing the package
+loads neither `concurrent.futures` nor `multiprocessing`.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ DEFAULT_SPAN_BUDGET = 1 << 24
 DEFAULT_SPACE_BUDGET = 1 << 28
 
 _SCAN_CHUNK = 1 << 20
-#: A basis-backed code is enumerated in blocks of at most 2^_BLOCK_BITS words.
+#: A basis-backed code is enumerated, and any code iterated, in blocks of at
+#: most 2^_BLOCK_BITS words.
 _BLOCK_BITS = 14
 
 
@@ -244,7 +245,8 @@ class LinearCode:
     on first use.  A code built by `span` or `dual(method="kernel")` holds
     its fully reduced packed F2 basis instead (rank r, |C| = 2^r) and
     builds `digits` on first read; `_blocks` enumerates either kind in
-    canonical order in bounded blocks.
+    canonical order in bounded blocks.  Iteration streams the words in
+    the same order, one block at a time, unless `codewords` is cached.
     """
 
     __slots__ = ("m", "layout", "_basis", "_digits", "_words")
@@ -310,13 +312,7 @@ class LinearCode:
     @property
     def codewords(self) -> tuple[Word, ...]:
         if self._words is None:  # built on first use
-            m, layout = self.m, self.layout
-            elems = {x: RingElement(m, x) for x in np.unique(self.digits).tolist()}
-            words = tuple(
-                Word._trusted(tuple(elems[x] for x in row), layout, m)
-                for row in self.digits.tolist()
-            )
-            object.__setattr__(self, "_words", words)
+            object.__setattr__(self, "_words", tuple(self._stream()))
         return self._words
 
     def __len__(self) -> int:
@@ -325,7 +321,25 @@ class LinearCode:
         return len(self._digits)
 
     def __iter__(self) -> Iterator[Word]:
-        return iter(self.codewords)
+        return self._stream() if self._words is None else iter(self._words)
+
+    def _stream(self) -> Iterator[Word]:
+        """The codewords in canonical order, built one block of at most
+        2^14 rows at a time, each ring element once per digit value: a
+        basis-backed code reads `_blocks`, a word set slices `_digits`."""
+        m, layout = self.m, self.layout
+        elems, seen = {}, np.zeros(1 << m, bool)
+        if self._basis is None:
+            step, digits = 1 << _BLOCK_BITS, self._digits
+            blocks = (digits[i : i + step] for i in range(0, len(digits), step))
+        else:
+            blocks = (block.T for block in _blocks(self))
+        for block in blocks:
+            seen[block] = True  # the digit values so far, with no index copy
+            new = np.flatnonzero(seen).tolist()
+            elems.update((x, RingElement(m, x)) for x in new if x not in elems)
+            for row in block.tolist():
+                yield Word._trusted(tuple(map(elems.__getitem__, row)), layout, m)
 
     def __contains__(self, w: Word) -> bool:
         if not isinstance(w, Word) or w.layout != self.layout or w.m != self.m:

@@ -100,11 +100,28 @@ class DistributionTable:
             or min(values) < 1
         ):
             _refuse(counts, n, width)
+        self._set(alphas, tuple(values), layout, m)
+
+    def _set(
+        self, alphas: np.ndarray, counts: tuple[int, ...], layout: ByteLayout, m: int
+    ) -> None:
         alphas.flags.writeable = False
         object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "counts", tuple(values))
+        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "m", m)
+
+    @classmethod
+    def _trusted(
+        cls, alphas: np.ndarray, counts: np.ndarray, layout: ByteLayout, m: int
+    ) -> "DistributionTable":
+        """The table of distinct valid alpha rows and their positive counts,
+        in any order: put in lex order by one lexsort, not checked."""
+        order = np.lexsort(alphas.T[::-1])
+        T = object.__new__(cls)
+        alphas = alphas[order].astype(np.min_scalar_type(layout.n))
+        T._set(alphas, tuple(counts[order].tolist()), layout, m)
+        return T
 
     def __setattr__(self, name, value):
         raise AttributeError("DistributionTable is immutable")
@@ -202,8 +219,7 @@ class _AlphaRows:
             shifts = np.arange(b, dtype=self.key) * self.bits
             rest = rows >> shifts & (1 << self.bits) - 1
             alphas = np.column_stack((n - rest.sum(axis=1), rest))
-        counts = dict(zip(map(tuple, alphas.tolist()), self.counts.tolist()))
-        return DistributionTable(counts, self.layout, m)
+        return DistributionTable._trusted(alphas, self.counts, self.layout, m)
 
 
 class _WeightHistogram:

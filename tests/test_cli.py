@@ -500,7 +500,7 @@ def run_child(script, *argv):
 
 
 # Runs every command on the matrix argv[1] in every format, then prints
-# the loaded modules of the process pool's packages.
+# the loaded modules of the process pool's packages and of numpy.ma.
 POOL_MODULES = """
 import contextlib, io, sys
 from mspotty import cli
@@ -512,13 +512,16 @@ for argv in (["enumerate", sys.argv[1]], ["transform", sys.argv[1]],
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main([*argv, "--format", fmt]) == 0, argv
 print(sorted(m for m in sys.modules
-             if m.partition(".")[0] in ("concurrent", "multiprocessing")))
+             if m.partition(".")[0] in ("concurrent", "multiprocessing")
+             or m == "numpy.ma" or m.startswith("numpy.ma.")))
 """
 
 
 def test_commands_do_not_load_the_process_pool():
     """Only a scan that starts more than one process imports the pool: no
-    command, in any format, loads concurrent.futures or multiprocessing."""
+    command, in any format, loads concurrent.futures or multiprocessing.
+    Nor does any load numpy.ma, which `np.unique` without return flags
+    imports."""
     proc = run_child(POOL_MODULES, EXAMPLE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == b"[]\n"
@@ -541,7 +544,8 @@ sys.exit(code)
 def test_codeword_listing_is_written_block_by_block(tmp_path, fmt):
     """`dual --codewords` on 2^18 words (10-14 MB of output) peaks within
     20 MB of `dual` alone, since only one block's strings are held at a
-    time; --out gets the bytes that stdout gets."""
+    time; --out gets the bytes that stdout gets.  The csv rows, read back
+    with csv.reader, hold the text listing's words in order."""
     matrix = tmp_path / "zero.txt"
     matrix.write_text("m=1 b=18 t=1\n" + " ".join(["0"] * 18) + "\n")
     out = tmp_path / "out"
@@ -557,8 +561,13 @@ def test_codeword_listing_is_written_block_by_block(tmp_path, fmt):
     if fmt == "json":
         words = json.loads(listed.stdout)["codewords"]
     elif fmt == "csv":
-        words = [r for r in csv.reader(io.StringIO(listed.stdout.decode()))
-                 if r[0] == "codeword"]
+        rows = [r for r in csv.reader(io.StringIO(listed.stdout.decode()))
+                if r[0] == "codeword"]
+        assert [r[1] for r in rows] == [str(i) for i in range(len(rows))]
+        text = run_child(PEAK_RSS, *argv[:-1], "text", "--codewords")
+        words = [r[2] for r in rows]
+        lines = text.stdout.decode().split("codewords:\n")[1].splitlines()
+        assert words == [line.removeprefix("  ") for line in lines]
     else:
         words = listed.stdout.split(b"codewords:\n")[1].splitlines()
     assert len(words) == 1 << 18

@@ -3,8 +3,11 @@
 import concurrent.futures
 import copy
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -705,6 +708,70 @@ def test_linear_code_invariants():
         LinearCode([], lay, 2)
     with pytest.raises(ParameterError):
         LinearCode([w0], ByteLayout(b=2, t=1, n=1), 2)
+
+
+def test_iteration_streams_the_cached_words_in_canonical_order():
+    """`for w in C` yields `C.codewords` in canonical order, the rows of
+    `C.digits`, for codes of several 2^14-word blocks: the kernel dual, the
+    span of its generating rows, the scanned dual and a code built from
+    its words.  A second pass gives the same words; once the tuple is
+    cached, iteration reads it."""
+    lay, rng = ByteLayout(b=4, t=1, n=5), random.Random(26)
+    rows = [[RingElement(1, int(i == j)) for j in range(5)]
+            + [RingElement(1, rng.randrange(2)) for _ in range(15)] for i in range(5)]
+    G = GeneratorMatrix(rows, lay, m=1)
+    kernel = dual(G)
+    assert len(kernel) == 1 << 15
+    codes = [kernel, span(generating_rows(kernel)), dual(G, method="scan")]
+    codes.append(LinearCode(reversed(list(codes[2])), lay, 1))
+    want = list(map(tuple, codes[2].digits.tolist()))  # the scan's sorted rows
+    assert want == sorted(set(want)) and len(want) == len(kernel)
+    for C in codes:
+        assert [w.bits() for w in C] == want
+        assert C._words is None  # streaming caches nothing
+        assert [w.bits() for w in C] == want == [w.bits() for w in C.codewords]
+        assert list(map(tuple, C.digits.tolist())) == want
+        assert all(a is b for a, b in zip(C, C.codewords))
+
+
+# Iterates the 2^18 words of the all-zero m=1, b=18 dual, basis-backed and
+# scanned, printing each loop's word count and VmHWM rise in KiB, then
+# whether numpy.ma is loaded.  VmHWM, since ru_maxrss after exec can keep
+# the forking process's peak.
+STREAM_RSS = """
+import sys
+from mspotty.code import ByteLayout, GeneratorMatrix, dual
+from mspotty.ring import zero
+
+def vm_hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:"))
+
+G = GeneratorMatrix([[zero(1)] * 18], ByteLayout(b=18, t=1, n=1), m=1)
+for method in ("kernel", "scan"):
+    C = dual(G, method=method)
+    before = vm_hwm()
+    count = sum(1 for w in C)
+    print(count, vm_hwm() - before)
+print("numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+def test_iteration_memory_is_bounded_by_a_block():
+    """Iterating 2^18 words, from a basis or from the scan's digit array,
+    raises the peak by under 20 MB: one block's rows and words at a time,
+    not the whole code.  No loop loads numpy.ma."""
+    src = str(Path(code_module.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", STREAM_RSS], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path), text=True)
+    assert proc.returncode == 0, proc.stderr
+    *loops, ma_loaded = proc.stdout.split("\n")[:-1]
+    for line in loops:
+        count, rise_kib = map(int, line.split())
+        assert count == 1 << 18 and rise_kib < 20 << 10, proc.stdout
+    assert len(loops) == 2 and ma_loaded == "False"
 
 
 @pytest.mark.parametrize("m, b, n", [(1, 1, 3), (2, 2, 2), (3, 3, 1), (4, 1, 1)])

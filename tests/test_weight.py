@@ -456,6 +456,26 @@ def test_statistics_at_the_key_width(n, b):
     assert dist.count((0,) * b + (n,)) >= 1 and dist.count((n,) + (0,) * b) == 1
 
 
+@pytest.mark.parametrize(
+    "n,b", [(2, 2), (4, 3), (3, 8), (3, 32), (1, 65), (3, 33), (2, 200)]
+)
+def test_alpha_rows_table_equals_the_validated_table(n, b):
+    """`_AlphaRows.table` orders its alpha matrix by one lexsort and skips
+    validation.  On random codes, with packed keys and in wide layouts
+    (bitlen(n) * b > 64), it equals the table that the validating
+    constructor makes of its rows: order, dtype and read-only flag."""
+    rng = random.Random(100 * n + b)
+    lay = ByteLayout(b=b, t=1, n=n)
+    for m, k in ((1, 5), (2, 3), (3, 2)):
+        rows = [[RingElement(m, rng.randrange(1 << m)) for _ in range(lay.N)]
+                for _ in range(k)]
+        with mock.patch.object(code_module, "_BLOCK_BITS", 3):
+            table = distribution(span(GeneratorMatrix(rows, lay, m=m)))
+        ref = DistributionTable(dict(table.items()), lay, m)
+        assert table == ref and table.alphas.dtype == ref.alphas.dtype
+        assert not table.alphas.flags.writeable and type(table.counts[0]) is int
+
+
 def test_statistics_walk_the_blocks_once(monkeypatch):
     """`cli._statistics` reads every block once for both tallies; each
     standalone statistic reads them once for its own."""
