@@ -2,9 +2,9 @@
 
 Exact integer arithmetic throughout: chain-ring elements, sparse
 polynomials, weight distributions, the per-byte duality transform, a
-dual by F2 elimination (with an exhaustive scan as referee), and
-an identity-verification oracle, plus the
-`mspotty` command-line tool.
+dual by F2 elimination, and an identity-verification oracle (whose
+exhaustive scan of R^N referees the dual), plus the `mspotty`
+command-line tool.
 """
 
 __version__ = "0.1.0"

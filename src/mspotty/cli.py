@@ -2,10 +2,10 @@
 
 Subcommands: enumerate, tables, transform, dual, verify, info.  Output is
 deterministic: no timestamps, sorted JSON keys, fixed iteration orders, and
-a worker count that can only change wall time, never bytes.  Every command
-builds an ordered list of typed `Section`s, and `_render` alone prints that
-list as text, JSON or CSV.  A codeword listing is rendered and written one
-block at a time, so its memory does not grow with the size of the code.
+no command reads `--workers`.  Every command builds an ordered list of
+typed `Section`s, and `_render` alone prints that list as text, JSON or
+CSV.  A codeword listing is rendered and written one block at a time, so
+its memory does not grow with the size of the code.
 
 Exit codes: 0 success, 2 parse/parameter error, 3 budget exceeded,
 4 integrity failure (inexact division or internal cross-check), 5
@@ -26,7 +26,6 @@ from typing import Iterable, Iterator
 
 from . import __version__
 from .code import (
-    _SCAN_CHUNK,
     DEFAULT_SPACE_BUDGET,
     DEFAULT_SPAN_BUDGET,
     ByteLayout,
@@ -45,7 +44,7 @@ from .errors import (
     ParameterError,
 )
 from .macwilliams import enumerator_from_distribution, kernel_table, transform
-from .oracle import campaign
+from .oracle import _SCAN_CHUNK, campaign
 from .polynomial import Polynomial
 from .ring import MAX_M, _check_m
 from .weight import DistributionTable, _AlphaRows, _walk, _WeightHistogram
@@ -308,7 +307,7 @@ def cmd_transform(args) -> tuple[str, int]:
 
 def cmd_dual(args) -> tuple[str, int]:
     G = load_matrix(args.file)
-    Cd = dual(G, budget=args.max_space, workers=args.workers)
+    Cd = dual(G, budget=args.max_space)
     dist, W = _statistics(Cd)
     words = [Section("codewords", _word_strings(Cd))] if args.codewords else []
     return _render(args.format, "dual", [
@@ -394,8 +393,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="K",
-        help="parallel workers for the library's exhaustive dual scan; "
-        "the dual command solves the kernel by elimination (default 1)",
+        help="must be >= 1; no command reads it: the dual command solves "
+        "the kernel by elimination (default 1)",
     )
     common.add_argument(
         "--seed", type=int, default=0, metavar="U64", help="campaign sampling seed"

@@ -17,16 +17,13 @@ the dual is the bit-mirrored binary dual of that basis.  A code keeps
 its basis fully reduced: `w in C` and `generating_rows` read it, and its
 words come in canonical order in blocks of at most 2^14 (`_blocks`),
 which the statistics in `weight`, the codeword listing (one block of
-strings at a time), iteration and the digit array read.  The exhaustive
-scan of R^N, on parallel workers merged in chunk order, is the
-independent referee; its words are sorted.  The process pool is imported
-only when a scan starts more than one process, so importing the package
-loads neither `concurrent.futures` nor `multiprocessing`.
+strings at a time), iteration and the digit array read.  Only fast paths
+live here: the exhaustive scan of R^N that referees the dual is
+`oracle.scan_dual`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
@@ -38,10 +35,9 @@ from .ring import MAX_M, RingElement, mul_bits, parse_element, zero
 
 #: Default cap on |R|^k coefficient tuples enumerated by span().
 DEFAULT_SPAN_BUDGET = 1 << 24
-#: Default cap on |R|^N ambient vectors scanned by dual().
+#: Default cap on |R|^N for dual() and the oracle's exhaustive scan.
 DEFAULT_SPACE_BUDGET = 1 << 28
 
-_SCAN_CHUNK = 1 << 20
 #: A basis-backed code is enumerated, and any code iterated, in blocks of at
 #: most 2^_BLOCK_BITS words.
 _BLOCK_BITS = 14
@@ -232,7 +228,7 @@ def _group_rows(rows: np.ndarray, counts=None) -> tuple[np.ndarray, np.ndarray]:
 
 def _canonical(digits: np.ndarray, m: int) -> np.ndarray:
     """The distinct rows of a (rows, N) integer array, canonical, read-only."""
-    digits = _group_rows(digits.astype(_digit_dtype(m)))[0]
+    digits = _group_rows(digits.astype(_digit_dtype(m), copy=False))[0]
     digits.flags.writeable = False
     return digits
 
@@ -242,9 +238,9 @@ class LinearCode:
 
     `digits` is the read-only (|C|, N) array of coefficient masks, one row
     per codeword in canonical order; `codewords` builds the `Word` tuple
-    on first use.  A code built by `span` or `dual(method="kernel")` holds
-    its fully reduced packed F2 basis instead (rank r, |C| = 2^r) and
-    builds `digits` on first read; `_blocks` enumerates either kind in
+    on first use.  A code built by `span` or `dual` holds its fully
+    reduced packed F2 basis instead (rank r, |C| = 2^r) and builds
+    `digits` on first read; `_blocks` enumerates either kind in
     canonical order in bounded blocks.  Iteration streams the words in
     the same order, one block at a time, unless `codewords` is cached.
     """
@@ -509,31 +505,6 @@ def code_size_from_profile(m: int, profile: Sequence[int]) -> int:
     return 1 << s
 
 
-def _times_table(c: int, m: int) -> np.ndarray:
-    """x -> c*x over all 2^m ring elements, as a lookup array."""
-    return np.array([mul_bits(c, x, m) for x in range(1 << m)], dtype=np.uint16)
-
-
-def _scan_chunk(
-    lo: int, hi: int, m: int, n_coords: int, rows_bits: tuple[tuple[int, ...], ...]
-) -> np.ndarray:
-    """Packed indices in [lo, hi) orthogonal to every generator row."""
-    mask = (1 << m) - 1
-    idx = np.arange(lo, hi, dtype=np.uint64)
-    ok = np.ones(idx.shape, dtype=bool)
-    digits = [
-        ((idx >> np.uint64(m * i)) & np.uint64(mask)).astype(np.uint32)
-        for i in range(n_coords)
-    ]
-    for row in rows_bits:
-        acc = np.zeros(idx.shape, dtype=np.uint16)
-        for i, c in enumerate(row):
-            if c:
-                acc ^= _times_table(c, m)[digits[i]]
-        ok &= acc == 0
-    return idx[ok]
-
-
 def _kernel_basis(m: int, N: int, rows_bits: tuple[tuple[int, ...], ...]) -> list[int]:
     """Packed basis of {v : <row, v> = 0 for every row}.
 
@@ -552,75 +523,23 @@ def _kernel_basis(m: int, N: int, rows_bits: tuple[tuple[int, ...], ...]) -> lis
     return kernel
 
 
-def _scan_dual(
-    m: int,
-    N: int,
-    rows_bits: tuple[tuple[int, ...], ...],
-    workers: int,
-) -> np.ndarray:
-    """Packed dual words found by testing every vector of R^N, in chunks of
-    `_SCAN_CHUNK` (read at call time) on up to `workers` processes."""
-    space, step = 1 << (m * N), _SCAN_CHUNK
-    chunks = [(lo, min(lo + step, space)) for lo in range(0, space, step)]
-    procs = min(workers, len(chunks), os.cpu_count() or 1)
-    if procs == 1:
-        hits = [_scan_chunk(lo, hi, m, N, rows_bits) for lo, hi in chunks]
-    else:  # imported here, so that no other path loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=procs) as pool:
-            futures = [
-                pool.submit(_scan_chunk, lo, hi, m, N, rows_bits)
-                for lo, hi in chunks
-            ]
-            hits = [f.result() for f in futures]  # submission order: deterministic
-    return np.concatenate(hits)
-
-
-def _code_from_packed(packed: np.ndarray, layout: ByteLayout, m: int) -> LinearCode:
-    """LinearCode of uint64-packed words (coordinate i in bits
-    [m*i, m*(i+1))), as the scan finds them."""
-    shifts = np.arange(layout.N, dtype=np.uint64) * np.uint64(m)
-    digits = (packed[:, None] >> shifts) & np.uint64((1 << m) - 1)
-    return LinearCode._from_digits(digits, layout, m)
-
-
-_DUAL_METHODS = ("kernel", "scan")
-
-
 def dual(
-    G: GeneratorMatrix,
-    budget: int = DEFAULT_SPACE_BUDGET,
-    workers: int = 1,
-    method: str = "kernel",
+    G: GeneratorMatrix, budget: int = DEFAULT_SPACE_BUDGET, workers: int = 1
 ) -> LinearCode:
     """Every v in R^N with <row, v> = 0 for all rows of G.
 
     Orthogonality to the generators implies orthogonality to the whole code
-    by bilinearity.  An empty matrix dualizes to the full space.
-    `method="kernel"` returns a code that holds the kernel basis read off
-    the row space's elimination (digits built on first read); "scan" tests
-    every vector of R^N (in chunks of `_SCAN_CHUNK`, on up to `workers`
-    processes, each packed into at most 62 bits) as the independent
-    referee.  Both give the same code; `budget` caps |R|^N for either.
+    by bilinearity.  An empty matrix dualizes to the full space.  The code
+    holds the kernel basis read off the row space's elimination (digits
+    built on first read); `budget` caps |R|^N.  `workers` must be >= 1,
+    and nothing else reads it.
     """
-    if method not in _DUAL_METHODS:
-        raise ParameterError(
-            f"dual method must be one of {', '.join(_DUAL_METHODS)}, got {method!r}"
-        )
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     m, N = G.m, G.layout.N
-    if method == "scan" and m * N > 62:
-        raise ParameterError(
-            f"scan index needs {m * N} bits, beyond 64-bit packing"
-        )
     BudgetError.guard("dual scan over R^N", budget, shift=m * N)
     rows_bits = tuple(tuple(x.bits for x in row) for row in G.rows)
-    if method == "kernel":
-        return LinearCode._from_basis(_kernel_basis(m, N, rows_bits), G.layout, m)
-    found = _scan_dual(m, N, rows_bits, workers)
-    return _code_from_packed(found, G.layout, m)
+    return LinearCode._from_basis(_kernel_basis(m, N, rows_bits), G.layout, m)
 
 
 def generating_rows(C: LinearCode) -> GeneratorMatrix:

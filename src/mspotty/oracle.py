@@ -20,7 +20,9 @@ mismatch.  The closed forms live in `macwilliams`
 and in the campaign's expected values: the transform is the fast path,
 these are the referee.  Codes are closed row by row and enumerators
 summed word by word: nothing here calls `span`, the vectorized statistics
-in `weight`, the dual scan's tables or the transform's fold.
+in `weight`, `code.dual` or the transform's fold.  The dual is found by
+`scan_dual`, which tests every vector of R^N; its times tables are its
+own and are not the engine's, so one wrong product cannot pass both.
 
 Check ids used in reports ("3.1" ... "3.7", "c3.1", "c3.2", "partition")
 are stable wire identifiers, chosen once and kept short for JSON output.
@@ -29,6 +31,7 @@ are stable wire identifiers, chosen once and kept short for JSON output.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from dataclasses import dataclass
 from math import comb
@@ -41,7 +44,7 @@ from .code import (
     ByteLayout,
     GeneratorMatrix,
     LinearCode,
-    dual,
+    _digit_dtype,
     inner_product,
 )
 from .errors import BudgetError, ParameterError
@@ -70,6 +73,8 @@ DEFAULT_BYTE_BUDGET = 1 << 24
 #: with the byte scans in numpy blocks it takes 0.005 / 0.014 / 0.12 s, and
 #: 0.58 s at m = 8 (best of 3, 2 CPUs), most of it the dual scan.
 POISSON_SCAN_BUDGET = 8**7
+#: Vectors of R^N tested per chunk by `scan_dual`.
+_SCAN_CHUNK = 1 << 20
 #: Cap on candidate subsets tried by the partition search.
 PARTITION_SEARCH_BUDGET = 10_000
 
@@ -216,7 +221,7 @@ def _byte_transforms(m: int, b: int, t: int, cs: np.ndarray) -> list[Polynomial]
 def dual_enumerator_bruteforce(G: GeneratorMatrix) -> Polynomial:
     """Weight enumerator of the dual scanned on one worker, |R|^N capped at
     `DEFAULT_SPACE_BUDGET`; no transform involved."""
-    return _word_enumerator(dual(G, method="scan"))
+    return _word_enumerator(scan_dual(G))
 
 
 def _word_enumerator(C: LinearCode) -> Polynomial:
@@ -226,6 +231,76 @@ def _word_enumerator(C: LinearCode) -> Polynomial:
         e = m_spotty_weight(w)
         counts[e] = counts.get(e, 0) + 1
     return Polynomial(counts)
+
+
+# --- exhaustive dual scan -------------------------------------------------
+
+
+def scan_dual(G: GeneratorMatrix, workers: int = 1) -> LinearCode:
+    """Every v in R^N with <row, v> = 0 for all rows of G, found by testing
+    each vector of R^N with times tables of its own: the referee of
+    `code.dual`, which it equals.  R^N is walked in chunks of `_SCAN_CHUNK`
+    (read at call time) on up to `workers` processes, merged in chunk
+    order.  Each vector packs into a uint64 index of at most 62 bits, and
+    |R|^N is capped at `DEFAULT_SPACE_BUDGET`."""
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
+    m, N = G.m, G.layout.N
+    if m * N > 62:
+        raise ParameterError(f"scan index needs {m * N} bits, beyond 64-bit packing")
+    BudgetError.guard("dual scan over R^N", DEFAULT_SPACE_BUDGET, shift=m * N)
+    rows_bits = tuple(tuple(x.bits for x in row) for row in G.rows)
+    space, step = 1 << (m * N), _SCAN_CHUNK
+    chunks = [(lo, min(lo + step, space)) for lo in range(0, space, step)]
+    procs = min(workers, len(chunks), os.cpu_count() or 1)
+    if procs == 1:
+        hits = [_scan_chunk(lo, hi, m, N, rows_bits) for lo, hi in chunks]
+    else:  # imported here, so that no other path loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=procs) as pool:
+            futures = [
+                pool.submit(_scan_chunk, lo, hi, m, N, rows_bits)
+                for lo, hi in chunks
+            ]
+            hits = [f.result() for f in futures]  # submission order: deterministic
+    return _code_from_packed(np.concatenate(hits), G.layout, m)
+
+
+def _times_table(c: int, m: int) -> np.ndarray:
+    """x -> c*x over all 2^m ring elements, as a lookup array."""
+    return np.array([mul_bits(c, x, m) for x in range(1 << m)], dtype=np.uint16)
+
+
+def _scan_chunk(
+    lo: int, hi: int, m: int, n_coords: int, rows_bits: tuple[tuple[int, ...], ...]
+) -> np.ndarray:
+    """Packed indices in [lo, hi) orthogonal to every generator row."""
+    mask = (1 << m) - 1
+    idx = np.arange(lo, hi, dtype=np.uint64)
+    ok = np.ones(idx.shape, dtype=bool)
+    digits = [
+        ((idx >> np.uint64(m * i)) & np.uint64(mask)).astype(np.uint32)
+        for i in range(n_coords)
+    ]
+    for row in rows_bits:
+        acc = np.zeros(idx.shape, dtype=np.uint16)
+        for i, c in enumerate(row):
+            if c:
+                acc ^= _times_table(c, m)[digits[i]]
+        ok &= acc == 0
+    return idx[ok]
+
+
+def _code_from_packed(packed: np.ndarray, layout: ByteLayout, m: int) -> LinearCode:
+    """LinearCode of uint64-packed words (coordinate i in bits
+    [m*i, m*(i+1))), as the scan finds them, unpacked one coordinate at a
+    time straight into the code's digit dtype."""
+    digits = np.empty((len(packed), layout.N), dtype=_digit_dtype(m))
+    mask = np.uint64((1 << m) - 1)
+    for i in range(layout.N):
+        digits[:, i] = (packed >> np.uint64(m * i)) & mask
+    return LinearCode._from_digits(digits, layout, m)
 
 
 # --- partition search ----------------------------------------------------

@@ -16,7 +16,7 @@ from conftest import record
 
 from mspotty.code import ByteLayout, GeneratorMatrix, Word, dual, load_matrix, span
 from mspotty.macwilliams import enumerator_from_distribution, f_poly, transform
-from mspotty.oracle import campaign, find_valid_partitions
+from mspotty.oracle import campaign, find_valid_partitions, scan_dual
 from mspotty.polynomial import Polynomial
 from mspotty.ring import (
     RingElement,
@@ -100,10 +100,10 @@ def test_criterion_4_bruteforce_dual_scan():
     G = load_matrix(EXAMPLE)
     assert 1 << (G.m * G.layout.N) == 16_777_216
     t0 = perf_counter()
-    Cd = dual(G, workers=1, method="scan")
+    Cd = scan_dual(G, workers=1)
     dt1 = perf_counter() - t0
     t0 = perf_counter()
-    Cd8 = dual(G, workers=8, method="scan")
+    Cd8 = scan_dual(G, workers=8)
     dt8 = perf_counter() - t0
     W_scan = enumerator(Cd)
     ok = (

@@ -1,6 +1,5 @@
-"""Words, matrix parsing, span, and the dual (kernel and scan)."""
+"""Words, matrix parsing, span, and the dual (checked against the scan)."""
 
-import concurrent.futures
 import copy
 import itertools
 import os
@@ -22,7 +21,6 @@ from mspotty.code import (
     GeneratorMatrix,
     LinearCode,
     Word,
-    _code_from_packed,
     _insert,
     _kernel_basis,
     _mirror,
@@ -38,7 +36,7 @@ from mspotty.code import (
 )
 from mspotty.errors import BudgetError, MatrixParseError, ParameterError
 from mspotty.macwilliams import transform
-from mspotty.oracle import _add_row, _generators
+from mspotty.oracle import _add_row, _generators, scan_dual
 from mspotty.ring import RingElement, elements, monomial, mul_bits, one, zero
 from mspotty.weight import distribution
 
@@ -352,17 +350,6 @@ def test_dual_of_empty_matrix_is_full_space():
     assert len(Cd) == 4
 
 
-def test_dual_worker_and_chunk_invariance(monkeypatch):
-    lay = ByteLayout(b=2, t=1, n=2)
-    G = _random_matrix(random.Random(43), 2, 2, lay)
-    base = dual(G, method="scan")
-    assert dual(G, workers=3, method="scan").codewords == base.codewords
-    monkeypatch.setattr(code_module, "_SCAN_CHUNK", 7)
-    assert dual(G, method="scan").codewords == base.codewords
-    monkeypatch.setattr(code_module, "_SCAN_CHUNK", 16)
-    assert dual(G, workers=2, method="scan").codewords == base.codewords
-
-
 def test_dual_budget_error_names_space():
     G = load_matrix(DATA / "worked_example.txt")
     with pytest.raises(BudgetError) as exc:
@@ -376,10 +363,12 @@ def test_dual_rejects_bad_workers_and_overflow():
     G = GeneratorMatrix([], lay, m=1)
     with pytest.raises(ParameterError):
         dual(G, workers=0)
+    with pytest.raises(ParameterError):
+        scan_dual(G, workers=0)
     wide = GeneratorMatrix([], ByteLayout(b=8, t=1, n=8), m=1)
     with pytest.raises(ParameterError):
-        dual(wide, budget=1 << 70, method="scan")
-    with pytest.raises(ParameterError, match="method"):
+        scan_dual(wide)
+    with pytest.raises(TypeError, match="method"):
         dual(G, method="mitm")
 
 
@@ -396,12 +385,12 @@ def test_dual_kernel_route_packs_no_scan_index():
     Cd = dual(G, budget=1 << 64)
     assert Cd.digits.tolist() == [[0] * N, [1] * N]
     with pytest.raises(ParameterError, match="scan index needs 63 bits"):
-        dual(G, budget=1 << 64, method="scan")
+        scan_dual(G)
 
 
 def _assert_kernel_equals_scan(G):
     kernel = dual(G)
-    scanned = dual(G, method="scan")
+    scanned = scan_dual(G)
     assert kernel.codewords == scanned.codewords
     assert len(span(G)) * len(kernel) == 1 << (G.m * G.layout.N)
 
@@ -512,7 +501,7 @@ def test_dual_kernel_matches_scan_wide_matrices():
         G = GeneratorMatrix(rows, lay, m=m)
         assert k * m > 64
         kernel = dual(G)
-        assert kernel.codewords == dual(G, method="scan").codewords
+        assert kernel.codewords == scan_dual(G).codewords
         assert kernel.codewords == dual(GeneratorMatrix(base, lay, m=m)).codewords
         assert len(kernel) < len(dual(GeneratorMatrix(rows[:-1], lay, m=m)))
         assert len(kernel) > 1
@@ -520,67 +509,7 @@ def test_dual_kernel_matches_scan_wide_matrices():
 
 def test_dual_kernel_matches_scan_worked_example():
     G = load_matrix(DATA / "worked_example.txt")
-    assert dual(G).codewords == dual(G, method="scan").codewords
-
-
-def test_code_from_packed_matches_public_constructor():
-    rng = random.Random(89)
-    for m, b, n in ((1, 3, 2), (2, 3, 1), (3, 2, 2), (4, 3, 2)):
-        lay = ByteLayout(b=b, t=1, n=n)
-        mask = (1 << m) - 1
-        packed = [rng.randrange(1 << (m * lay.N)) for _ in range(30)]
-        packed += packed[:10]  # duplicates collapse, as in the constructor
-        built = _code_from_packed(np.array(packed, dtype=np.uint64), lay, m)
-        words = [
-            Word.from_bits(((v >> (m * i)) & mask for i in range(lay.N)), m, lay)
-            for v in packed
-        ]
-        public = LinearCode(words, lay, m)
-        assert built.codewords == public.codewords
-        assert built.layout == lay and built.m == m
-        assert all(w in built for w in words)
-        absent = next(v for v in range(1 << (m * lay.N)) if v not in packed)
-        absent_word = Word.from_bits(
-            ((absent >> (m * i)) & mask for i in range(lay.N)), m, lay
-        )
-        assert absent_word not in built
-
-
-def test_dual_scan_clamps_process_count(monkeypatch):
-    """The pool gets at most min(workers, chunks, cpus) processes; a fake
-    executor, patched where the scan imports it from on first use, records
-    the request and runs the chunks in-process."""
-    requested = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(code_module.os, "cpu_count", lambda: 3)
-    lay = ByteLayout(b=2, t=1, n=2)  # m = 2: 256 vectors
-    G = _random_matrix(random.Random(97), 2, 1, lay)
-    base = dual(G, method="scan")
-    default_chunk = code_module._SCAN_CHUNK
-    for workers, chunk_size in ((10**6, 128), (10**6, 16), (2, 16)):
-        monkeypatch.setattr(code_module, "_SCAN_CHUNK", chunk_size)
-        Cd = dual(G, method="scan", workers=workers)
-        assert Cd.codewords == base.codewords
-    assert requested == [2, 3, 2]
-    monkeypatch.setattr(code_module, "_SCAN_CHUNK", default_chunk)
-    dual(G, method="scan", workers=10**6)  # one chunk: no pool at all
-    assert requested == [2, 3, 2]
+    assert dual(G).codewords == scan_dual(G).codewords
 
 
 def test_generating_rows_reproduces_code():
@@ -722,7 +651,7 @@ def test_iteration_streams_the_cached_words_in_canonical_order():
     G = GeneratorMatrix(rows, lay, m=1)
     kernel = dual(G)
     assert len(kernel) == 1 << 15
-    codes = [kernel, span(generating_rows(kernel)), dual(G, method="scan")]
+    codes = [kernel, span(generating_rows(kernel)), scan_dual(G)]
     codes.append(LinearCode(reversed(list(codes[2])), lay, 1))
     want = list(map(tuple, codes[2].digits.tolist()))  # the scan's sorted rows
     assert want == sorted(set(want)) and len(want) == len(kernel)
@@ -741,6 +670,7 @@ def test_iteration_streams_the_cached_words_in_canonical_order():
 STREAM_RSS = """
 import sys
 from mspotty.code import ByteLayout, GeneratorMatrix, dual
+from mspotty.oracle import scan_dual
 from mspotty.ring import zero
 
 def vm_hwm():
@@ -748,8 +678,7 @@ def vm_hwm():
         return next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:"))
 
 G = GeneratorMatrix([[zero(1)] * 18], ByteLayout(b=18, t=1, n=1), m=1)
-for method in ("kernel", "scan"):
-    C = dual(G, method=method)
+for C in (dual(G), scan_dual(G)):
     before = vm_hwm()
     count = sum(1 for w in C)
     print(count, vm_hwm() - before)

@@ -18,6 +18,7 @@ from mspotty.macwilliams import (
     kernel_table,
     transform,
 )
+from mspotty.oracle import scan_dual
 from mspotty.polynomial import Polynomial
 from mspotty.ring import RingElement
 from mspotty.weight import DistributionTable, distribution, enumerator, hamming_weight
@@ -162,7 +163,7 @@ def _direct_sum_table(rng, m, b, t, n):
                     grown[key] = grown.get(key, 0) + c * ch
         counts = grown
         size *= sum(hist)
-        W_dual = W_dual * enumerator(dual(G, method="scan"))
+        W_dual = W_dual * enumerator(scan_dual(G))
     return DistributionTable(counts, ByteLayout(b=b, t=t, n=n), m), size, W_dual
 
 
@@ -578,7 +579,7 @@ def _small_codes(draw):
 @given(_small_codes())
 def test_transform_matches_scanned_dual_property(G):
     C = span(G)
-    Cd = dual(G, method="scan")
+    Cd = scan_dual(G)
     assert transform(distribution(C), len(C)) == enumerator(Cd)
     assert transform(distribution(Cd), len(Cd)) == enumerator(C)
 

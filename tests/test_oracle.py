@@ -1,7 +1,9 @@
 """Brute-force referee: character sums, byte transforms, partitions, campaign."""
 
+import concurrent.futures
 import itertools
 import random
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -14,6 +16,8 @@ from mspotty import oracle
 from mspotty.code import (
     ByteLayout,
     GeneratorMatrix,
+    LinearCode,
+    Word,
     dual,
     inner_product,
     load_matrix,
@@ -29,6 +33,7 @@ from mspotty.oracle import (
     find_valid_partitions,
     partition_uniqueness_search,
     poisson_check,
+    scan_dual,
     sum_chi_Sbar,
     sum_chi_Sj1j2,
     sum_chi_Sk,
@@ -62,6 +67,14 @@ def _all_bytes(m, b):
 
 def _random_byte(rng, m, b):
     return tuple(RingElement(m, rng.randrange(1 << m)) for _ in range(b))
+
+
+def _random_matrix(rng, m, k, layout):
+    rows = [
+        tuple(RingElement(m, rng.randrange(1 << m)) for _ in range(layout.N))
+        for _ in range(k)
+    ]
+    return GeneratorMatrix(rows, layout, m=m)
 
 
 def _rows(cs):
@@ -667,6 +680,95 @@ def test_cell_reports_match_per_instance_reference(cell):
         assert all(r["pass"] for r in got)
 
 
+# --- exhaustive dual scan ----------------------------------------------------
+
+
+def test_dual_worker_and_chunk_invariance(monkeypatch):
+    lay = ByteLayout(b=2, t=1, n=2)
+    G = _random_matrix(random.Random(43), 2, 2, lay)
+    base = scan_dual(G)
+    assert scan_dual(G, workers=3).codewords == base.codewords
+    monkeypatch.setattr(oracle, "_SCAN_CHUNK", 7)
+    assert scan_dual(G).codewords == base.codewords
+    monkeypatch.setattr(oracle, "_SCAN_CHUNK", 16)
+    assert scan_dual(G, workers=2).codewords == base.codewords
+
+
+def test_code_from_packed_matches_public_constructor():
+    rng = random.Random(89)
+    for m, b, n in ((1, 3, 2), (2, 3, 1), (3, 2, 2), (4, 3, 2)):
+        lay = ByteLayout(b=b, t=1, n=n)
+        mask = (1 << m) - 1
+        packed = [rng.randrange(1 << (m * lay.N)) for _ in range(30)]
+        packed += packed[:10]  # duplicates collapse, as in the constructor
+        built = oracle._code_from_packed(np.array(packed, dtype=np.uint64), lay, m)
+        words = [
+            Word.from_bits(((v >> (m * i)) & mask for i in range(lay.N)), m, lay)
+            for v in packed
+        ]
+        public = LinearCode(words, lay, m)
+        assert built.codewords == public.codewords
+        assert built.layout == lay and built.m == m
+        assert all(w in built for w in words)
+        absent = next(v for v in range(1 << (m * lay.N)) if v not in packed)
+        absent_word = Word.from_bits(
+            ((absent >> (m * i)) & mask for i in range(lay.N)), m, lay
+        )
+        assert absent_word not in built
+
+
+def test_dual_scan_clamps_process_count(monkeypatch):
+    """The pool gets at most min(workers, chunks, cpus) processes; a fake
+    executor, patched where the scan imports it from on first use, records
+    the request and runs the chunks in-process."""
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
+    lay = ByteLayout(b=2, t=1, n=2)  # m = 2: 256 vectors
+    G = _random_matrix(random.Random(97), 2, 1, lay)
+    base = scan_dual(G)
+    default_chunk = oracle._SCAN_CHUNK
+    for workers, chunk_size in ((10**6, 128), (10**6, 16), (2, 16)):
+        monkeypatch.setattr(oracle, "_SCAN_CHUNK", chunk_size)
+        Cd = scan_dual(G, workers=workers)
+        assert Cd.codewords == base.codewords
+    assert requested == [2, 3, 2]
+    monkeypatch.setattr(oracle, "_SCAN_CHUNK", default_chunk)
+    scan_dual(G, workers=10**6)  # one chunk: no pool at all
+    assert requested == [2, 3, 2]
+
+
+def test_scan_unpacks_its_hits_into_the_digit_dtype():
+    """The 2^16 hits of the all-zero m=1, b=16 matrix are unpacked one
+    coordinate at a time into uint8 digits: the whole scan peaks under
+    8 MiB, which a (|C|, N) uint64 unpacking alone would fill."""
+    G = GeneratorMatrix([[zero(1)] * 16], ByteLayout(b=16, t=1, n=1), m=1)
+    tracemalloc.start()
+    try:
+        Cd = scan_dual(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(Cd) == 1 << 16 and Cd.digits.dtype == np.uint8
+    assert peak < 8 << 20, peak
+
+
 # --- dual scan vs transform --------------------------------------------------
 
 
@@ -769,8 +871,9 @@ def test_oracle_runs_without_the_fast_paths(monkeypatch):
     it imports neither `span` nor the block statistics engine, and runs
     with the elimination, the basis blocks, the lazy digit array and the
     statistics engine disabled.  Its per-byte engine builds its own product
-    tables: the per-byte checks also run with the dual scan's tables and
-    the transform's fold disabled."""
+    tables: the per-byte checks also run with the dual scan's chunks and
+    tables and the transform's fold disabled.  The scan lives here, not
+    among the fast paths of `code`."""
     import mspotty.code
     import mspotty.macwilliams
     import mspotty.oracle
@@ -778,8 +881,11 @@ def test_oracle_runs_without_the_fast_paths(monkeypatch):
 
     for name in ("span", "generating_rows", "distribution", "enumerator",
                  "_blocks", "_materialize", "_byte_weight_blocks",
-                 "_scan_chunk", "_times_table", "_fold", "_echelon"):
+                 "_fold", "_echelon"):
         assert not hasattr(mspotty.oracle, name)
+    for name in ("_SCAN_CHUNK", "_times_table", "_scan_chunk", "_scan_dual",
+                 "_code_from_packed"):
+        assert not hasattr(mspotty.code, name)
 
     def disabled(*args):
         raise AssertionError("fast path reached from the oracle")
@@ -794,8 +900,8 @@ def test_oracle_runs_without_the_fast_paths(monkeypatch):
     G = GeneratorMatrix([(one(2), monomial(2, 1))], ByteLayout(b=2, t=1, n=1))
     assert dual_enumerator_bruteforce(G) == Polynomial({0: 1, 1: 1, 2: 2})  # v = (u*a, a)
 
-    monkeypatch.setattr(mspotty.code, "_scan_chunk", disabled)
-    monkeypatch.setattr(mspotty.code, "_times_table", disabled)
+    monkeypatch.setattr(mspotty.oracle, "_scan_chunk", disabled)
+    monkeypatch.setattr(mspotty.oracle, "_times_table", disabled)
     monkeypatch.setattr(mspotty.macwilliams, "_fold", disabled)
     reports = oracle._cell_reports(3, 2, _rows(_all_bytes(3, 2)), True)
     assert len(reports) == 7 and all(r.passed for r in reports)

@@ -26,7 +26,7 @@ from mspotty.code import (
 )
 from mspotty.errors import ParameterError
 from mspotty.macwilliams import transform
-from mspotty.oracle import _add_row
+from mspotty.oracle import _add_row, scan_dual
 from mspotty.polynomial import Polynomial
 from mspotty.ring import RingElement, zero
 from mspotty.weight import (
@@ -351,7 +351,7 @@ def test_streamed_statistics_across_the_block_boundary(m, k):
     rng = random.Random(1000 * m + k)
     lay = ByteLayout(b=3, t=1 + k % 3, n=18 // (3 * m))
     G, H = _systematic(rng, m, k, lay)
-    scanned = dual(H, method="scan")
+    scanned = scan_dual(H)
     public = LinearCode(scanned.codewords, lay, m)
     want = _statistics_or_error(scanned)
     assert _statistics_or_error(public) == want
@@ -388,7 +388,7 @@ def test_streamed_statistics_match_independent_routes_property(G, block_bits):
         words = _add_row(words, tuple(x.bits for x in row), m)
     closure = LinearCode([Word.from_bits(w, m, lay) for w in words], lay, m)
     with mock.patch.object(code_module, "_BLOCK_BITS", block_bits):
-        for C, ref in ((span(G), closure), (dual(G), dual(G, method="scan"))):
+        for C, ref in ((span(G), closure), (dual(G), scan_dual(G))):
             assert len(C) == len(ref)
             assert _statistics_or_error(C) == _statistics_or_error(ref)
             assert C.digits.tolist() == ref.digits.tolist()
