@@ -4,8 +4,8 @@ A word of length N = n*b splits into n bytes of b coordinates each; byte i
 is coords[i*b : (i+1)*b].  A `LinearCode`'s words are read as an array of
 shape (|C|, N), one digit (coefficient mask) per coordinate, with unique
 rows in canonical order (coordinate 0 most significant, the order
-`Word.__lt__` gives).  `for w in C` builds `Word` objects one block at a
-time; only `codewords` keeps them all.
+`Word.__lt__` gives).  A code stores a word set or an F2 basis, and every
+reader takes its words from one source, `_blocks`; nothing is cached.
 
 R = F2[u]/(u^m) is an F2-algebra, so both sides are F2-linear.  A vector
 packs into an integer with coordinate 0 most significant, so integer
@@ -15,11 +15,11 @@ spans the code (|C| = 2^rank); coefficient s of <g, v> is the F2 dot
 product of v with u^(m-1-s)*g with each coordinate's bits mirrored, so
 the dual is the bit-mirrored binary dual of that basis.  A code keeps
 its basis fully reduced: `w in C` and `generating_rows` read it, and its
-words come in canonical order in blocks of at most 2^14 (`_blocks`),
-which the statistics in `weight`, the codeword listing (one block of
-strings at a time), iteration and the digit array read.  Only fast paths
-live here: the exhaustive scan of R^N that referees the dual is
-`oracle.scan_dual`.
+words come in canonical order in blocks of at most 2^14 words and 2^20
+digits (`_blocks`), which the statistics in `weight`, the codeword
+listing (one block of strings at a time), iteration and the digit array
+read.  Only fast paths live here: the exhaustive scan of R^N that
+referees the dual is `oracle.scan_dual`.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ DEFAULT_SPAN_BUDGET = 1 << 24
 #: Default cap on |R|^N for dual() and the oracle's exhaustive scan.
 DEFAULT_SPACE_BUDGET = 1 << 28
 
-#: A basis-backed code is enumerated, and any code iterated, in blocks of at
-#: most 2^_BLOCK_BITS words.
+#: `_blocks` reads a code in blocks of at most 2^_BLOCK_BITS words and, for
+#: long words, 2^_BLOCK_DIGIT_BITS digits.
 _BLOCK_BITS = 14
+_BLOCK_DIGIT_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -237,15 +238,14 @@ class LinearCode:
     """Deduplicated codeword set in canonical (coordinate-lex) order.
 
     `digits` is the read-only (|C|, N) array of coefficient masks, one row
-    per codeword in canonical order; `codewords` builds the `Word` tuple
-    on first use.  A code built by `span` or `dual` holds its fully
-    reduced packed F2 basis instead (rank r, |C| = 2^r) and builds
-    `digits` on first read; `_blocks` enumerates either kind in
-    canonical order in bounded blocks.  Iteration streams the words in
-    the same order, one block at a time, unless `codewords` is cached.
+    per codeword in canonical order.  A code built by `span` or `dual`
+    holds its fully reduced packed F2 basis instead (rank r, |C| = 2^r).
+    `_blocks` enumerates either kind in canonical order in bounded blocks,
+    and iteration, `codewords` and a basis-backed code's `digits` are
+    built from them on each read: a code stores nothing after `_set`.
     """
 
-    __slots__ = ("m", "layout", "_basis", "_digits", "_words")
+    __slots__ = ("m", "layout", "_basis", "_digits")
 
     def __init__(self, codewords: Iterable[Word], layout: ByteLayout, m: int):
         words = list(codewords)
@@ -267,13 +267,12 @@ class LinearCode:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "_basis", basis)
         object.__setattr__(self, "_digits", digits)
-        object.__setattr__(self, "_words", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearCode is immutable")
 
     def __reduce__(self):
-        # the basis or the digit array; cached words are rebuilt on first use
+        # the stored form: the basis or the digit array
         if self._basis is not None:
             return LinearCode._from_basis, (self._basis, self.layout, self.m)
         return LinearCode._from_digits, (self._digits, self.layout, self.m)
@@ -301,15 +300,13 @@ class LinearCode:
 
     @property
     def digits(self) -> np.ndarray:
-        if self._digits is None:  # basis-backed: built on first read
-            object.__setattr__(self, "_digits", _materialize(self))
-        return self._digits
+        """The read-only (|C|, N) digit array: a word set's own, or one
+        built from a basis-backed code's blocks on each read."""
+        return _materialize(self) if self._digits is None else self._digits
 
     @property
     def codewords(self) -> tuple[Word, ...]:
-        if self._words is None:  # built on first use
-            object.__setattr__(self, "_words", tuple(self._stream()))
-        return self._words
+        return tuple(self)
 
     def __len__(self) -> int:
         if self._basis is not None:
@@ -317,24 +314,15 @@ class LinearCode:
         return len(self._digits)
 
     def __iter__(self) -> Iterator[Word]:
-        return self._stream() if self._words is None else iter(self._words)
-
-    def _stream(self) -> Iterator[Word]:
-        """The codewords in canonical order, built one block of at most
-        2^14 rows at a time, each ring element once per digit value: a
-        basis-backed code reads `_blocks`, a word set slices `_digits`."""
+        """The codewords in canonical order, built one block of `_blocks`
+        at a time, each ring element once per digit value."""
         m, layout = self.m, self.layout
         elems, seen = {}, np.zeros(1 << m, bool)
-        if self._basis is None:
-            step, digits = 1 << _BLOCK_BITS, self._digits
-            blocks = (digits[i : i + step] for i in range(0, len(digits), step))
-        else:
-            blocks = (block.T for block in _blocks(self))
-        for block in blocks:
+        for block in _blocks(self):
             seen[block] = True  # the digit values so far, with no index copy
             new = np.flatnonzero(seen).tolist()
             elems.update((x, RingElement(m, x)) for x in new if x not in elems)
-            for row in block.tolist():
+            for row in block.T.tolist():
                 yield Word._trusted(tuple(map(elems.__getitem__, row)), layout, m)
 
     def __contains__(self, w: Word) -> bool:
@@ -356,18 +344,29 @@ def _blocks(C: LinearCode) -> Iterator[np.ndarray]:
     """Every word of C once, as coordinate-major (N, B) digit blocks, one
     column per word; the blocks, concatenated, are in canonical order.
 
-    A digits-backed code is one block.  A basis-backed code of rank r
-    yields 2^(r-l) blocks of B = 2^l words, l = min(r, 14): the table of
-    all combinations of the l low basis rows, XOR'd in block g with the
-    high rows at the set bits of g, so column c of block g is word g*B + c
+    B is at most 2^l for l = min(_BLOCK_BITS, _BLOCK_DIGIT_BITS -
+    bitlen(N-1)), so a block holds at most 2^_BLOCK_DIGIT_BITS digits, or
+    one word when l < 0.  A word set yields views of slices of its rows; a basis-backed
+    code yields `_basis_blocks`.
+    """
+    N = C.layout.N
+    bits = max(0, min(_BLOCK_BITS, _BLOCK_DIGIT_BITS - (N - 1).bit_length()))
+    if C._basis is not None:
+        return _basis_blocks(C, bits)
+    step, digits = 1 << bits, C._digits
+    return (digits[i : i + step].T for i in range(0, len(digits), step))
+
+
+def _basis_blocks(C: LinearCode, bits: int) -> Iterator[np.ndarray]:
+    """The `_blocks` of a basis-backed code of rank r: 2^(r-l) blocks of
+    B = 2^l words, l = min(r, bits).  Block 0 is the table of all
+    combinations of the l low basis rows, XOR'd in block g with the high
+    rows at the set bits of g, so column c of block g is word g*B + c
     (`_from_basis`).  From g-1 to g, bits 0..j flip, j the lowest set bit
     of g: one XOR with the prefix "high rows 0..j".
     """
-    if C._basis is None:
-        yield np.ascontiguousarray(C._digits.T)
-        return
     N, m = C.layout.N, C.m
-    low, high = C._basis[:_BLOCK_BITS], C._basis[_BLOCK_BITS:]
+    low, high = C._basis[:bits], C._basis[bits:]
     table = np.zeros((N, 1 << len(low)), dtype=_digit_dtype(m))
     for j, v in enumerate(low):
         half = 1 << j

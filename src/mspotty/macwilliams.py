@@ -19,8 +19,7 @@ row.  For b >= 3 the trie stops at depth b - 1: there a row adds its
 count times the monomial F_{b-1}^x * F_b^y of its last two entries
 (x, y), each distinct pair's monomial built once, so a row costs one
 multiply of its small count by a large monomial.  For b <= 2 a pair fixes
-the whole row and no monomial would repeat, so a row adds
-count * F_b^alpha_b and Horner runs over alpha_{b-1} as well.
+the row, so the trie runs to depth b + 1, where each row is a node.
 
 The trie is folded over plain Python ints (Kronecker substitution): each
 polynomial is held as its value at z = 2^K.  Evaluation at 2^K is a ring
@@ -190,9 +189,9 @@ def _fold(alphas: np.ndarray, counts: Sequence[int], bases: list[int]) -> int:
     built once per distinct pair, in one dict over the pairs (at most
     min(rows, C(n + 2, 2)) entries); `map` multiplies the counts and `sum`
     adds each node's run of rows.  For b <= 2 a pair fixes its row, so
-    none would repeat: a row is a node at depth b with value
-    count * bases[b]^alpha_b, and Horner runs over alpha_{b-1} too, so no
-    multiply has two operands larger than a base.
+    none would repeat: the trie runs to depth b + 1, where each row is a
+    node of value count (rows with equal sums that agree before column b
+    are equal), and Horner runs over every column.
     """
     R, width = alphas.shape
     if not R:
@@ -212,8 +211,7 @@ def _fold(alphas: np.ndarray, counts: Sequence[int], bases: list[int]) -> int:
         heads.append(R)
         values = map(sum, map(islice, repeat(terms), map(sub, heads[1:], heads)))
     else:
-        depth = b
-        values = map(mul, counts, map(powers[b].__getitem__, alphas[:, b].tolist()))
+        depth, values = b + 1, iter(counts)
     for d in range(depth, 0, -1):
         # the first rows of the nodes at depth d, children of depth d - 1
         nodes = first < d
@@ -285,8 +283,8 @@ def transform(dist: DistributionTable, code_size: int) -> Polynomial:
     integer, its value at z = 2^K.  Each node sums its children by Horner's
     rule, one multiply by a small power F_j^gap per trie edge; below that,
     for b >= 3, one multiply per distinct pair (alpha_{b-1}, alpha_b) and
-    one of a count by that pair's monomial per row, and for b <= 2 one
-    multiply of a count by F_b^alpha_b and one Horner step per row.
+    one of a count by that pair's monomial per row, and for b <= 2 Horner
+    runs down to the rows.
     Evaluation at 2^K is a ring homomorphism Z[z] -> Z, so the folded
     integer is exactly N(2^K), whatever the intermediate values were.
     By the triangle inequality every coefficient of N has magnitude at most

@@ -7,13 +7,14 @@ bytes having exactly j nonzero coordinates (0 <= j <= b).
 The word-level functions (`alpha_vector`, `m_spotty_weight`) work on one
 `Word`.  The code-level statistics (`distribution`, `enumerator`,
 `minimum_distance`) walk the code's coordinate-major blocks once
-(`code._blocks`, at most 2^14 words each for a code built from a basis),
+(`code._blocks`, at most 2^14 words each, basis or word set alike),
 reduce each block to its (n, B) byte Hamming weights and feed those to
 `_AlphaRows` (packed alpha keys), `_WeightHistogram` (small-integer
 ceil(h/t) sums) or both (`_walk`).  Memory is bounded by the block and the
-distinct rows, not by |C|, and no statistic builds the digit array.  A
-`DistributionTable` stores its rows once, in the format `transform` folds
-as it is: a sorted read-only alpha matrix and a tuple of counts.
+distinct rows, not by |C|, for either kind of code: no statistic builds
+or copies the digit array.  A `DistributionTable` stores its rows once,
+in the format `transform` folds as it is: a sorted read-only alpha
+matrix and a tuple of counts.
 """
 
 from __future__ import annotations

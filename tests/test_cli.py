@@ -573,6 +573,40 @@ def test_codeword_listing_is_written_block_by_block(tmp_path, fmt):
     assert len(words) == 1 << 18
 
 
+# Loads the CLI, runs main on argv, then prints to stderr how far main
+# raised the process's peak RSS (VmHWM), in KiB.
+RSS_RISE = """
+import sys
+from mspotty import cli
+
+def vm_hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:"))
+
+before = vm_hwm()
+code = cli.main(sys.argv[1:])
+print(vm_hwm() - before, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+def test_long_words_are_read_in_blocks_of_bounded_digits(tmp_path):
+    """One m=16 row of 2,000 ones spans 2^16 words of 2,000 coordinates,
+    so a block of 2^14 words would hold 32.8M digits.  A block holds at
+    most 2^20 digits, so `enumerate` raises the peak by under 30 MB; its
+    distribution is the zero word and 65,535 words of full weight."""
+    matrix = tmp_path / "long.txt"
+    matrix.write_text("m=16 b=1 t=1\n" + " ".join(["1"] * 2000) + "\n")
+    proc = run_child(RSS_RISE, "enumerate", str(matrix), "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr) < 30 << 10, proc.stderr
+    rows = json.loads(proc.stdout)["distribution"]
+    assert [(r["alpha"], r["count"]) for r in rows] == [
+        ([0, 2000], "65535"), ([2000, 0], "1")
+    ]
+
+
 # Exact stdout bytes and exit codes, pinned in tests/data/golden/ as
 # <case>.<format>.  "{small}" stands for a file holding SMALL.  The files
 # were written by the CLI itself and are the output contract: a change that

@@ -539,18 +539,25 @@ def _naive_dual(G):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_small_matrices(max_bits=10, max_rows=3))
-def test_blocks_run_in_canonical_order(G):
-    """With blocks of 4 words most codes have several high basis rows.  The
-    blocks of the span and of the kernel, concatenated as they come, list
-    the naive closure and the naive dual in sorted order."""
+@given(_small_matrices(max_bits=10, max_rows=3), st.integers(0, 6))
+def test_blocks_run_in_canonical_order(G, digit_bits):
+    """With blocks of at most 4 words and 2^digit_bits digits (one word
+    when a word is longer), most codes have several high basis rows, and a
+    word set several row slices.  The blocks of the span, of the kernel and
+    of the scanned dual, concatenated as they come, list the naive closure
+    and the naive dual in sorted order."""
     m, N = G.m, G.layout.N
     closure = {(0,) * N}
     for row in G.rows:
         closure = _add_row(closure, tuple(x.bits for x in row), m)
-    with mock.patch.object(code_module, "_BLOCK_BITS", 2):
-        for C, naive in ((span(G), closure), (dual(G), _naive_dual(G))):
-            words = np.concatenate(list(code_module._blocks(C)), axis=1).T
+    naive_dual = _naive_dual(G)
+    codes = ((span(G), closure), (dual(G), naive_dual), (scan_dual(G), naive_dual))
+    with mock.patch.multiple(code_module, _BLOCK_BITS=2, _BLOCK_DIGIT_BITS=digit_bits):
+        for C, naive in codes:
+            blocks = list(code_module._blocks(C))
+            for B in (block.shape[1] for block in blocks):
+                assert B <= 4 and (B == 1 or B * N <= 1 << digit_bits)
+            words = np.concatenate(blocks, axis=1).T
             assert list(map(tuple, words.tolist())) == sorted(naive)
 
 
@@ -628,7 +635,8 @@ def test_linear_code_invariants():
     C = LinearCode([w1, w0, w1], lay, 2)
     assert len(C) == 2  # deduplicated
     assert C.codewords == (w0, w1)  # sorted
-    assert C.codewords is C.codewords  # words built once, on demand
+    assert C.codewords == C.codewords  # built anew on each read
+    assert not hasattr(C, "_words")  # and kept nowhere
     assert C.digits.tolist() == [[0, 0], [1, 0]]
     assert not C.digits.flags.writeable
     assert w1 in C and Word.from_bits([0, 1], 2, lay) not in C
@@ -639,12 +647,12 @@ def test_linear_code_invariants():
         LinearCode([w0], ByteLayout(b=2, t=1, n=1), 2)
 
 
-def test_iteration_streams_the_cached_words_in_canonical_order():
+def test_iteration_streams_the_words_in_canonical_order():
     """`for w in C` yields `C.codewords` in canonical order, the rows of
     `C.digits`, for codes of several 2^14-word blocks: the kernel dual, the
     span of its generating rows, the scanned dual and a code built from
-    its words.  A second pass gives the same words; once the tuple is
-    cached, iteration reads it."""
+    its words.  A second pass gives the same words, and reading
+    `codewords` or `digits` stores nothing on a basis-backed code."""
     lay, rng = ByteLayout(b=4, t=1, n=5), random.Random(26)
     rows = [[RingElement(1, int(i == j)) for j in range(5)]
             + [RingElement(1, rng.randrange(2)) for _ in range(15)] for i in range(5)]
@@ -657,10 +665,10 @@ def test_iteration_streams_the_cached_words_in_canonical_order():
     assert want == sorted(set(want)) and len(want) == len(kernel)
     for C in codes:
         assert [w.bits() for w in C] == want
-        assert C._words is None  # streaming caches nothing
         assert [w.bits() for w in C] == want == [w.bits() for w in C.codewords]
         assert list(map(tuple, C.digits.tolist())) == want
-        assert all(a is b for a, b in zip(C, C.codewords))
+        if C._basis is not None:
+            assert C._digits is None
 
 
 # Iterates the 2^18 words of the all-zero m=1, b=18 dual, basis-backed and

@@ -869,8 +869,9 @@ def test_poisson_scans_each_code_in_one_engine_call(monkeypatch):
 def test_oracle_runs_without_the_fast_paths(monkeypatch):
     """The referee closes codes row by row and sums weights word by word:
     it imports neither `span` nor the block statistics engine, and runs
-    with the elimination, the basis blocks, the lazy digit array and the
-    statistics engine disabled.  Its per-byte engine builds its own product
+    with the elimination, the basis blocks, the basis-backed digit array
+    and the statistics engine disabled; it reads its own word sets'
+    row slices through `_blocks`.  Its per-byte engine builds its own product
     tables: the per-byte checks also run with the dual scan's chunks and
     tables and the transform's fold disabled.  The scan lives here, not
     among the fast paths of `code`."""
@@ -880,8 +881,8 @@ def test_oracle_runs_without_the_fast_paths(monkeypatch):
     import mspotty.weight
 
     for name in ("span", "generating_rows", "distribution", "enumerator",
-                 "_blocks", "_materialize", "_byte_weight_blocks",
-                 "_fold", "_echelon"):
+                 "_blocks", "_basis_blocks", "_materialize",
+                 "_byte_weight_blocks", "_fold", "_echelon"):
         assert not hasattr(mspotty.oracle, name)
     for name in ("_SCAN_CHUNK", "_times_table", "_scan_chunk", "_scan_dual",
                  "_code_from_packed"):
@@ -890,7 +891,7 @@ def test_oracle_runs_without_the_fast_paths(monkeypatch):
     def disabled(*args):
         raise AssertionError("fast path reached from the oracle")
 
-    monkeypatch.setattr(mspotty.code, "_blocks", disabled)
+    monkeypatch.setattr(mspotty.code, "_basis_blocks", disabled)
     monkeypatch.setattr(mspotty.code, "_materialize", disabled)
     monkeypatch.setattr(mspotty.code, "_reduce", disabled)
     monkeypatch.setattr(mspotty.code, "_echelon", disabled)

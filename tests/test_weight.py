@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 import re
+from math import comb
 from pathlib import Path
 from unittest import mock
 
@@ -344,10 +345,10 @@ def _systematic(rng, m, k, lay):
 def test_streamed_statistics_across_the_block_boundary(m, k):
     """A rank-r code from `span` and the same code as the kernel of its
     dual's generators give the statistics of the scanned code and of the
-    same words through the public constructor; both of those are one
-    digits-backed block.  Neither basis-backed code builds its digit
-    array for the statistics, and the array it builds on first read is
-    the scanned one."""
+    same words through the public constructor; both of those are read in
+    2^14-row slices.  Neither basis-backed code builds its digit array for
+    the statistics, and the array it builds when read is the scanned
+    one."""
     rng = random.Random(1000 * m + k)
     lay = ByteLayout(b=3, t=1 + k % 3, n=18 // (3 * m))
     G, H = _systematic(rng, m, k, lay)
@@ -361,6 +362,27 @@ def test_streamed_statistics_across_the_block_boundary(m, k):
         assert _statistics_or_error(C) == want
         assert C._digits is None
         assert C.digits.tolist() == scanned.digits.tolist()
+
+
+def test_word_set_statistics_memory_is_bounded_by_a_block():
+    """The statistics of the scanned 2^18-word dual of the all-zero m=1,
+    b=18 matrix read 2^14-row slices of its 4.7 MB digit array, not a
+    transposed copy of the whole: together they peak under 2 MiB."""
+    tracemalloc = pytest.importorskip("tracemalloc")
+    lay = ByteLayout(b=18, t=1, n=1)
+    C = scan_dual(GeneratorMatrix([[zero(1)] * 18], lay, m=1))
+    tracemalloc.start()
+    try:
+        dist, W = distribution(C), enumerator(C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert C._basis is None and len(C) == 1 << 18
+    assert W == Polynomial({h: comb(18, h) for h in range(19)})
+    assert dict(dist.items()) == {
+        tuple(int(j == h) for j in range(19)): comb(18, h) for h in range(19)
+    }
+    assert peak < 2 << 20
 
 
 @st.composite
