@@ -329,6 +329,8 @@ def _parse_grid(text: str, what: str) -> tuple[int, ...]:
 def cmd_verify(args) -> tuple[str, int]:
     ms = _parse_grid(args.grid_m, "m")
     bs = _parse_grid(args.grid_b, "b")
+    for m in ms:  # before the campaign's budget guards: no budget admits m > MAX_M
+        _check_m(m)
     reports = campaign(
         ms=ms,
         bs=bs,

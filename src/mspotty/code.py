@@ -9,17 +9,19 @@ reader takes its words from one source, `_blocks`; nothing is cached.
 
 R = F2[u]/(u^m) is an F2-algebra, so both sides are F2-linear.  A vector
 packs into an integer with coordinate 0 most significant, so integer
-order is canonical order.  One Gaussian elimination over Python-int bit
-rows gives the fully reduced basis of the m*k vectors u^i*g_r, which
-spans the code (|C| = 2^rank); coefficient s of <g, v> is the F2 dot
-product of v with u^(m-1-s)*g with each coordinate's bits mirrored, so
-the dual is the bit-mirrored binary dual of that basis.  A code keeps
-its basis fully reduced: `w in C` and `generating_rows` read it, and its
-words come in canonical order in blocks of at most 2^14 words and 2^20
-digits (`_blocks`), which the statistics in `weight`, the codeword
-listing (one block of strings at a time), iteration and the digit array
-read.  Only fast paths live here: the exhaustive scan of R^N that
-referees the dual is `oracle.scan_dual`.
+order is canonical order.  `span`, `dual` and `generating_rows` pack each
+row once and then work on ints alone: u^i*v is v shifted up by i, masked
+to bits i..m-1 of every coordinate, with no ring product.  One Gaussian
+elimination over those bit rows gives the fully reduced basis of the
+m*k vectors u^i*g_r, which spans the code (|C| = 2^rank); coefficient s
+of <g, v> is the F2 dot product of v with u^(m-1-s)*g with each
+coordinate's bits mirrored, so the dual is the bit-mirrored binary dual
+of that basis.  A code keeps its basis fully reduced: `w in C` and
+`generating_rows` read it, and its words come in canonical order in
+blocks of at most 2^14 words and 2^20 digits (`_blocks`), which the
+statistics in `weight`, the codeword listing (one block of strings at a
+time), iteration and the digit array read.  Only fast paths live here:
+the exhaustive scan of R^N that referees the dual is `oracle.scan_dual`.
 """
 
 from __future__ import annotations
@@ -243,6 +245,8 @@ class LinearCode:
     `_blocks` enumerates either kind in canonical order in bounded blocks,
     and iteration, `codewords` and a basis-backed code's `digits` are
     built from them on each read: a code stores nothing after `_set`.
+    `len()` stops at 2^62 words (rank 62), as Python's `len()` takes no
+    int above 2^63 - 1; `repr` and `generating_rows` read the exact size.
     """
 
     __slots__ = ("m", "layout", "_basis", "_digits")
@@ -308,10 +312,11 @@ class LinearCode:
     def codewords(self) -> tuple[Word, ...]:
         return tuple(self)
 
-    def __len__(self) -> int:
-        if self._basis is not None:
-            return 1 << len(self._basis)
-        return len(self._digits)
+    def _size(self) -> int:
+        """|C| as an exact int, which `len()` cannot return past 2^63 - 1."""
+        return len(self._digits) if self._basis is None else 1 << len(self._basis)
+
+    __len__ = _size
 
     def __iter__(self) -> Iterator[Word]:
         """The codewords in canonical order, built one block of `_blocks`
@@ -337,7 +342,7 @@ class LinearCode:
         return 1 << (self.m * self.layout.N)
 
     def __repr__(self) -> str:
-        return f"LinearCode(|C|={len(self)}, m={self.m}, layout={self.layout})"
+        return f"LinearCode(|C|={self._size()}, m={self.m}, layout={self.layout})"
 
 
 def _blocks(C: LinearCode) -> Iterator[np.ndarray]:
@@ -448,10 +453,13 @@ def _insert(v: int, basis: dict[int, int]) -> None:
         basis[v.bit_length() - 1] = v
 
 
-def _multiples(digits: Sequence[int], m: int) -> Iterator[int]:
-    """The packed u^i * row for i < m, whose F2-span is the R-span of row."""
+def _multiples(v: int, m: int, N: int) -> Iterator[int]:
+    """The u^i * v for i < m of a packed row v, whose F2-span is its R-span.
+    u^i shifts every coordinate's bits up by i; the mask keeps bits i..m-1
+    of each coordinate, dropping what passed u^(m-1) into the next one."""
+    ones = ((1 << m * N) - 1) // ((1 << m) - 1)  # bit 0 of every coordinate
     for i in range(m):
-        yield _pack((mul_bits(1 << i, x, m) for x in digits), m)
+        yield v << i & ((1 << m) - (1 << i)) * ones
 
 
 def _mirror(i: int, m: int) -> int:
@@ -472,22 +480,28 @@ def _echelon(vectors: Iterable[int]) -> dict[int, int]:
     return basis
 
 
-def _row_space(m: int, rows_bits: Iterable[Sequence[int]]) -> dict[int, int]:
-    """`_echelon` of the m*k vectors u^i * row, which span the rows' R-span."""
-    return _echelon(v for row in rows_bits for v in _multiples(row, m))
+def _row_space(m: int, N: int, rows: Iterable[int]) -> dict[int, int]:
+    """`_echelon` of the m*k vectors u^i * row of packed rows: their R-span."""
+    return _echelon(v for row in rows for v in _multiples(row, m, N))
+
+
+def _packed_rows(G: GeneratorMatrix) -> list[int]:
+    """Each row of G packed once, coordinate 0 most significant."""
+    return [_pack((x.bits for x in row), G.m) for row in G.rows]
 
 
 def span(G: GeneratorMatrix, budget: int = DEFAULT_SPAN_BUDGET) -> LinearCode:
     """All R-linear combinations of the rows of G, deduplicated.
 
     The contract is an enumeration of |R|^k coefficient tuples, so that count
-    is what the budget guards; internally the code holds the fully reduced
-    basis of the m*k vectors u^i * row, of rank r, and builds its 2^r-row
-    digit array only when that is read.
+    is what the budget guards; internally each row is packed once and the
+    code holds the fully reduced basis of the m*k shifted-and-masked
+    vectors u^i * row, of rank r, and builds its 2^r-row digit array only
+    when that is read.
     """
     m = G.m
     BudgetError.guard("span over R^k coefficient tuples", budget, shift=m * G.k)
-    basis = _row_space(m, ([x.bits for x in row] for row in G.rows))
+    basis = _row_space(m, G.layout.N, _packed_rows(G))
     return LinearCode._from_basis(basis.values(), G.layout, m)
 
 
@@ -504,8 +518,8 @@ def code_size_from_profile(m: int, profile: Sequence[int]) -> int:
     return 1 << s
 
 
-def _kernel_basis(m: int, N: int, rows_bits: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Packed basis of {v : <row, v> = 0 for every row}.
+def _kernel_basis(m: int, N: int, rows: Iterable[int]) -> list[int]:
+    """Packed basis of {v : <row, v> = 0 for every packed row}.
 
     Coefficient s of <g, v> (chi reads s = m-1) is the F2 dot product of v
     with u^(m-1-s) * g with each coordinate's m bits mirrored (bit e to
@@ -513,7 +527,7 @@ def _kernel_basis(m: int, N: int, rows_bits: tuple[tuple[int, ...], ...]) -> lis
     bit f that leads no row of the fully reduced basis gives bit f plus the
     leading bit p of each row that has bit f, every bit index mirrored.
     """
-    basis = _row_space(m, rows_bits)
+    basis = _row_space(m, N, rows)
     kernel = []
     for f in range(m * N):
         if f not in basis:
@@ -528,17 +542,16 @@ def dual(
     """Every v in R^N with <row, v> = 0 for all rows of G.
 
     Orthogonality to the generators implies orthogonality to the whole code
-    by bilinearity.  An empty matrix dualizes to the full space.  The code
-    holds the kernel basis read off the row space's elimination (digits
-    built on first read); `budget` caps |R|^N.  `workers` must be >= 1,
-    and nothing else reads it.
+    by bilinearity.  An empty matrix dualizes to the full space.  Each row
+    is packed once; the code holds the kernel basis read off the row
+    space's elimination (digits built on each read); `budget` caps |R|^N.
+    `workers` must be >= 1, and nothing else reads it.
     """
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     m, N = G.m, G.layout.N
     BudgetError.guard("dual scan over R^N", budget, shift=m * N)
-    rows_bits = tuple(tuple(x.bits for x in row) for row in G.rows)
-    return LinearCode._from_basis(_kernel_basis(m, N, rows_bits), G.layout, m)
+    return LinearCode._from_basis(_kernel_basis(m, N, _packed_rows(G)), G.layout, m)
 
 
 def generating_rows(C: LinearCode) -> GeneratorMatrix:
@@ -548,22 +561,23 @@ def generating_rows(C: LinearCode) -> GeneratorMatrix:
 
     A basis-backed code tries only its basis rows, in order: the words
     before row j combine rows 0..j-1, so the first word outside a span is
-    a basis row.  Useful for re-dualizing a code only known by its words.
+    a basis row.  A word is packed once and its u^i multiples are
+    shifts-and-masks; only the chosen rows are unpacked to elements.
+    Useful for re-dualizing a code only known by its words.
     """
     m, N = C.m, C.layout.N
-    words = C._digits if C._basis is None else [_unpack(v, N, m) for v in C._basis]
+    words = C._basis if C._digits is None else (_pack(w.tolist(), m) for w in C._digits)
     basis: dict[int, int] = {}
-    gens: list[list[int]] = []
+    gens: list[int] = []
     for word in words:  # row by row: the loop usually stops early
-        row = word.tolist()
-        if not _reduce(_pack(row, m), basis):
+        if not _reduce(word, basis):
             continue
-        gens.append(row)
-        for v in _multiples(row, m):
+        gens.append(word)
+        for v in _multiples(word, m, N):
             _insert(v, basis)
-        if 1 << len(basis) == len(C):
+        if 1 << len(basis) == C._size():
             break
-    rows = [[RingElement(m, x) for x in row] for row in gens]
+    rows = [[RingElement(m, x) for x in _unpack(v, N, m).tolist()] for v in gens]
     return GeneratorMatrix(rows, C.layout, m=m)
 
 

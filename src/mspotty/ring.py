@@ -2,8 +2,10 @@
 
 An element r0 + r1*u + ... + r_{m-1}*u^{m-1} with ri in F2 is stored as the
 integer whose bit i is ri.  Addition is XOR; multiplication is a carry-less
-polynomial product truncated at degree m (u^m = 0).  The ring has 2^(m-1)
-units (exactly the elements with r0 = 1) and its ideals form the chain
+polynomial product truncated at degree m (u^m = 0), which `mul_bits`
+computes directly, with no tables; u^i times x is x shifted up by i with
+the bits past u^(m-1) dropped.  The ring has 2^(m-1) units (exactly the
+elements with r0 = 1) and its ideals form the chain
 <1> > <u> > <u^2> > ... > <u^(m-1)> > <0>.
 
 The additive character `chi` maps x to (-1)^(r_{m-1}(x)).  Its kernel A and
@@ -14,7 +16,6 @@ A+A and B+B land in A, A+B lands in B.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator
 
 from .errors import ParameterError
@@ -23,40 +24,21 @@ from .errors import ParameterError
 #: loops over the whole ring stay cheap.
 MAX_M = 16
 
-# Precomputed multiplication tables are only worth the memory up to here.
-_TABLE_M_LIMIT = 8
-
 
 def _check_m(m: int) -> None:
     if not isinstance(m, int) or not 1 <= m <= MAX_M:
         raise ParameterError(f"m must be an integer in [1, {MAX_M}], got {m!r}")
 
 
-def _clmul(a: int, b: int, m: int) -> int:
-    """Carry-less product of two coefficient masks, truncated at degree m."""
-    acc = 0
-    shift = 0
-    while b:
-        if b & 1:
-            acc ^= a << shift
-        b >>= 1
-        shift += 1
-    return acc & ((1 << m) - 1)
-
-
-@lru_cache(maxsize=None)
-def _mul_table(m: int) -> tuple[tuple[int, ...], ...]:
-    size = 1 << m
-    return tuple(
-        tuple(_clmul(a, b, m) for b in range(size)) for a in range(size)
-    )
-
-
 def mul_bits(a: int, b: int, m: int) -> int:
-    """Product of two elements given as raw coefficient masks."""
-    if m <= _TABLE_M_LIMIT:
-        return _mul_table(m)[a][b]
-    return _clmul(a, b, m)
+    """Product of two elements given as raw coefficient masks: the XOR of
+    a shifted by each set bit of b (carry-less), truncated at degree m."""
+    acc = 0
+    while b:
+        low = b & -b  # u^e for the lowest set bit e of b
+        acc ^= a * low  # a << e
+        b ^= low
+    return acc & ((1 << m) - 1)
 
 
 class RingElement:

@@ -294,7 +294,7 @@ def test_verify_oversized_summation_check_exits_3_fast(capsys):
 
 
 @pytest.mark.parametrize(
-    "m,required",
+    "b,required",
     [
         # 1 << (m * b) itself overflows
         ("99999999999999999999", "101*2^99999999999999999999"),
@@ -302,13 +302,29 @@ def test_verify_oversized_summation_check_exits_3_fast(capsys):
         ("100000000", "101*2^100000000"),
     ],
 )
-def test_verify_huge_grid_m_exits_3(capsys, m, required):
-    code, out, err = run_cli(capsys, "verify", "--grid-m", m)
+def test_verify_huge_grid_b_exits_3(capsys, b, required):
+    code, out, err = run_cli(capsys, "verify", "--grid-b", b)
     assert code == 3 and out == ""
     assert err == (
-        f"error: verify cell m={m} b=1: 101 byte scans over R^b: "
+        f"error: verify cell m=1 b={b}: 101 byte scans over R^b: "
         f"requires {required} > budget 16777216\n"
     )
+
+
+@pytest.mark.parametrize("m", ["17", "100000000", "99999999999999999999"])
+def test_verify_grid_m_beyond_the_ring_exits_2(capsys, m):
+    """No budget admits an m the ring does not support: the range check
+    runs before the campaign's budget guards, as `tables` does."""
+    code, out, err = run_cli(capsys, "verify", "--grid-m", f"2,{m}", "--grid-b", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: m must be an integer in [1, 16], got {m}\n"
+    assert run_cli(capsys, "tables", m, "1", "1")[::2] == (2, err)
+
+
+def test_verify_grid_m_16_still_exits_3(capsys):
+    code, out, err = run_cli(capsys, "verify", "--grid-m", "16", "--grid-b", "1")
+    assert code == 3 and out == ""
+    assert "check 3.7 scans R^2 for each of 2^16 codewords" in err
 
 
 def test_enumerate_huge_span_exits_3(capsys, tmp_path):

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mspotty import code as code_module
+from mspotty import ring as ring_module
 from mspotty.code import (
     ByteLayout,
     GeneratorMatrix,
@@ -25,6 +26,7 @@ from mspotty.code import (
     _kernel_basis,
     _mirror,
     _multiples,
+    _pack,
     _row_space,
     code_size_from_profile,
     dual,
@@ -38,7 +40,7 @@ from mspotty.errors import BudgetError, MatrixParseError, ParameterError
 from mspotty.macwilliams import transform
 from mspotty.oracle import _add_row, _generators, scan_dual
 from mspotty.ring import RingElement, elements, monomial, mul_bits, one, zero
-from mspotty.weight import distribution
+from mspotty.weight import distribution, enumerator
 
 DATA = Path(__file__).parent / "data"
 
@@ -442,9 +444,9 @@ def test_rank_and_kernel_dimension_fill_the_space(G):
     vector is orthogonal to the constraint forms built literally, which
     span a space of the same rank, so the kernel is exactly their null
     space."""
-    rows_bits = tuple(tuple(x.bits for x in row) for row in G.rows)
-    rank = len(_row_space(G.m, rows_bits))
-    kernel = _kernel_basis(G.m, G.layout.N, rows_bits)
+    rows = [_pack((x.bits for x in row), G.m) for row in G.rows]
+    rank = len(_row_space(G.m, G.layout.N, rows))
+    kernel = _kernel_basis(G.m, G.layout.N, rows)
     assert rank + len(kernel) == G.m * G.layout.N
     forms = _constraint_forms(G)
     assert all((v & f).bit_count() % 2 == 0 for v in kernel for f in forms)
@@ -466,7 +468,7 @@ def test_inner_product_bits_are_mirrored_dot_products(m, N, data):
     word = st.lists(st.integers(0, (1 << m) - 1), min_size=N, max_size=N)
     g, v = data.draw(word), data.draw(word)
     c = inner_product(*([RingElement(m, x) for x in w] for w in (g, v))).bits
-    multiples = list(_multiples(g, m))
+    multiples = list(_multiples(_pack(g, m), m, N))
     packed_v = sum(x << (m * (N - 1 - i)) for i, x in enumerate(v))
     for s in range(m):
         w = multiples[m - 1 - s]
@@ -523,6 +525,81 @@ def test_generating_rows_reproduces_code():
         assert H.k <= G.k or G.k == 0
         assert span(H).codewords == C.codewords
         assert H.rows == _generators(C).rows  # same greedy choice as the naive closure
+
+
+def test_span_dual_and_generating_rows_take_no_ring_product():
+    """Rows are packed once and u^i acts by shift-and-mask: with every
+    `mul_bits` refusing, span, dual and generating_rows (of both stored
+    forms) give the worked example's codes and rows unchanged."""
+    G = load_matrix(DATA / "worked_example.txt")
+
+    def answers():
+        codes = [span(G), dual(G)]
+        codes += [LinearCode._from_digits(C.digits, C.layout, C.m) for C in codes]
+        return [(C._basis, generating_rows(C).rows) for C in codes]
+
+    def refuse(*args):
+        raise AssertionError("mul_bits called")
+
+    want = answers()
+    with mock.patch.object(code_module, "mul_bits", refuse), \
+            mock.patch.object(ring_module, "mul_bits", refuse):
+        assert answers() == want
+    assert [w.coords for w in span(G)] == sorted(_naive_span(G))
+    assert dual(G).codewords == scan_dual(G).codewords
+
+
+def test_a_code_past_len_reports_its_exact_size():
+    """The dual of one all-ones row at m=1, N=64 has rank 63: `len()`
+    cannot return 2^63, but `repr` and `generating_rows` read the exact
+    size."""
+    lay = ByteLayout(b=4, t=1, n=16)
+    C = dual(GeneratorMatrix([[one(1)] * lay.N], lay), budget=1 << 64)
+    assert repr(C) == f"LinearCode(|C|={1 << 63}, m=1, layout={lay})"
+    with pytest.raises(OverflowError):
+        len(C)
+    H = generating_rows(C)
+    assert all(Word(row, lay) in C for row in H.rows)
+    rows = [_pack((x.bits for x in row), 1) for row in H.rows]
+    assert len(_row_space(1, lay.N, rows)) == 63
+
+
+_VALUE_KINDS = ["RingElement", "Word", "ByteLayout", "GeneratorMatrix", "basis code",
+                "word set", "DistributionTable", "Polynomial"]
+
+
+@pytest.mark.parametrize("kind", _VALUE_KINDS)
+def test_value_type_contracts(kind):
+    """Every value type refuses attribute assignment.  A code, in either
+    stored form, lists its words in the order `Word.__lt__` sorts them
+    into, and equal words, built apart, hash equal and index alike."""
+    G = load_matrix(DATA / "worked_example.txt")
+    C = span(G)
+    value = {
+        "RingElement": G.rows[0][1],
+        "Word": next(iter(C)),
+        "ByteLayout": G.layout,
+        "GeneratorMatrix": G,
+        "basis code": C,
+        "word set": LinearCode(C, G.layout, G.m),
+        "DistributionTable": distribution(C),
+        "Polynomial": enumerator(C),
+    }[kind]
+    for name in ("m", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    if isinstance(value, LinearCode):
+        words = list(value)
+        shuffled = words[::-1]
+        random.Random(1).shuffle(shuffled)
+        assert sorted(shuffled) == words
+        for w in words:
+            twin = Word.from_bits(w.bits(), w.m, w.layout)
+            assert twin == w and hash(twin) == hash(w) and twin is not w
+            assert [twin[i] for i in range(len(w))] == list(w.coords)
+            assert w[-1] == w.coords[-1] and w[1:3] == w.coords[1:3]
+            assert [bool(x) for x in w] == [x.bits != 0 for x in w]
+        assert len(set(words) | {Word(w.coords, w.layout) for w in words}) == len(words)
 
 
 def _naive_dual(G):

@@ -145,7 +145,7 @@ def test_partition_m4_canonical_set():
 
 
 def test_mul_bits_matches_table_and_formula():
-    # table-backed small m vs the carry-less definition for larger m
+    # the product vs the carry-less definition, for small and larger m
     for m in (2, 3, 8, 9, 12):
         rng = random.Random(m)
         for _ in range(50):

@@ -93,6 +93,41 @@ MUTANTS = [
         ("tests/test_code.py::test_blocks_run_in_canonical_order",),
     ),
     Mutant(
+        "_multiples keeps the bits carried past u^(m-1)",
+        CODE,
+        "yield v << i & ((1 << m) - (1 << i)) * ones",
+        "yield v << i & ((1 << m) - 1) * ones",
+        ("tests/test_code.py",),
+    ),
+    Mutant(
+        "_multiples shifts by i + 1",
+        CODE,
+        "yield v << i & (",
+        "yield v << i + 1 & (",
+        ("tests/test_code.py",),
+    ),
+    Mutant(
+        "generating_rows stops one row early",
+        CODE,
+        "for v in gens]",
+        "for v in gens[:-1]]",
+        ("tests/test_code.py",),
+    ),
+    Mutant(
+        "repr reads |C| through len()",
+        CODE,
+        'f"LinearCode(|C|={self._size()}, ',
+        'f"LinearCode(|C|={len(self)}, ',
+        ("tests/test_code.py::test_a_code_past_len_reports_its_exact_size",),
+    ),
+    Mutant(
+        "generating_rows reads |C| through len()",
+        CODE,
+        "if 1 << len(basis) == C._size():",
+        "if 1 << len(basis) == len(C):",
+        ("tests/test_code.py::test_a_code_past_len_reports_its_exact_size",),
+    ),
+    Mutant(
         "control: a comment reworded",
         CODE,
         "# the stored form: the basis or the digit array",
