@@ -4,8 +4,8 @@ A word of length N = n*b splits into n bytes of b coordinates each; byte i
 is coords[i*b : (i+1)*b].  A `LinearCode`'s words are read as an array of
 shape (|C|, N), one digit (coefficient mask) per coordinate, with unique
 rows in canonical order (coordinate 0 most significant, the order
-`Word.__lt__` gives).  A code stores a word set or an F2 basis, and every
-reader takes its words from one source, `_blocks`; nothing is cached.
+`Word.__lt__` gives).  A code stores one F2 basis, and every reader takes
+its words from one source, `_blocks`; nothing is cached.
 
 R = F2[u]/(u^m) is an F2-algebra, so both sides are F2-linear.  A vector
 packs into an integer with coordinate 0 most significant, so integer
@@ -16,7 +16,7 @@ elimination over those bit rows gives the fully reduced basis of the
 m*k vectors u^i*g_r, which spans the code (|C| = 2^rank); coefficient s
 of <g, v> is the F2 dot product of v with u^(m-1-s)*g with each
 coordinate's bits mirrored, so the dual is the bit-mirrored binary dual
-of that basis.  A code keeps its basis fully reduced: `w in C` and
+of that basis.  A code stores only its fully reduced basis: `w in C` and
 `generating_rows` read it, and its words come in canonical order in
 blocks of at most 2^14 words and 2^20 digits (`_blocks`), which the
 statistics in `weight`, the codeword listing (one block of strings at a
@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetError, MatrixParseError, ParameterError
-from .ring import MAX_M, RingElement, mul_bits, parse_element, zero
+from .ring import MAX_M, RingElement, mul_bits, parse_element
 
 #: Default cap on |R|^k coefficient tuples enumerated by span().
 DEFAULT_SPAN_BUDGET = 1 << 24
@@ -70,6 +70,8 @@ class ByteLayout:
 
 
 def _uniform_m(coords: Sequence[RingElement]) -> int:
+    if not coords:
+        raise ParameterError("no coordinates to read the ring parameter m from")
     m = coords[0].m
     if any(x.m != m for x in coords):
         raise ParameterError("coordinates mix different ring parameters")
@@ -217,78 +219,49 @@ def _digit_dtype(m: int) -> type:
     return np.uint8 if m <= 8 else np.uint16
 
 
-def _group_rows(rows: np.ndarray, counts=None) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a 2-D array in lexicographic order (column 0 most
-    significant), and the sum of `counts` (1 per row by default) over each."""
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    starts = np.flatnonzero(new)
-    counts = np.ones(len(rows), np.int64) if counts is None else counts[order]
-    return rows[starts], np.add.reduceat(counts, starts)
-
-
-def _canonical(digits: np.ndarray, m: int) -> np.ndarray:
-    """The distinct rows of a (rows, N) integer array, canonical, read-only."""
-    digits = _group_rows(digits.astype(_digit_dtype(m), copy=False))[0]
-    digits.flags.writeable = False
-    return digits
-
-
 class LinearCode:
-    """Deduplicated codeword set in canonical (coordinate-lex) order.
+    """An F2-linear set of words in canonical (coordinate-lex) order,
+    stored as its fully reduced packed F2 basis (rank r, |C| = 2^r).
 
-    `digits` is the read-only (|C|, N) array of coefficient masks, one row
-    per codeword in canonical order.  A code built by `span` or `dual`
-    holds its fully reduced packed F2 basis instead (rank r, |C| = 2^r).
-    `_blocks` enumerates either kind in canonical order in bounded blocks,
-    and iteration, `codewords` and a basis-backed code's `digits` are
-    built from them on each read: a code stores nothing after `_set`.
-    `len()` stops at 2^62 words (rank 62), as Python's `len()` takes no
-    int above 2^63 - 1; `repr` and `generating_rows` read the exact size.
+    `span` and `dual` build the basis by elimination; the public
+    constructor takes the words themselves and refuses any set that is not
+    closed under addition.  `_blocks` enumerates the words in canonical
+    order in bounded blocks, and iteration, `codewords` and the read-only
+    (|C|, N) digit array `digits` are built from them on each read: a code
+    stores nothing but its basis.  `len()` stops at 2^62 words (rank 62),
+    as Python's `len()` takes no int above 2^63 - 1; `repr` and
+    `generating_rows` read the exact size.
     """
 
-    __slots__ = ("m", "layout", "_basis", "_digits")
+    __slots__ = ("m", "layout", "_basis")
 
     def __init__(self, codewords: Iterable[Word], layout: ByteLayout, m: int):
         words = list(codewords)
-        if not words:
-            raise ParameterError("a linear code cannot be empty")
         for w in words:
             if w.layout != layout or w.m != m:
                 raise ParameterError("codeword layout or ring parameter mismatch")
-        self._set(layout, m, None, _canonical(np.array([w.bits() for w in words]), m))
+        self._set(layout, m, _closed([_pack(w.bits(), m) for w in words]))
 
-    def _set(
-        self,
-        layout: ByteLayout,
-        m: int,
-        basis: tuple[int, ...] | None,
-        digits: np.ndarray | None,
-    ) -> None:
+    def _set(self, layout: ByteLayout, m: int, basis: dict[int, int]) -> None:
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_basis", basis)
-        object.__setattr__(self, "_digits", digits)
+        object.__setattr__(self, "_basis", tuple(basis[p] for p in sorted(basis)))
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearCode is immutable")
 
     def __reduce__(self):
-        # the stored form: the basis or the digit array
-        if self._basis is not None:
-            return LinearCode._from_basis, (self._basis, self.layout, self.m)
-        return LinearCode._from_digits, (self._digits, self.layout, self.m)
+        # the stored form: the fully reduced basis
+        return LinearCode._from_basis, (self._basis, self.layout, self.m)
 
     @classmethod
-    def _from_digits(
-        cls, digits: np.ndarray, layout: ByteLayout, m: int
+    def _from_words(
+        cls, words: Sequence[int], layout: ByteLayout, m: int
     ) -> "LinearCode":
-        """A code from a nonempty (rows, N) integer array of words bound to
-        `layout` and `m`; rows are cast, sorted and deduplicated here."""
+        """The code of packed words bound to `layout` and `m`, checked as
+        the public constructor checks them (`_closed`)."""
         C = object.__new__(cls)
-        C._set(layout, m, None, _canonical(digits, m))
+        C._set(layout, m, _closed(words))
         return C
 
     @classmethod
@@ -297,16 +270,16 @@ class LinearCode:
     ) -> "LinearCode":
         """The F2-span of packed vectors, kept fully reduced and sorted by leading
         bit: the rows at the set bits of c sum to the c-th word in canonical order."""
-        basis = _echelon(vectors)
         C = object.__new__(cls)
-        C._set(layout, m, tuple(basis[p] for p in sorted(basis)), None)
+        C._set(layout, m, _echelon(vectors))
         return C
 
     @property
     def digits(self) -> np.ndarray:
-        """The read-only (|C|, N) digit array: a word set's own, or one
-        built from a basis-backed code's blocks on each read."""
-        return _materialize(self) if self._digits is None else self._digits
+        """The read-only (|C|, N) digit array, built from `_blocks` on each read."""
+        digits = np.concatenate([block.T for block in _blocks(self)])
+        digits.flags.writeable = False
+        return digits
 
     @property
     def codewords(self) -> tuple[Word, ...]:
@@ -314,7 +287,7 @@ class LinearCode:
 
     def _size(self) -> int:
         """|C| as an exact int, which `len()` cannot return past 2^63 - 1."""
-        return len(self._digits) if self._basis is None else 1 << len(self._basis)
+        return 1 << len(self._basis)
 
     __len__ = _size
 
@@ -333,8 +306,6 @@ class LinearCode:
     def __contains__(self, w: Word) -> bool:
         if not isinstance(w, Word) or w.layout != self.layout or w.m != self.m:
             return False
-        if self._basis is None:  # a word set, maybe not linear: compare rows
-            return bool((self._digits == w.bits()).all(axis=1).any())
         basis = {v.bit_length() - 1: v for v in self._basis}
         return not _reduce(_pack(w.bits(), self.m), basis)
 
@@ -349,28 +320,16 @@ def _blocks(C: LinearCode) -> Iterator[np.ndarray]:
     """Every word of C once, as coordinate-major (N, B) digit blocks, one
     column per word; the blocks, concatenated, are in canonical order.
 
-    B is at most 2^l for l = min(_BLOCK_BITS, _BLOCK_DIGIT_BITS -
-    bitlen(N-1)), so a block holds at most 2^_BLOCK_DIGIT_BITS digits, or
-    one word when l < 0.  A word set yields views of slices of its rows; a basis-backed
-    code yields `_basis_blocks`.
-    """
-    N = C.layout.N
-    bits = max(0, min(_BLOCK_BITS, _BLOCK_DIGIT_BITS - (N - 1).bit_length()))
-    if C._basis is not None:
-        return _basis_blocks(C, bits)
-    step, digits = 1 << bits, C._digits
-    return (digits[i : i + step].T for i in range(0, len(digits), step))
-
-
-def _basis_blocks(C: LinearCode, bits: int) -> Iterator[np.ndarray]:
-    """The `_blocks` of a basis-backed code of rank r: 2^(r-l) blocks of
-    B = 2^l words, l = min(r, bits).  Block 0 is the table of all
-    combinations of the l low basis rows, XOR'd in block g with the high
-    rows at the set bits of g, so column c of block g is word g*B + c
-    (`_from_basis`).  From g-1 to g, bits 0..j flip, j the lowest set bit
-    of g: one XOR with the prefix "high rows 0..j".
+    A code of rank r gives 2^(r-l) blocks of B = 2^l words, l = min(r,
+    _BLOCK_BITS, _BLOCK_DIGIT_BITS - bitlen(N-1)) and at least 0, so a
+    block holds at most 2^_BLOCK_DIGIT_BITS digits, or one word.  Block 0
+    is the table of all combinations of the l low basis rows, XOR'd in
+    block g with the high rows at the set bits of g, so column c of block
+    g is word g*B + c (`_from_basis`).  From g-1 to g, bits 0..j flip, j
+    the lowest set bit of g: one XOR with the prefix "high rows 0..j".
     """
     N, m = C.layout.N, C.m
+    bits = max(0, min(_BLOCK_BITS, _BLOCK_DIGIT_BITS - (N - 1).bit_length()))
     low, high = C._basis[:bits], C._basis[bits:]
     table = np.zeros((N, 1 << len(low)), dtype=_digit_dtype(m))
     for j, v in enumerate(low):
@@ -382,13 +341,6 @@ def _basis_blocks(C: LinearCode, bits: int) -> Iterator[np.ndarray]:
     for g in range(1, 1 << len(high)):
         offset ^= flips[(g & -g).bit_length() - 1]
         yield table ^ offset
-
-
-def _materialize(C: LinearCode) -> np.ndarray:
-    """The read-only digit array of a basis-backed code, block by block."""
-    digits = np.concatenate([block.T for block in _blocks(C)])
-    digits.flags.writeable = False
-    return digits
 
 
 def _word_strings(C: LinearCode) -> Iterator[list[str]]:
@@ -480,6 +432,18 @@ def _echelon(vectors: Iterable[int]) -> dict[int, int]:
     return basis
 
 
+def _closed(words: Sequence[int]) -> dict[int, int]:
+    """`_echelon` of nonempty packed words that are closed under addition:
+    their span has 2^rank words and holds them all, so they are exactly
+    when 2^rank of them are distinct."""
+    if not words:
+        raise ParameterError("a linear code cannot be empty")
+    basis = _echelon(words)
+    if len(set(words)) != 1 << len(basis):
+        raise ParameterError("codewords are not closed under addition")
+    return basis
+
+
 def _row_space(m: int, N: int, rows: Iterable[int]) -> dict[int, int]:
     """`_echelon` of the m*k vectors u^i * row of packed rows: their R-span."""
     return _echelon(v for row in rows for v in _multiples(row, m, N))
@@ -559,17 +523,16 @@ def generating_rows(C: LinearCode) -> GeneratorMatrix:
     a word joins when it is outside the span of those before it, tested by
     an incremental F2 rank.
 
-    A basis-backed code tries only its basis rows, in order: the words
-    before row j combine rows 0..j-1, so the first word outside a span is
-    a basis row.  A word is packed once and its u^i multiples are
-    shifts-and-masks; only the chosen rows are unpacked to elements.
-    Useful for re-dualizing a code only known by its words.
+    Only the basis rows are tried, in order: the words before row j
+    combine rows 0..j-1, so the first word outside a span is a basis row.
+    A row's u^i multiples are shifts-and-masks; only the chosen rows are
+    unpacked to elements.  Useful for re-dualizing a code only known by
+    its words.
     """
     m, N = C.m, C.layout.N
-    words = C._basis if C._digits is None else (_pack(w.tolist(), m) for w in C._digits)
     basis: dict[int, int] = {}
     gens: list[int] = []
-    for word in words:  # row by row: the loop usually stops early
+    for word in C._basis:  # row by row: the loop usually stops early
         if not _reduce(word, basis):
             continue
         gens.append(word)

@@ -20,9 +20,11 @@ mismatch.  The closed forms live in `macwilliams`
 and in the campaign's expected values: the transform is the fast path,
 these are the referee.  Codes are closed row by row and enumerators
 summed word by word: nothing here calls `span`, the vectorized statistics
-in `weight`, `code.dual` or the transform's fold.  The dual is found by
-`scan_dual`, which tests every vector of R^N; its times tables are its
-own and are not the engine's, so one wrong product cannot pass both.
+in `weight`, `code.dual` or the transform's fold, and the campaign builds
+no `LinearCode`.  The dual is found by `_scan_words`, which tests every
+vector of R^N and keeps its hits as a plain sorted digit array; its times
+tables are its own and are not the engine's, so one wrong product cannot
+pass both.  `scan_dual` gives the same words as a `LinearCode`.
 
 Check ids used in reports ("3.1" ... "3.7", "c3.1", "c3.2", "partition")
 are stable wire identifiers, chosen once and kept short for JSON output.
@@ -35,7 +37,7 @@ import os
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -44,6 +46,7 @@ from .code import (
     ByteLayout,
     GeneratorMatrix,
     LinearCode,
+    Word,
     _digit_dtype,
     inner_product,
 )
@@ -73,7 +76,7 @@ DEFAULT_BYTE_BUDGET = 1 << 24
 #: with the byte scans in numpy blocks it takes 0.005 / 0.014 / 0.12 s, and
 #: 0.58 s at m = 8 (best of 3, 2 CPUs), most of it the dual scan.
 POISSON_SCAN_BUDGET = 8**7
-#: Vectors of R^N tested per chunk by `scan_dual`.
+#: Vectors of R^N tested per chunk by `_scan`.
 _SCAN_CHUNK = 1 << 20
 #: Cap on candidate subsets tried by the partition search.
 PARTITION_SEARCH_BUDGET = 10_000
@@ -220,15 +223,12 @@ def _byte_transforms(m: int, b: int, t: int, cs: np.ndarray) -> list[Polynomial]
 
 def dual_enumerator_bruteforce(G: GeneratorMatrix) -> Polynomial:
     """Weight enumerator of the dual scanned on one worker, |R|^N capped at
-    `DEFAULT_SPACE_BUDGET`; no transform involved."""
-    return _word_enumerator(scan_dual(G))
-
-
-def _word_enumerator(C: LinearCode) -> Polynomial:
-    """W(z) summed word by word with `m_spotty_weight`."""
+    `DEFAULT_SPACE_BUDGET`: `m_spotty_weight` summed over a `Word` built
+    from each row of `_scan_words`; no transform involved."""
+    elems = tuple(elements(G.m))
     counts: dict[int, int] = {}
-    for w in C:
-        e = m_spotty_weight(w)
+    for row in _scan_words(G).tolist():
+        e = m_spotty_weight(Word(map(elems.__getitem__, row), G.layout))
         counts[e] = counts.get(e, 0) + 1
     return Polynomial(counts)
 
@@ -238,11 +238,33 @@ def _word_enumerator(C: LinearCode) -> Polynomial:
 
 def scan_dual(G: GeneratorMatrix, workers: int = 1) -> LinearCode:
     """Every v in R^N with <row, v> = 0 for all rows of G, found by testing
-    each vector of R^N with times tables of its own: the referee of
-    `code.dual`, which it equals.  R^N is walked in chunks of `_SCAN_CHUNK`
-    (read at call time) on up to `workers` processes, merged in chunk
-    order.  Each vector packs into a uint64 index of at most 62 bits, and
-    |R|^N is capped at `DEFAULT_SPACE_BUDGET`."""
+    each vector of R^N (`_scan`): the referee of `code.dual`, which it
+    equals.  The scan's hits are the words packed, so the code is built
+    from them through the public constructor's closure check, with no
+    `Word` per hit."""
+    return LinearCode._from_words(_scan(G, workers).tolist(), G.layout, G.m)
+
+
+def _scan_words(G: GeneratorMatrix, workers: int = 1) -> np.ndarray:
+    """The words of `_scan` as the oracle's own read-only (|C⊥|, N) digit
+    array, unpacked one coordinate at a time straight into the digit
+    dtype: rows distinct, since each vector is tested once, and sorted,
+    since the hits come in index order, which is canonical order."""
+    hits, m, N = _scan(G, workers), G.m, G.layout.N
+    words = np.empty((len(hits), N), dtype=_digit_dtype(m))
+    for i, column in enumerate(_coords(hits, m, N)):
+        words[:, i] = column
+    words.flags.writeable = False
+    return words
+
+
+def _scan(G: GeneratorMatrix, workers: int) -> np.ndarray:
+    """The packed vectors of R^N orthogonal to every row of G, ascending,
+    tested with times tables of the scan's own.  R^N is walked in chunks
+    of `_SCAN_CHUNK` (read at call time) on up to `workers` processes,
+    merged in chunk order.  Each vector packs into a uint64 index of at
+    most 62 bits (`_coords`), and |R|^N is capped at
+    `DEFAULT_SPACE_BUDGET`."""
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     m, N = G.m, G.layout.N
@@ -264,7 +286,15 @@ def scan_dual(G: GeneratorMatrix, workers: int = 1) -> LinearCode:
                 for lo, hi in chunks
             ]
             hits = [f.result() for f in futures]  # submission order: deterministic
-    return _code_from_packed(np.concatenate(hits), G.layout, m)
+    return np.concatenate(hits)
+
+
+def _coords(idx: np.ndarray, m: int, N: int) -> Iterator[np.ndarray]:
+    """Coordinate i of every uint64 index, for i = 0..N-1 in turn.
+    Coordinate 0 is in the top m bits, so index order is canonical order."""
+    mask = np.uint64((1 << m) - 1)
+    for i in range(N):
+        yield (idx >> np.uint64(m * (N - 1 - i))) & mask
 
 
 def _times_table(c: int, m: int) -> np.ndarray:
@@ -276,13 +306,9 @@ def _scan_chunk(
     lo: int, hi: int, m: int, n_coords: int, rows_bits: tuple[tuple[int, ...], ...]
 ) -> np.ndarray:
     """Packed indices in [lo, hi) orthogonal to every generator row."""
-    mask = (1 << m) - 1
     idx = np.arange(lo, hi, dtype=np.uint64)
     ok = np.ones(idx.shape, dtype=bool)
-    digits = [
-        ((idx >> np.uint64(m * i)) & np.uint64(mask)).astype(np.uint32)
-        for i in range(n_coords)
-    ]
+    digits = [c.astype(np.uint32) for c in _coords(idx, m, n_coords)]
     for row in rows_bits:
         acc = np.zeros(idx.shape, dtype=np.uint16)
         for i, c in enumerate(row):
@@ -290,17 +316,6 @@ def _scan_chunk(
                 acc ^= _times_table(c, m)[digits[i]]
         ok &= acc == 0
     return idx[ok]
-
-
-def _code_from_packed(packed: np.ndarray, layout: ByteLayout, m: int) -> LinearCode:
-    """LinearCode of uint64-packed words (coordinate i in bits
-    [m*i, m*(i+1))), as the scan finds them, unpacked one coordinate at a
-    time straight into the code's digit dtype."""
-    digits = np.empty((len(packed), layout.N), dtype=_digit_dtype(m))
-    mask = np.uint64((1 << m) - 1)
-    for i in range(layout.N):
-        digits[:, i] = (packed >> np.uint64(m * i)) & mask
-    return LinearCode._from_digits(digits, layout, m)
 
 
 # --- partition search ----------------------------------------------------
@@ -586,50 +601,43 @@ def _add_row(
     }
 
 
-def _poisson_code(m: int) -> LinearCode:
-    layout = ByteLayout(b=2, t=1, n=1)
+def _poisson_code(m: int) -> GeneratorMatrix:
+    """The one row (1, u) (1, 1 at m = 1), whose code {a*(1, u) : a in R}
+    has 2^m words with distinct bytes."""
     row = (one(m), monomial(m, 1 if m >= 2 else 0))
-    words = _add_row({(0, 0)}, tuple(x.bits for x in row), m)
-    return LinearCode._from_digits(np.array(list(words)), layout, m)
+    return GeneratorMatrix([row], ByteLayout(b=2, t=1, n=1))
 
 
-def _generators(C: LinearCode) -> GeneratorMatrix:
-    """Codewords of C, taken greedily while they fall outside the span of
-    those already taken, closed row by row."""
-    spanned = {(0,) * C.layout.N}
-    gens = []
-    for w in C:
-        bits = w.bits()
-        if bits not in spanned:
-            gens.append(w.coords)
-            spanned = _add_row(spanned, bits, C.m)
-    return GeneratorMatrix(gens, C.layout, m=C.m)
-
-
-def poisson_check(C: LinearCode) -> LemmaReport:
-    """Summation identity: the dual's enumerator equals the average over C
-    of the per-word transforms, each a product of per-byte scans.  The
-    distinct bytes of C are scanned together, in one engine call.  Both
-    scans, of R^N and of R^b, are capped at `DEFAULT_SPACE_BUDGET`.  A sum
-    over C that |C| does not divide (a wrong engine) fails the report,
-    which names the remainder, instead of raising."""
-    t, b = C.layout.t, C.layout.b
-    scanned = dual_enumerator_bruteforce(_generators(C))
-    distinct, which = np.unique(C.digits.reshape(-1, b), axis=0, return_inverse=True)
-    BudgetError.guard("byte scan over R^b", DEFAULT_SPACE_BUDGET, shift=C.m * b)
-    transforms = _byte_transforms(C.m, b, t, distinct)
+def poisson_check(G: GeneratorMatrix) -> LemmaReport:
+    """Summation identity: the enumerator of the dual of C = span(G)
+    equals the average over C of the per-word transforms, each a product
+    of per-byte scans.  C is closed here row by row (`_add_row`) and the
+    dual scanned from G itself.  The distinct bytes of C are scanned
+    together, in one engine call.  Both scans, of R^N and of R^b, are
+    capped at `DEFAULT_SPACE_BUDGET`.  A sum over C that |C| does not
+    divide (a wrong engine) fails the report, which names the remainder,
+    instead of raising."""
+    m, t, b = G.m, G.layout.t, G.layout.b
+    scanned = dual_enumerator_bruteforce(G)
+    words = {(0,) * G.layout.N}
+    for row in G.rows:
+        words = _add_row(words, tuple(x.bits for x in row), m)
+    size, digits = len(words), np.array(list(words))
+    distinct, which = np.unique(digits.reshape(-1, b), axis=0, return_inverse=True)
+    BudgetError.guard("byte scan over R^b", DEFAULT_SPACE_BUDGET, shift=m * b)
+    transforms = _byte_transforms(m, b, t, distinct)
     acc = Polynomial.zero()
-    for word in which.reshape(len(C), -1).tolist():
+    for word in which.reshape(size, -1).tolist():
         prod = Polynomial.one()
         for k in word:
             prod = prod * transforms[k]
         acc = acc + prod
-    params = {"m": C.m, "n": C.layout.n, "b": C.layout.b, "t": t, "code_size": len(C)}
-    remainder = Polynomial({e: c % len(C) for e, c in acc.terms()})
+    params = {"m": m, "n": G.layout.n, "b": b, "t": t, "code_size": size}
+    remainder = Polynomial({e: c % size for e, c in acc.terms()})
     if remainder:  # a wrong engine: report it, as the other checks do
-        actual = f"sum over C leaves remainder {remainder} mod {len(C)}"
+        actual = f"sum over C leaves remainder {remainder} mod {size}"
         return LemmaReport("3.7", params, str(scanned), actual, False)
-    averaged = acc.exact_div(len(C))
+    averaged = acc.exact_div(size)
     return LemmaReport("3.7", params, str(averaged), str(scanned), averaged == scanned)
 
 

@@ -7,12 +7,11 @@ bytes having exactly j nonzero coordinates (0 <= j <= b).
 The word-level functions (`alpha_vector`, `m_spotty_weight`) work on one
 `Word`.  The code-level statistics (`distribution`, `enumerator`,
 `minimum_distance`) walk the code's coordinate-major blocks once
-(`code._blocks`, at most 2^14 words each, basis or word set alike),
+(`code._blocks`, at most 2^14 words each, read off the code's basis),
 reduce each block to its (n, B) byte Hamming weights and feed those to
 `_AlphaRows` (packed alpha keys), `_WeightHistogram` (small-integer
 ceil(h/t) sums) or both (`_walk`).  Memory is bounded by the block and the
-distinct rows, not by |C|, for either kind of code: no statistic builds
-or copies the digit array.  A `DistributionTable` stores its rows once,
+distinct rows, not by |C|: no statistic builds the digit array.  A `DistributionTable` stores its rows once,
 in the format `transform` folds as it is: a sorted read-only alpha
 matrix and a tuple of counts.
 """
@@ -26,7 +25,7 @@ from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
-from .code import ByteLayout, LinearCode, Word, _blocks, _group_rows
+from .code import ByteLayout, LinearCode, Word, _blocks
 from .errors import ParameterError
 from .polynomial import Polynomial
 from .ring import RingElement
@@ -188,6 +187,18 @@ def _byte_weight_blocks(C: LinearCode) -> Iterator[np.ndarray]:
         yield (block != 0).reshape(lay.n, lay.b, -1).sum(axis=1, dtype=dtype)
 
 
+def _group_rows(rows: np.ndarray, counts=None) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-D array in lexicographic order (column 0 most
+    significant), and the sum of `counts` (1 per row by default) over each."""
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    counts = np.ones(len(rows), np.int64) if counts is None else counts[order]
+    return rows[starts], np.add.reduceat(counts, starts)
+
+
 class _AlphaRows:
     """Codewords per alpha row over the blocks given to `add` (see
     `distribution`), regrouped after each block."""
@@ -265,7 +276,7 @@ def enumerator(C: LinearCode) -> Polynomial:
 
 def minimum_distance(C: LinearCode) -> int:
     """Least weight among nonzero codewords (equals least pairwise
-    distance, by linearity).  A word has weight 0 exactly when it is zero,
+    distance, since a code is closed under addition).  A word has weight 0 exactly when it is zero,
     so this is the least positive weight of the histogram."""
     positive = np.flatnonzero(_walk(C, _WeightHistogram(C.layout))[0].hist[1:])
     if not len(positive):

@@ -38,9 +38,9 @@ from mspotty.code import (
 )
 from mspotty.errors import BudgetError, MatrixParseError, ParameterError
 from mspotty.macwilliams import transform
-from mspotty.oracle import _add_row, _generators, scan_dual
+from mspotty.oracle import _add_row, _scan_words, scan_dual
 from mspotty.ring import RingElement, elements, monomial, mul_bits, one, zero
-from mspotty.weight import distribution, enumerator
+from mspotty.weight import distribution, enumerator, minimum_distance
 
 DATA = Path(__file__).parent / "data"
 
@@ -53,6 +53,11 @@ def _random_matrix(rng, m, k, layout):
     return GeneratorMatrix(rows, layout, m=m)
 
 
+def _naive_bits(G):
+    """`_naive_span` as digit tuples."""
+    return {tuple(x.bits for x in w) for w in _naive_span(G)}
+
+
 def _naive_span(G):
     """Independent route: enumerate every coefficient tuple directly."""
     m, N = G.m, G.layout.N
@@ -63,6 +68,35 @@ def _naive_span(G):
             acc = [s + a * x for s, x in zip(acc, row)]
         words.add(tuple(acc))
     return words
+
+
+def _xor_closure(rng, m, layout, count):
+    """The F2-span of `count` random words as digit tuples: closed under
+    addition, so a code for the public constructor, though maybe not
+    R-linear; at most 2^count words."""
+    words = {(0,) * layout.N}
+    for _ in range(count):
+        v = tuple(rng.randrange(1 << m) for _ in range(layout.N))
+        words |= {tuple(a ^ b for a, b in zip(w, v)) for w in words}
+    return LinearCode([Word.from_bits(w, m, layout) for w in words], layout, m)
+
+
+def _generators(words, layout, m):
+    """Naive referee of `generating_rows`: words (digit tuples), taken in
+    canonical order while they fall outside the row-by-row closure of
+    those already taken."""
+    spanned = {(0,) * layout.N}
+    gens = []
+    for bits in sorted(words):
+        if bits not in spanned:
+            gens.append([RingElement(m, x) for x in bits])
+            spanned = _add_row(spanned, bits, m)
+    return GeneratorMatrix(gens, layout, m=m)
+
+
+def _scanned(G):
+    """The oracle's own sorted dual words, as digit tuples."""
+    return list(map(tuple, _scan_words(G).tolist()))
 
 
 @st.composite
@@ -130,6 +164,13 @@ def test_inner_product():
     assert inner_product(x, y).is_zero()
     with pytest.raises(ParameterError):
         inner_product(x, y[:2])
+
+
+def test_inner_product_of_no_coordinates_is_refused():
+    """Empty words carry no ring to read m from: a ParameterError, where
+    the first coordinate used to be read unchecked (IndexError)."""
+    with pytest.raises(ParameterError, match="ring parameter m"):
+        inner_product([], [])
 
 
 def test_inner_product_bilinear_random():
@@ -392,8 +433,7 @@ def test_dual_kernel_route_packs_no_scan_index():
 
 def _assert_kernel_equals_scan(G):
     kernel = dual(G)
-    scanned = scan_dual(G)
-    assert kernel.codewords == scanned.codewords
+    assert [w.bits() for w in kernel] == _scanned(G)
     assert len(span(G)) * len(kernel) == 1 << (G.m * G.layout.N)
 
 
@@ -503,7 +543,7 @@ def test_dual_kernel_matches_scan_wide_matrices():
         G = GeneratorMatrix(rows, lay, m=m)
         assert k * m > 64
         kernel = dual(G)
-        assert kernel.codewords == scan_dual(G).codewords
+        assert [w.bits() for w in kernel] == _scanned(G)
         assert kernel.codewords == dual(GeneratorMatrix(base, lay, m=m)).codewords
         assert len(kernel) < len(dual(GeneratorMatrix(rows[:-1], lay, m=m)))
         assert len(kernel) > 1
@@ -511,7 +551,7 @@ def test_dual_kernel_matches_scan_wide_matrices():
 
 def test_dual_kernel_matches_scan_worked_example():
     G = load_matrix(DATA / "worked_example.txt")
-    assert dual(G).codewords == scan_dual(G).codewords
+    assert dual(G).digits.tolist() == _scan_words(G).tolist()
 
 
 def test_generating_rows_reproduces_code():
@@ -524,18 +564,21 @@ def test_generating_rows_reproduces_code():
         H = generating_rows(C)
         assert H.k <= G.k or G.k == 0
         assert span(H).codewords == C.codewords
-        assert H.rows == _generators(C).rows  # same greedy choice as the naive closure
+        # the same greedy choice as the naive closure makes
+        assert H.rows == _generators(_naive_bits(G), lay, m).rows
 
 
 def test_span_dual_and_generating_rows_take_no_ring_product():
     """Rows are packed once and u^i acts by shift-and-mask: with every
-    `mul_bits` refusing, span, dual and generating_rows (of both stored
-    forms) give the worked example's codes and rows unchanged."""
+    `mul_bits` refusing, span, dual, the public constructor (on the span's
+    words and on an F2-closed set) and generating_rows give the worked
+    example's codes and rows unchanged."""
     G = load_matrix(DATA / "worked_example.txt")
 
     def answers():
-        codes = [span(G), dual(G)]
-        codes += [LinearCode._from_digits(C.digits, C.layout, C.m) for C in codes]
+        C = span(G)
+        codes = [C, dual(G), LinearCode(C, G.layout, G.m)]
+        codes.append(_xor_closure(random.Random(5), G.m, G.layout, 6))
         return [(C._basis, generating_rows(C).rows) for C in codes]
 
     def refuse(*args):
@@ -546,7 +589,7 @@ def test_span_dual_and_generating_rows_take_no_ring_product():
             mock.patch.object(ring_module, "mul_bits", refuse):
         assert answers() == want
     assert [w.coords for w in span(G)] == sorted(_naive_span(G))
-    assert dual(G).codewords == scan_dual(G).codewords
+    assert [w.bits() for w in dual(G)] == _scanned(G)
 
 
 def test_a_code_past_len_reports_its_exact_size():
@@ -565,13 +608,13 @@ def test_a_code_past_len_reports_its_exact_size():
 
 
 _VALUE_KINDS = ["RingElement", "Word", "ByteLayout", "GeneratorMatrix", "basis code",
-                "word set", "DistributionTable", "Polynomial"]
+                "constructed code", "DistributionTable", "Polynomial"]
 
 
 @pytest.mark.parametrize("kind", _VALUE_KINDS)
 def test_value_type_contracts(kind):
-    """Every value type refuses attribute assignment.  A code, in either
-    stored form, lists its words in the order `Word.__lt__` sorts them
+    """Every value type refuses attribute assignment.  A code, from `span`
+    or from the public constructor, lists its words in the order `Word.__lt__` sorts them
     into, and equal words, built apart, hash equal and index alike."""
     G = load_matrix(DATA / "worked_example.txt")
     C = span(G)
@@ -581,7 +624,7 @@ def test_value_type_contracts(kind):
         "ByteLayout": G.layout,
         "GeneratorMatrix": G,
         "basis code": C,
-        "word set": LinearCode(C, G.layout, G.m),
+        "constructed code": _xor_closure(random.Random(2), G.m, G.layout, 6),
         "DistributionTable": distribution(C),
         "Polynomial": enumerator(C),
     }[kind]
@@ -619,15 +662,16 @@ def _naive_dual(G):
 @given(_small_matrices(max_bits=10, max_rows=3), st.integers(0, 6))
 def test_blocks_run_in_canonical_order(G, digit_bits):
     """With blocks of at most 4 words and 2^digit_bits digits (one word
-    when a word is longer), most codes have several high basis rows, and a
-    word set several row slices.  The blocks of the span, of the kernel and
-    of the scanned dual, concatenated as they come, list the naive closure
-    and the naive dual in sorted order."""
+    when a word is longer), most codes have several high basis rows.  The
+    blocks of the span, of the kernel and of the scanned dual, concatenated
+    as they come, list the naive closure and the naive dual in sorted
+    order, as the oracle's own scanned words do."""
     m, N = G.m, G.layout.N
     closure = {(0,) * N}
     for row in G.rows:
         closure = _add_row(closure, tuple(x.bits for x in row), m)
     naive_dual = _naive_dual(G)
+    assert _scanned(G) == sorted(naive_dual)
     codes = ((span(G), closure), (dual(G), naive_dual), (scan_dual(G), naive_dual))
     with mock.patch.multiple(code_module, _BLOCK_BITS=2, _BLOCK_DIGIT_BITS=digit_bits):
         for C, naive in codes:
@@ -642,31 +686,32 @@ def test_blocks_run_in_canonical_order(G, digit_bits):
 @given(_small_matrices(max_bits=8, max_rows=3))
 def test_membership_equals_digit_row_lookup(G):
     """Every word of R^N, in C or not, is in C exactly when it is a row of
-    the digit array: for the span, the kernel and a digits-backed copy."""
+    the digit array and a word of the naive closure or dual: for the span,
+    the kernel and the public constructor's copy of each."""
     m, lay = G.m, G.layout
-    for C in (span(G), dual(G)):
+    for C, naive in ((span(G), _naive_bits(G)), (dual(G), _naive_dual(G))):
         rows = set(map(tuple, C.digits.tolist()))
-        copy = LinearCode._from_digits(C.digits, lay, m)
+        copy = LinearCode([Word.from_bits(w, m, lay) for w in naive], lay, m)
         for bits in itertools.product(range(1 << m), repeat=lay.N):
             w = Word.from_bits(bits, m, lay)
-            assert (w in C) == (w in copy) == (bits in rows)
+            assert (w in C) == (w in copy) == (bits in rows) == (bits in naive)
 
 
 def test_basis_backed_code_answers_without_the_digit_array(monkeypatch):
     """`generating_rows`, `w in C` and `_word_strings` read a span or
-    kernel code's basis and blocks; each answer equals the one read off a
-    digits-backed copy of the same code."""
+    kernel code's basis and blocks; each answer equals the one read off
+    the naive closure and the scanned dual: the naive greedy choice, the
+    rows and `str` of each word."""
     G = load_matrix(DATA / "worked_example.txt")
     want = []
-    for C in (span(G), dual(G)):
-        words = LinearCode._from_digits(C.digits, C.layout, C.m)
-        rows = sorted(map(tuple, C.digits.tolist()))
-        want.append((generating_rows(words).rows, rows, [str(w) for w in words]))
+    for words in (sorted(_naive_bits(G)), _scanned(G)):
+        strings = [str(Word.from_bits(w, G.m, G.layout)) for w in words]
+        want.append((_generators(words, G.layout, G.m).rows, words, strings))
 
     def refuse(C):
         raise AssertionError("digit array built")
 
-    monkeypatch.setattr(code_module, "_materialize", refuse)
+    monkeypatch.setattr(LinearCode, "digits", property(refuse))
     rng = random.Random(7)
     m, lay = G.m, G.layout
     for C, (gens, rows, strings) in zip((span(G), dual(G)), want):
@@ -701,7 +746,7 @@ def test_membership_memory_is_bounded_by_the_basis():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert found == [True, False] and C._digits is None
+    assert found == [True, False]
     assert peak < 1 << 20
 
 
@@ -709,7 +754,7 @@ def test_linear_code_invariants():
     lay = ByteLayout(b=1, t=1, n=2)
     w0 = Word.from_bits([0, 0], 2, lay)
     w1 = Word.from_bits([1, 0], 2, lay)
-    C = LinearCode([w1, w0, w1], lay, 2)
+    C = LinearCode([w1, w0, w1], lay, 2)  # F2-linear, not R-linear
     assert len(C) == 2  # deduplicated
     assert C.codewords == (w0, w1)  # sorted
     assert C.codewords == C.codewords  # built anew on each read
@@ -724,12 +769,30 @@ def test_linear_code_invariants():
         LinearCode([w0], ByteLayout(b=2, t=1, n=1), 2)
 
 
+def test_linear_code_refuses_words_not_closed_under_addition():
+    """(1, 0) and (0, 1) at m=2 do not hold their sum: refused, where the
+    set used to be a code whose `minimum_distance` read 1 against a least
+    pairwise distance of 2.  {0, (1, 0)}, F2-linear though not R-linear,
+    is still a code, and no words at all are still refused."""
+    lay = ByteLayout(b=1, t=1, n=2)
+    w0, w10, w01 = (Word.from_bits(w, 2, lay) for w in ([0, 0], [1, 0], [0, 1]))
+    for words in ([w10, w01], [w0, w10, w01], [w10]):
+        with pytest.raises(ParameterError, match="not closed under addition"):
+            LinearCode(words, lay, 2)
+    C = LinearCode([w10, w0], lay, 2)
+    assert C.codewords == (w0, w10) and minimum_distance(C) == 1
+    C = LinearCode([w0, w10, w01, w10 + w01], lay, 2)
+    assert len(C) == 4 and minimum_distance(C) == 1
+    with pytest.raises(ParameterError, match="cannot be empty"):
+        LinearCode([], lay, 2)
+
+
 def test_iteration_streams_the_words_in_canonical_order():
     """`for w in C` yields `C.codewords` in canonical order, the rows of
-    `C.digits`, for codes of several 2^14-word blocks: the kernel dual, the
-    span of its generating rows, the scanned dual and a code built from
-    its words.  A second pass gives the same words, and reading
-    `codewords` or `digits` stores nothing on a basis-backed code."""
+    `C.digits` and of the oracle's scanned words, for codes of several
+    2^14-word blocks: the kernel dual, the span of its generating rows, the
+    scanned dual and a code built from its words.  A second pass gives the
+    same words."""
     lay, rng = ByteLayout(b=4, t=1, n=5), random.Random(26)
     rows = [[RingElement(1, int(i == j)) for j in range(5)]
             + [RingElement(1, rng.randrange(2)) for _ in range(15)] for i in range(5)]
@@ -738,14 +801,12 @@ def test_iteration_streams_the_words_in_canonical_order():
     assert len(kernel) == 1 << 15
     codes = [kernel, span(generating_rows(kernel)), scan_dual(G)]
     codes.append(LinearCode(reversed(list(codes[2])), lay, 1))
-    want = list(map(tuple, codes[2].digits.tolist()))  # the scan's sorted rows
+    want = _scanned(G)
     assert want == sorted(set(want)) and len(want) == len(kernel)
     for C in codes:
         assert [w.bits() for w in C] == want
         assert [w.bits() for w in C] == want == [w.bits() for w in C.codewords]
         assert list(map(tuple, C.digits.tolist())) == want
-        if C._basis is not None:
-            assert C._digits is None
 
 
 # Iterates the 2^18 words of the all-zero m=1, b=18 dual, basis-backed and
@@ -773,8 +834,8 @@ print("numpy.ma" in sys.modules)
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
 def test_iteration_memory_is_bounded_by_a_block():
-    """Iterating 2^18 words, from a basis or from the scan's digit array,
-    raises the peak by under 20 MB: one block's rows and words at a time,
+    """Iterating 2^18 words, of the kernel or of the scanned dual, raises
+    the peak by under 20 MB: one block's rows and words at a time,
     not the whole code.  No loop loads numpy.ma."""
     src = str(Path(code_module.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -828,16 +889,17 @@ def test_word_and_generator_matrix_round_trip_through_pickle_and_copy():
 
 
 def test_linear_code_round_trips_through_pickle_and_copy():
-    """A basis-backed and a digits-backed code come back the same kind,
-    with the same words, distribution and dual enumerator."""
-    C = span(load_matrix(DATA / "worked_example.txt"))
-    D = LinearCode._from_digits(C.digits, C.layout, C.m)
+    """A code from `span` and one from the public constructor come back
+    with the same basis, words, distribution and dual enumerator."""
+    G = load_matrix(DATA / "worked_example.txt")
+    C = span(G)
+    D = _xor_closure(random.Random(4), G.m, G.layout, 6)
     for code in (C, D):
         want = distribution(code)
         for back in _round_trips(code):
             assert type(back) is LinearCode
-            assert (back._basis is None) == (code._basis is None)
+            assert back._basis == code._basis
             assert (back.layout, back.m, len(back)) == (code.layout, code.m, len(code))
             assert np.array_equal(back.digits, code.digits)
             assert distribution(back) == want
-            assert transform(distribution(back), len(back)) == transform(want, len(C))
+            assert transform(distribution(back), len(back)) == transform(want, len(code))

@@ -538,8 +538,9 @@ def test_cell_path_builds_no_ring_elements(monkeypatch):
 
 
 def test_poisson_code_is_built_from_integer_rows(monkeypatch):
-    """The Poisson code {a * (1, u) : a in R} is its closure's integer rows:
-    only the generator row's two elements are built as `RingElement`s."""
+    """The Poisson code {a * (1, u) : a in R} is one generator row, whose
+    two elements are the only `RingElement`s built; its closure is made of
+    integer rows."""
     real = RingElement.__init__
     built = []
 
@@ -550,10 +551,12 @@ def test_poisson_code_is_built_from_integer_rows(monkeypatch):
     monkeypatch.setattr(RingElement, "__init__", counted)
     for m in (1, 2, 5, 9):
         built.clear()
-        C = oracle._poisson_code(m)
+        G = oracle._poisson_code(m)
         u = 2 if m >= 2 else 1
-        want = sorted([a, mul_bits(a, u, m)] for a in range(1 << m))
-        assert C.digits.tolist() == want and len(built) == 2
+        assert [[x.bits for x in row] for row in G.rows] == [[1, u]]
+        assert G.layout == ByteLayout(b=2, t=1, n=1) and len(built) == 2
+        want = sorted((a, mul_bits(a, u, m)) for a in range(1 << m))
+        assert sorted(oracle._add_row({(0, 0)}, (1, u), m)) == want
 
 
 @pytest.mark.parametrize("b", [1, 2, 3, 5, 8])
@@ -684,37 +687,42 @@ def test_cell_reports_match_per_instance_reference(cell):
 
 
 def test_dual_worker_and_chunk_invariance(monkeypatch):
+    """Any worker count and chunk size give the same code and the same
+    oracle words, sorted and each once."""
     lay = ByteLayout(b=2, t=1, n=2)
     G = _random_matrix(random.Random(43), 2, 2, lay)
     base = scan_dual(G)
-    assert scan_dual(G, workers=3).codewords == base.codewords
-    monkeypatch.setattr(oracle, "_SCAN_CHUNK", 7)
-    assert scan_dual(G).codewords == base.codewords
-    monkeypatch.setattr(oracle, "_SCAN_CHUNK", 16)
-    assert scan_dual(G, workers=2).codewords == base.codewords
+
+    def words(workers):
+        return list(map(tuple, oracle._scan_words(G, workers=workers).tolist()))
+
+    want = words(1)
+    assert want == sorted(set(want)) and len(want) == len(base)
+    for chunk, workers in ((1 << 20, 3), (7, 1), (16, 2)):
+        monkeypatch.setattr(oracle, "_SCAN_CHUNK", chunk)
+        assert scan_dual(G, workers=workers).codewords == base.codewords
+        assert words(workers) == want
 
 
-def test_code_from_packed_matches_public_constructor():
+def test_scan_dual_builds_its_code_as_the_public_constructor_does():
+    """`scan_dual` builds its code from the packed hits: it holds the
+    oracle's scanned words and has the basis that the public constructor
+    gives them, and the packed route refuses words not closed under
+    addition, as the constructor does."""
     rng = random.Random(89)
-    for m, b, n in ((1, 3, 2), (2, 3, 1), (3, 2, 2), (4, 3, 2)):
+    for m, b, n in ((1, 3, 2), (2, 3, 1), (3, 2, 2), (4, 3, 1)):
         lay = ByteLayout(b=b, t=1, n=n)
-        mask = (1 << m) - 1
-        packed = [rng.randrange(1 << (m * lay.N)) for _ in range(30)]
-        packed += packed[:10]  # duplicates collapse, as in the constructor
-        built = oracle._code_from_packed(np.array(packed, dtype=np.uint64), lay, m)
-        words = [
-            Word.from_bits(((v >> (m * i)) & mask for i in range(lay.N)), m, lay)
-            for v in packed
-        ]
-        public = LinearCode(words, lay, m)
-        assert built.codewords == public.codewords
+        G = _random_matrix(rng, m, rng.randrange(3), lay)
+        words = oracle._scan_words(G).tolist()
+        built = scan_dual(G)
+        public = LinearCode([Word.from_bits(w, m, lay) for w in words], lay, m)
+        assert built._basis == public._basis
+        assert [list(w.bits()) for w in built] == words
         assert built.layout == lay and built.m == m
-        assert all(w in built for w in words)
-        absent = next(v for v in range(1 << (m * lay.N)) if v not in packed)
-        absent_word = Word.from_bits(
-            ((absent >> (m * i)) & mask for i in range(lay.N)), m, lay
-        )
-        assert absent_word not in built
+    with pytest.raises(ParameterError, match="not closed under addition"):
+        LinearCode._from_words([0, 1, 2], lay, m)
+    with pytest.raises(ParameterError, match="cannot be empty"):
+        LinearCode._from_words([], lay, m)
 
 
 def test_dual_scan_clamps_process_count(monkeypatch):
@@ -756,16 +764,18 @@ def test_dual_scan_clamps_process_count(monkeypatch):
 
 def test_scan_unpacks_its_hits_into_the_digit_dtype():
     """The 2^16 hits of the all-zero m=1, b=16 matrix are unpacked one
-    coordinate at a time into uint8 digits: the whole scan peaks under
-    8 MiB, which a (|C|, N) uint64 unpacking alone would fill."""
+    coordinate at a time into the oracle's read-only uint8 words: the whole
+    scan peaks under 8 MiB, which a (|C|, N) uint64 unpacking alone would
+    fill."""
     G = GeneratorMatrix([[zero(1)] * 16], ByteLayout(b=16, t=1, n=1), m=1)
     tracemalloc.start()
     try:
-        Cd = scan_dual(G)
+        words = oracle._scan_words(G)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(Cd) == 1 << 16 and Cd.digits.dtype == np.uint8
+    assert words.shape == (1 << 16, 16) and words.dtype == np.uint8
+    assert not words.flags.writeable
     assert peak < 8 << 20, peak
 
 
@@ -818,16 +828,14 @@ def test_poisson_small_codes():
                 tuple(RingElement(m, rng.randrange(1 << m)) for _ in range(2))
                 for _ in range(rng.randrange(0, 3))
             ]
-            C = span(GeneratorMatrix(rows, lay, m=m))
-            report = poisson_check(C)
+            report = poisson_check(GeneratorMatrix(rows, lay, m=m))
             assert report.passed, report.to_json()
             assert report.lemma == "3.7"
 
 
 def test_poisson_zero_code_gives_full_space():
     lay = ByteLayout(b=2, t=1, n=1)
-    C = span(GeneratorMatrix([], lay, m=2))
-    report = poisson_check(C)
+    report = poisson_check(GeneratorMatrix([], lay, m=2))
     assert report.passed
     full = dual(GeneratorMatrix([], lay, m=2))
     assert report.actual == str(enumerator(full))
@@ -836,8 +844,7 @@ def test_poisson_zero_code_gives_full_space():
 def test_poisson_worked_example_byte_layout():
     lay = ByteLayout(b=3, t=2, n=1)
     rows = [(one(4), monomial(4, 1), monomial(4, 2))]
-    C = span(GeneratorMatrix(rows, lay, m=4))
-    assert poisson_check(C).passed
+    assert poisson_check(GeneratorMatrix(rows, lay, m=4)).passed
 
 
 def test_poisson_scans_each_code_in_one_engine_call(monkeypatch):
@@ -867,32 +874,33 @@ def test_poisson_scans_each_code_in_one_engine_call(monkeypatch):
 
 
 def test_oracle_runs_without_the_fast_paths(monkeypatch):
-    """The referee closes codes row by row and sums weights word by word:
-    it imports neither `span` nor the block statistics engine, and runs
-    with the elimination, the basis blocks, the basis-backed digit array
-    and the statistics engine disabled; it reads its own word sets'
-    row slices through `_blocks`.  Its per-byte engine builds its own product
-    tables: the per-byte checks also run with the dual scan's chunks and
-    tables and the transform's fold disabled.  The scan lives here, not
-    among the fast paths of `code`."""
+    """The referee closes codes row by row and sums weights word by word
+    over its own scanned arrays: it imports neither `span` nor the block
+    statistics engine, and runs with the elimination, the block source,
+    the digit array, code iteration, code construction and the statistics
+    engine disabled, so the campaign builds no `LinearCode`.  Its per-byte
+    engine builds its own product tables: the per-byte checks also run
+    with the dual scan's chunks and tables and the transform's fold
+    disabled.  The scan lives here, not among the fast paths of `code`."""
     import mspotty.code
     import mspotty.macwilliams
     import mspotty.oracle
     import mspotty.weight
 
     for name in ("span", "generating_rows", "distribution", "enumerator",
-                 "_blocks", "_basis_blocks", "_materialize",
-                 "_byte_weight_blocks", "_fold", "_echelon"):
+                 "_blocks", "_byte_weight_blocks", "_fold", "_echelon"):
         assert not hasattr(mspotty.oracle, name)
     for name in ("_SCAN_CHUNK", "_times_table", "_scan_chunk", "_scan_dual",
-                 "_code_from_packed"):
+                 "_scan", "_scan_words", "_coords"):
         assert not hasattr(mspotty.code, name)
 
     def disabled(*args):
         raise AssertionError("fast path reached from the oracle")
 
-    monkeypatch.setattr(mspotty.code, "_basis_blocks", disabled)
-    monkeypatch.setattr(mspotty.code, "_materialize", disabled)
+    monkeypatch.setattr(mspotty.code, "_blocks", disabled)
+    monkeypatch.setattr(LinearCode, "digits", property(disabled))
+    monkeypatch.setattr(LinearCode, "__iter__", disabled)
+    monkeypatch.setattr(LinearCode, "_set", disabled)
     monkeypatch.setattr(mspotty.code, "_reduce", disabled)
     monkeypatch.setattr(mspotty.code, "_echelon", disabled)
     monkeypatch.setattr(mspotty.weight, "_byte_weight_blocks", disabled)

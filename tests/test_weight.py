@@ -4,7 +4,7 @@ import copy
 import pickle
 import random
 import re
-from math import comb
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -27,7 +27,7 @@ from mspotty.code import (
 )
 from mspotty.errors import ParameterError
 from mspotty.macwilliams import transform
-from mspotty.oracle import _add_row, scan_dual
+from mspotty.oracle import _add_row, _scan_words
 from mspotty.polynomial import Polynomial
 from mspotty.ring import RingElement, zero
 from mspotty.weight import (
@@ -260,9 +260,10 @@ def test_minimum_distance_zero_code():
 
 @st.composite
 def _codes(draw):
-    """The span of up to 2 random rows, or a set of up to 40 words built by
-    the public constructor (the statistics do not assume linearity), over
-    m up to 16 (both digit widths), any t and a few bytes."""
+    """The span of up to 2 random rows, or the F2-span of up to 6 random
+    words built by the public constructor (at most 64 words, maybe not
+    R-linear), over m up to 16 (both digit widths), any t and a few
+    bytes."""
     m = draw(st.sampled_from([1, 2, 3, 4, 8, 9, 16]))
     b = draw(st.integers(1, 4))
     lay = ByteLayout(b=b, t=draw(st.integers(1, b)), n=draw(st.integers(1, 4)))
@@ -271,9 +272,15 @@ def _codes(draw):
         rows = draw(st.lists(word, max_size=2))
         elements = [[RingElement(m, x) for x in row] for row in rows]
         return span(GeneratorMatrix(elements, lay, m=m))
-    rows = draw(st.lists(word, max_size=40))
-    words = [Word.from_bits(r, m, lay) for r in [[0] * lay.N, *rows]]
-    return LinearCode(words, lay, m)
+    return _xor_closure(draw(st.lists(word, max_size=6)), m, lay)
+
+
+def _xor_closure(rows, m, lay):
+    """The code of the F2-span of digit rows, through the public constructor."""
+    words = {(0,) * lay.N}
+    for row in rows:
+        words |= {tuple(a ^ b for a, b in zip(w, row)) for w in words}
+    return LinearCode([Word.from_bits(w, m, lay) for w in words], lay, m)
 
 
 @settings(max_examples=150, deadline=None)
@@ -298,19 +305,19 @@ def test_vectorized_statistics_match_word_level(C):
 
 
 def test_statistics_of_wide_bytes():
-    """b = 200: h + t - 1 reaches 399, beyond a one-byte weight array."""
-    rows = ([0] * 400, [1] * 400, [1] * 150 + [0] * 250, [0] * 199 + [1] * 201)
+    """b = 200: h + t - 1 reaches 399, beyond a one-byte weight array.
+    The code is the F2-span of three rows: 8 words."""
+    rows = ([1] * 400, [1] * 150 + [0] * 250, [0] * 199 + [1] * 201)
     for t in (1, 128, 200):
         lay = ByteLayout(b=200, t=t, n=2)
-        C = LinearCode([Word.from_bits(r, 1, lay) for r in rows], lay, 1)
+        C = _xor_closure(rows, 1, lay)
         weights = sorted(m_spotty_weight(w) for w in C)
+        assert len(C) == 8 and weights[0] == 0 < weights[1]
         assert sorted(enumerator(C).terms()) == sorted(
             (e, weights.count(e)) for e in set(weights)
         )
         assert minimum_distance(C) == min(weights[1:])
-        assert dict(distribution(C).items()) == {
-            alpha_vector(w): 1 for w in C
-        }
+        assert dict(distribution(C).items()) == Counter(alpha_vector(w) for w in C)
 
 
 # --- the block engine against independent routes ----------------------------
@@ -322,6 +329,18 @@ def _statistics_or_error(C):
     except ParameterError:
         d = None
     return distribution(C), enumerator(C), d
+
+
+def _array_statistics(words, lay, m):
+    """`_statistics_or_error` read straight off a (|C|, N) digit array, one
+    row per word, with numpy: no block walk, no alpha key."""
+    h = (words != 0).reshape(len(words), lay.n, lay.b).sum(axis=2)
+    alphas = np.stack([(h == j).sum(axis=1) for j in range(lay.b + 1)], axis=1)
+    dist = Counter(map(tuple, alphas.tolist()))
+    weights = ((h + lay.t - 1) // lay.t).sum(axis=1).tolist()
+    positive = [e for e in weights if e]
+    d = min(positive) if positive else None
+    return DistributionTable(dist, lay, m), Polynomial(Counter(weights)), d
 
 
 def _systematic(rng, m, k, lay):
@@ -343,46 +362,27 @@ def _systematic(rng, m, k, lay):
     "m,k", [(1, 0), (1, 1), (1, 13), (1, 14), (1, 15), (1, 17), (2, 8)]
 )
 def test_streamed_statistics_across_the_block_boundary(m, k):
-    """A rank-r code from `span` and the same code as the kernel of its
-    dual's generators give the statistics of the scanned code and of the
-    same words through the public constructor; both of those are read in
-    2^14-row slices.  Neither basis-backed code builds its digit array for
-    the statistics, and the array it builds when read is the scanned
-    one."""
+    """A rank-r code from `span`, the same code as the kernel of its
+    dual's generators, and the span's words through the public
+    constructor give the statistics read off the oracle's scan of H's
+    dual.  None of them builds its digit array for the statistics,
+    and the array it builds when read is the scanned one."""
     rng = random.Random(1000 * m + k)
     lay = ByteLayout(b=3, t=1 + k % 3, n=18 // (3 * m))
     G, H = _systematic(rng, m, k, lay)
-    scanned = scan_dual(H)
-    public = LinearCode(scanned.codewords, lay, m)
-    want = _statistics_or_error(scanned)
-    assert _statistics_or_error(public) == want
-    assert distribution(scanned).total == 1 << (m * k)
-    for C in (span(G), dual(H)):
+    scanned = _scan_words(H)
+    want = _array_statistics(scanned, lay, m)
+    assert want[0].total == 1 << (m * k)
+
+    def refuse(C):
+        raise AssertionError("digit array built")
+
+    S = span(G)
+    for C in (S, dual(H), LinearCode(S, lay, m)):
         assert len(C) == 1 << (m * k)
-        assert _statistics_or_error(C) == want
-        assert C._digits is None
-        assert C.digits.tolist() == scanned.digits.tolist()
-
-
-def test_word_set_statistics_memory_is_bounded_by_a_block():
-    """The statistics of the scanned 2^18-word dual of the all-zero m=1,
-    b=18 matrix read 2^14-row slices of its 4.7 MB digit array, not a
-    transposed copy of the whole: together they peak under 2 MiB."""
-    tracemalloc = pytest.importorskip("tracemalloc")
-    lay = ByteLayout(b=18, t=1, n=1)
-    C = scan_dual(GeneratorMatrix([[zero(1)] * 18], lay, m=1))
-    tracemalloc.start()
-    try:
-        dist, W = distribution(C), enumerator(C)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert C._basis is None and len(C) == 1 << 18
-    assert W == Polynomial({h: comb(18, h) for h in range(19)})
-    assert dict(dist.items()) == {
-        tuple(int(j == h) for j in range(19)): comb(18, h) for h in range(19)
-    }
-    assert peak < 2 << 20
+        with mock.patch.object(LinearCode, "digits", property(refuse)):
+            assert _statistics_or_error(C) == want
+        assert C.digits.tolist() == scanned.tolist()
 
 
 @st.composite
@@ -402,18 +402,18 @@ def _matrices(draw):
 @given(_matrices(), st.integers(0, 4))
 def test_streamed_statistics_match_independent_routes_property(G, block_bits):
     """With blocks of 2^block_bits words, most codes span many blocks.  The
-    span's statistics equal those of the naive row-by-row closure, given to
-    the public constructor; the kernel's equal those of the scanned dual."""
+    span's statistics equal those read off the naive row-by-row closure,
+    and the kernel's those read off the oracle's scanned words."""
     m, lay = G.m, G.layout
     words = {(0,) * lay.N}
     for row in G.rows:
         words = _add_row(words, tuple(x.bits for x in row), m)
-    closure = LinearCode([Word.from_bits(w, m, lay) for w in words], lay, m)
+    closure = np.array(sorted(words))
     with mock.patch.object(code_module, "_BLOCK_BITS", block_bits):
-        for C, ref in ((span(G), closure), (dual(G), scan_dual(G))):
+        for C, ref in ((span(G), closure), (dual(G), _scan_words(G))):
             assert len(C) == len(ref)
-            assert _statistics_or_error(C) == _statistics_or_error(ref)
-            assert C.digits.tolist() == ref.digits.tolist()
+            assert _statistics_or_error(C) == _array_statistics(ref, lay, m)
+            assert C.digits.tolist() == ref.tolist()
 
 
 @pytest.mark.parametrize("n,b", [(1, 62), (1, 63), (2, 200)])

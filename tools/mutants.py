@@ -40,7 +40,7 @@ class Mutant(NamedTuple):
 
 
 CODE, WEIGHT = "src/mspotty/code.py", "src/mspotty/weight.py"
-MACWILLIAMS = "src/mspotty/macwilliams.py"
+MACWILLIAMS, ORACLE = "src/mspotty/macwilliams.py", "src/mspotty/oracle.py"
 
 MUTANTS = [
     Mutant(
@@ -77,13 +77,6 @@ MUTANTS = [
         "depth, values = b + 1, iter(counts)",
         "depth, values = b, iter(counts)",
         ("tests/test_macwilliams.py",),
-    ),
-    Mutant(
-        "a word-set slice drops its first row",
-        CODE,
-        "(digits[i : i + step].T for",
-        "(digits[i + 1 : i + step].T for",
-        ("tests/test_code.py", "tests/test_weight.py"),
     ),
     Mutant(
         "a block's digit cap ignored",
@@ -128,10 +121,38 @@ MUTANTS = [
         ("tests/test_code.py::test_a_code_past_len_reports_its_exact_size",),
     ),
     Mutant(
+        "the closure check never fires",
+        CODE,
+        "if len(set(words)) != 1 << len(basis):",
+        "if False:",
+        ("tests/test_code.py::test_linear_code_refuses_words_not_closed_under_addition",),
+    ),
+    Mutant(
+        "the oracle's scan array is left unsorted",
+        ORACLE,
+        "yield (idx >> np.uint64(m * (N - 1 - i))) & mask",
+        "yield (idx >> np.uint64(m * i)) & mask",
+        ("tests/test_oracle.py::test_dual_worker_and_chunk_invariance",),
+    ),
+    Mutant(
+        "the oracle's scan array keeps duplicates",
+        ORACLE,
+        "return np.concatenate(hits)",
+        "return np.concatenate(hits + hits)",
+        ("tests/test_oracle.py::test_dual_worker_and_chunk_invariance",),
+    ),
+    Mutant(
+        "poisson_check closes only the first row",
+        ORACLE,
+        "for row in G.rows:\n        words = _add_row(",
+        "for row in G.rows[:1]:\n        words = _add_row(",
+        ("tests/test_oracle.py::test_poisson_small_codes",),
+    ),
+    Mutant(
         "control: a comment reworded",
         CODE,
-        "# the stored form: the basis or the digit array",
-        "# the stored form: a basis or a digit array",
+        "# the stored form: the fully reduced basis",
+        "# the stored form: a fully reduced basis",
         ("tests/test_code.py::test_linear_code_round_trips_through_pickle_and_copy",),
         survives=True,
     ),
