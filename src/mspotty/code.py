@@ -256,7 +256,7 @@ class LinearCode:
 
     @classmethod
     def _from_words(
-        cls, words: Sequence[int], layout: ByteLayout, m: int
+        cls, words: Iterable[int], layout: ByteLayout, m: int
     ) -> "LinearCode":
         """The code of packed words bound to `layout` and `m`, checked as
         the public constructor checks them (`_closed`)."""
@@ -432,14 +432,19 @@ def _echelon(vectors: Iterable[int]) -> dict[int, int]:
     return basis
 
 
-def _closed(words: Sequence[int]) -> dict[int, int]:
-    """`_echelon` of nonempty packed words that are closed under addition:
-    their span has 2^rank words and holds them all, so they are exactly
-    when 2^rank of them are distinct."""
-    if not words:
+def _closed(words: Iterable[int]) -> dict[int, int]:
+    """`_echelon` of nonempty packed words that are closed under addition.
+    Sorted, a code's distinct words are in canonical order, so word 2^j is
+    row j of its fully reduced basis; the words are closed exactly when
+    the span of those rows, listed in canonical order, is the words."""
+    ordered = sorted(set(words))
+    if not ordered:
         raise ParameterError("a linear code cannot be empty")
-    basis = _echelon(words)
-    if len(set(words)) != 1 << len(basis):
+    basis = _echelon(ordered[1 << j] for j in range(len(ordered).bit_length() - 1))
+    span = [0]
+    for p in sorted(basis):
+        span += [w ^ basis[p] for w in span]
+    if span != ordered:
         raise ParameterError("codewords are not closed under addition")
     return basis
 

@@ -245,12 +245,12 @@ def scan_dual(G: GeneratorMatrix, workers: int = 1) -> LinearCode:
     return LinearCode._from_words(_scan(G, workers).tolist(), G.layout, G.m)
 
 
-def _scan_words(G: GeneratorMatrix, workers: int = 1) -> np.ndarray:
-    """The words of `_scan` as the oracle's own read-only (|C⊥|, N) digit
-    array, unpacked one coordinate at a time straight into the digit
-    dtype: rows distinct, since each vector is tested once, and sorted,
-    since the hits come in index order, which is canonical order."""
-    hits, m, N = _scan(G, workers), G.m, G.layout.N
+def _scan_words(G: GeneratorMatrix) -> np.ndarray:
+    """The words of `_scan` on one worker as the oracle's own read-only
+    (|C⊥|, N) digit array, unpacked one coordinate at a time straight into
+    the digit dtype: rows distinct, since each vector is tested once, and
+    sorted, since the hits come in index order, which is canonical order."""
+    hits, m, N = _scan(G, 1), G.m, G.layout.N
     words = np.empty((len(hits), N), dtype=_digit_dtype(m))
     for i, column in enumerate(_coords(hits, m, N)):
         words[:, i] = column

@@ -1,9 +1,10 @@
 """Collects acceptance-criterion results and echoes them after the run,
-and holds the fixtures that more than one test module uses."""
+and holds the fixtures and helpers that more than one test module uses."""
 
 import pytest
 
 from mspotty import oracle
+from mspotty.code import LinearCode, Word
 
 ACCEPTANCE_LINES = []
 
@@ -22,6 +23,16 @@ def wrong_engine(monkeypatch):
         return out
 
     monkeypatch.setattr(oracle, "_products", corrupt)
+
+
+def xor_closure(rows, m, layout):
+    """The code of the F2-span of digit rows, through the public
+    constructor: closed under addition, though maybe not R-linear, with at
+    most 2^len(rows) words."""
+    words = {(0,) * layout.N}
+    for row in rows:
+        words |= {tuple(a ^ b for a, b in zip(w, row)) for w in words}
+    return LinearCode([Word.from_bits(w, m, layout) for w in words], layout, m)
 
 
 def record(line: str) -> None:

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import xor_closure
+
 from mspotty import code as code_module
 from mspotty import ring as ring_module
 from mspotty.code import (
@@ -70,15 +72,11 @@ def _naive_span(G):
     return words
 
 
-def _xor_closure(rng, m, layout, count):
-    """The F2-span of `count` random words as digit tuples: closed under
-    addition, so a code for the public constructor, though maybe not
-    R-linear; at most 2^count words."""
-    words = {(0,) * layout.N}
-    for _ in range(count):
-        v = tuple(rng.randrange(1 << m) for _ in range(layout.N))
-        words |= {tuple(a ^ b for a, b in zip(w, v)) for w in words}
-    return LinearCode([Word.from_bits(w, m, layout) for w in words], layout, m)
+def _random_rows(rng, G, count):
+    """`count` random words of G's ring and length as digit tuples."""
+    return [
+        tuple(rng.randrange(1 << G.m) for _ in range(G.layout.N)) for _ in range(count)
+    ]
 
 
 def _generators(words, layout, m):
@@ -578,7 +576,7 @@ def test_span_dual_and_generating_rows_take_no_ring_product():
     def answers():
         C = span(G)
         codes = [C, dual(G), LinearCode(C, G.layout, G.m)]
-        codes.append(_xor_closure(random.Random(5), G.m, G.layout, 6))
+        codes.append(xor_closure(_random_rows(random.Random(5), G, 6), G.m, G.layout))
         return [(C._basis, generating_rows(C).rows) for C in codes]
 
     def refuse(*args):
@@ -624,7 +622,9 @@ def test_value_type_contracts(kind):
         "ByteLayout": G.layout,
         "GeneratorMatrix": G,
         "basis code": C,
-        "constructed code": _xor_closure(random.Random(2), G.m, G.layout, 6),
+        "constructed code": xor_closure(
+            _random_rows(random.Random(2), G, 6), G.m, G.layout
+        ),
         "DistributionTable": distribution(C),
         "Polynomial": enumerator(C),
     }[kind]
@@ -772,11 +772,13 @@ def test_linear_code_invariants():
 def test_linear_code_refuses_words_not_closed_under_addition():
     """(1, 0) and (0, 1) at m=2 do not hold their sum: refused, where the
     set used to be a code whose `minimum_distance` read 1 against a least
-    pairwise distance of 2.  {0, (1, 0)}, F2-linear though not R-linear,
-    is still a code, and no words at all are still refused."""
+    pairwise distance of 2, and so are sets of 2^k words that are not
+    closed.  {0, (1, 0)}, F2-linear though not R-linear, is still a code,
+    and no words at all are still refused."""
     lay = ByteLayout(b=1, t=1, n=2)
     w0, w10, w01 = (Word.from_bits(w, 2, lay) for w in ([0, 0], [1, 0], [0, 1]))
-    for words in ([w10, w01], [w0, w10, w01], [w10]):
+    w20 = Word.from_bits([2, 0], 2, lay)
+    for words in ([w10, w01], [w0, w10, w01], [w10], [w0, w10, w01, w20]):
         with pytest.raises(ParameterError, match="not closed under addition"):
             LinearCode(words, lay, 2)
     C = LinearCode([w10, w0], lay, 2)
@@ -893,7 +895,7 @@ def test_linear_code_round_trips_through_pickle_and_copy():
     with the same basis, words, distribution and dual enumerator."""
     G = load_matrix(DATA / "worked_example.txt")
     C = span(G)
-    D = _xor_closure(random.Random(4), G.m, G.layout, 6)
+    D = xor_closure(_random_rows(random.Random(4), G, 6), G.m, G.layout)
     for code in (C, D):
         want = distribution(code)
         for back in _round_trips(code):

@@ -693,15 +693,15 @@ def test_dual_worker_and_chunk_invariance(monkeypatch):
     G = _random_matrix(random.Random(43), 2, 2, lay)
     base = scan_dual(G)
 
-    def words(workers):
-        return list(map(tuple, oracle._scan_words(G, workers=workers).tolist()))
+    def words():
+        return list(map(tuple, oracle._scan_words(G).tolist()))
 
-    want = words(1)
+    want = words()
     assert want == sorted(set(want)) and len(want) == len(base)
     for chunk, workers in ((1 << 20, 3), (7, 1), (16, 2)):
         monkeypatch.setattr(oracle, "_SCAN_CHUNK", chunk)
         assert scan_dual(G, workers=workers).codewords == base.codewords
-        assert words(workers) == want
+        assert words() == want
 
 
 def test_scan_dual_builds_its_code_as_the_public_constructor_does():

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import xor_closure
+
 from mspotty import cli
 from mspotty import code as code_module
 from mspotty import weight as weight_module
@@ -272,15 +274,7 @@ def _codes(draw):
         rows = draw(st.lists(word, max_size=2))
         elements = [[RingElement(m, x) for x in row] for row in rows]
         return span(GeneratorMatrix(elements, lay, m=m))
-    return _xor_closure(draw(st.lists(word, max_size=6)), m, lay)
-
-
-def _xor_closure(rows, m, lay):
-    """The code of the F2-span of digit rows, through the public constructor."""
-    words = {(0,) * lay.N}
-    for row in rows:
-        words |= {tuple(a ^ b for a, b in zip(w, row)) for w in words}
-    return LinearCode([Word.from_bits(w, m, lay) for w in words], lay, m)
+    return xor_closure(draw(st.lists(word, max_size=6)), m, lay)
 
 
 @settings(max_examples=150, deadline=None)
@@ -310,7 +304,7 @@ def test_statistics_of_wide_bytes():
     rows = ([1] * 400, [1] * 150 + [0] * 250, [0] * 199 + [1] * 201)
     for t in (1, 128, 200):
         lay = ByteLayout(b=200, t=t, n=2)
-        C = _xor_closure(rows, 1, lay)
+        C = xor_closure(rows, 1, lay)
         weights = sorted(m_spotty_weight(w) for w in C)
         assert len(C) == 8 and weights[0] == 0 < weights[1]
         assert sorted(enumerator(C).terms()) == sorted(

@@ -123,7 +123,7 @@ MUTANTS = [
     Mutant(
         "the closure check never fires",
         CODE,
-        "if len(set(words)) != 1 << len(basis):",
+        "if span != ordered:",
         "if False:",
         ("tests/test_code.py::test_linear_code_refuses_words_not_closed_under_addition",),
     ),
