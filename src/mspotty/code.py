@@ -231,6 +231,10 @@ class LinearCode:
     stores nothing but its basis.  `len()` stops at 2^62 words (rank 62),
     as Python's `len()` takes no int above 2^63 - 1; `repr` and
     `generating_rows` read the exact size.
+
+    An F2-linear set that is not R-linear, such as {0, (1, 0)} at m=2, is
+    accepted; `generating_rows` refuses it, and `transform` of its table
+    gives the enumerator of {v : chi(<c, v>) = 1 for all c in C}.
     """
 
     __slots__ = ("m", "layout", "_basis")
@@ -514,7 +518,7 @@ def dual(
     by bilinearity.  An empty matrix dualizes to the full space.  Each row
     is packed once; the code holds the kernel basis read off the row
     space's elimination (digits built on each read); `budget` caps |R|^N.
-    `workers` must be >= 1, and nothing else reads it.
+    `workers` must be >= 1 and is kept only because the benchmark passes it.
     """
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
@@ -532,19 +536,20 @@ def generating_rows(C: LinearCode) -> GeneratorMatrix:
     combine rows 0..j-1, so the first word outside a span is a basis row.
     A row's u^i multiples are shifts-and-masks; only the chosen rows are
     unpacked to elements.  Useful for re-dualizing a code only known by
-    its words.
+    its words.  Raises `ParameterError` once the R-span of the chosen rows
+    outgrows C: then C is not R-linear, and no rows generate it.
     """
     m, N = C.m, C.layout.N
     basis: dict[int, int] = {}
     gens: list[int] = []
-    for word in C._basis:  # row by row: the loop usually stops early
+    for word in C._basis:
         if not _reduce(word, basis):
             continue
         gens.append(word)
         for v in _multiples(word, m, N):
             _insert(v, basis)
-        if 1 << len(basis) == C._size():
-            break
+        if 1 << len(basis) > C._size():
+            raise ParameterError("code is not R-linear: its rows' R-span is larger")
     rows = [[RingElement(m, x) for x in _unpack(v, N, m).tolist()] for v in gens]
     return GeneratorMatrix(rows, C.layout, m=m)
 

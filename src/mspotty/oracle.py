@@ -22,9 +22,10 @@ these are the referee.  Codes are closed row by row and enumerators
 summed word by word: nothing here calls `span`, the vectorized statistics
 in `weight`, `code.dual` or the transform's fold, and the campaign builds
 no `LinearCode`.  The dual is found by `_scan_words`, which tests every
-vector of R^N and keeps its hits as a plain sorted digit array; its times
-tables are its own and are not the engine's, so one wrong product cannot
-pass both.  `scan_dual` gives the same words as a `LinearCode`.
+vector of R^N in this process, one chunk at a time, and keeps its hits as
+a plain sorted digit array; its times tables are its own and are not the
+engine's, so one wrong product cannot pass both.  `scan_dual` gives the
+same words as a `LinearCode`.
 
 Check ids used in reports ("3.1" ... "3.7", "c3.1", "c3.2", "partition")
 are stable wire identifiers, chosen once and kept short for JSON output.
@@ -33,7 +34,6 @@ are stable wire identifiers, chosen once and kept short for JSON output.
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from dataclasses import dataclass
 from math import comb
@@ -222,7 +222,7 @@ def _byte_transforms(m: int, b: int, t: int, cs: np.ndarray) -> list[Polynomial]
 
 
 def dual_enumerator_bruteforce(G: GeneratorMatrix) -> Polynomial:
-    """Weight enumerator of the dual scanned on one worker, |R|^N capped at
+    """Weight enumerator of the scanned dual, |R|^N capped at
     `DEFAULT_SPACE_BUDGET`: `m_spotty_weight` summed over a `Word` built
     from each row of `_scan_words`; no transform involved."""
     elems = tuple(elements(G.m))
@@ -241,16 +241,19 @@ def scan_dual(G: GeneratorMatrix, workers: int = 1) -> LinearCode:
     each vector of R^N (`_scan`): the referee of `code.dual`, which it
     equals.  The scan's hits are the words packed, so the code is built
     from them through the public constructor's closure check, with no
-    `Word` per hit."""
-    return LinearCode._from_words(_scan(G, workers).tolist(), G.layout, G.m)
+    `Word` per hit.  `workers` must be >= 1, and nothing else reads it:
+    the scan runs in this process."""
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
+    return LinearCode._from_words(_scan(G).tolist(), G.layout, G.m)
 
 
 def _scan_words(G: GeneratorMatrix) -> np.ndarray:
-    """The words of `_scan` on one worker as the oracle's own read-only
-    (|C⊥|, N) digit array, unpacked one coordinate at a time straight into
-    the digit dtype: rows distinct, since each vector is tested once, and
-    sorted, since the hits come in index order, which is canonical order."""
-    hits, m, N = _scan(G, 1), G.m, G.layout.N
+    """The words of `_scan` as the oracle's own read-only (|C⊥|, N) digit
+    array, unpacked one coordinate at a time straight into the digit
+    dtype: rows distinct, since each vector is tested once, and sorted,
+    since the hits come in index order, which is canonical order."""
+    hits, m, N = _scan(G), G.m, G.layout.N
     words = np.empty((len(hits), N), dtype=_digit_dtype(m))
     for i, column in enumerate(_coords(hits, m, N)):
         words[:, i] = column
@@ -258,34 +261,22 @@ def _scan_words(G: GeneratorMatrix) -> np.ndarray:
     return words
 
 
-def _scan(G: GeneratorMatrix, workers: int) -> np.ndarray:
+def _scan(G: GeneratorMatrix) -> np.ndarray:
     """The packed vectors of R^N orthogonal to every row of G, ascending,
     tested with times tables of the scan's own.  R^N is walked in chunks
-    of `_SCAN_CHUNK` (read at call time) on up to `workers` processes,
-    merged in chunk order.  Each vector packs into a uint64 index of at
-    most 62 bits (`_coords`), and |R|^N is capped at
-    `DEFAULT_SPACE_BUDGET`."""
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
+    of `_SCAN_CHUNK` (read at call time), in index order.  Each vector
+    packs into a uint64 index of at most 62 bits (`_coords`), and |R|^N is
+    capped at `DEFAULT_SPACE_BUDGET`."""
     m, N = G.m, G.layout.N
     if m * N > 62:
         raise ParameterError(f"scan index needs {m * N} bits, beyond 64-bit packing")
     BudgetError.guard("dual scan over R^N", DEFAULT_SPACE_BUDGET, shift=m * N)
     rows_bits = tuple(tuple(x.bits for x in row) for row in G.rows)
     space, step = 1 << (m * N), _SCAN_CHUNK
-    chunks = [(lo, min(lo + step, space)) for lo in range(0, space, step)]
-    procs = min(workers, len(chunks), os.cpu_count() or 1)
-    if procs == 1:
-        hits = [_scan_chunk(lo, hi, m, N, rows_bits) for lo, hi in chunks]
-    else:  # imported here, so that no other path loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=procs) as pool:
-            futures = [
-                pool.submit(_scan_chunk, lo, hi, m, N, rows_bits)
-                for lo, hi in chunks
-            ]
-            hits = [f.result() for f in futures]  # submission order: deterministic
+    hits = [
+        _scan_chunk(lo, min(lo + step, space), m, N, rows_bits)
+        for lo in range(0, space, step)
+    ]
     return np.concatenate(hits)
 
 

@@ -534,11 +534,36 @@ print(sorted(m for m in sys.modules
 
 
 def test_commands_do_not_load_the_process_pool():
-    """Only a scan that starts more than one process imports the pool: no
-    command, in any format, loads concurrent.futures or multiprocessing.
-    Nor does any load numpy.ma, which `np.unique` without return flags
-    imports."""
+    """Every command runs in one process: none, in any format, loads
+    concurrent.futures or multiprocessing.  Nor does any load numpy.ma,
+    which `np.unique` without return flags imports."""
     proc = run_child(POOL_MODULES, EXAMPLE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"[]\n"
+
+
+# Scans the dual of the matrix argv[1] at 8 workers and at 1, checks that
+# both give the same 32,768 words, then prints the loaded modules of the
+# process pool's packages.
+SCAN_MODULES = """
+import sys
+import numpy as np
+from mspotty import load_matrix
+from mspotty.oracle import scan_dual
+G = load_matrix(sys.argv[1])
+eight = scan_dual(G, workers=8)
+one = scan_dual(G, workers=1)
+assert len(eight) == 32768 and np.array_equal(eight.digits, one.digits)
+print(sorted(m for m in sys.modules
+             if m.partition(".")[0] in ("concurrent", "multiprocessing")))
+"""
+
+
+def test_scan_at_many_workers_runs_in_one_process():
+    """`scan_dual(G, workers=8)` on the worked example scans its 16^6
+    vectors in this process: it loads no process pool and gives the same
+    words as one worker."""
+    proc = run_child(SCAN_MODULES, EXAMPLE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == b"[]\n"
 

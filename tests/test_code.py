@@ -41,8 +41,9 @@ from mspotty.code import (
 from mspotty.errors import BudgetError, MatrixParseError, ParameterError
 from mspotty.macwilliams import transform
 from mspotty.oracle import _add_row, _scan_words, scan_dual
-from mspotty.ring import RingElement, elements, monomial, mul_bits, one, zero
-from mspotty.weight import distribution, enumerator, minimum_distance
+from mspotty.polynomial import Polynomial
+from mspotty.ring import RingElement, chi, elements, monomial, mul_bits, one, zero
+from mspotty.weight import distribution, enumerator, m_spotty_weight, minimum_distance
 
 DATA = Path(__file__).parent / "data"
 
@@ -566,18 +567,63 @@ def test_generating_rows_reproduces_code():
         assert H.rows == _generators(_naive_bits(G), lay, m).rows
 
 
+def test_generating_rows_refuses_a_code_that_is_not_r_linear():
+    """{0, (1, 0)} at m=2 is F2-linear but not R-linear: the R-span of
+    (1, 0) has 4 words, so no rows generate it, and `generating_rows`
+    refuses it rather than return (1, 0), whose dual has W = 1 + 3z.
+    `transform` of its table is the enumerator of the 8 words v with
+    chi(<c, v>) = 1 for every c in C, counted here one v at a time."""
+    lay = ByteLayout(b=1, t=1, n=2)
+    C = LinearCode([Word.from_bits(w, 2, lay) for w in ([0, 0], [1, 0])], lay, 2)
+    with pytest.raises(ParameterError, match="not R-linear"):
+        generating_rows(C)
+    vectors = (Word.from_bits(v, 2, lay) for v in itertools.product(range(4), repeat=2))
+    W = Polynomial(
+        (m_spotty_weight(v), 1) for v in vectors
+        if all(chi(inner_product(c, v)) == 1 for c in C)
+    )
+    assert transform(distribution(C), len(C)) == W == Polynomial({0: 1, 1: 4, 2: 3})
+
+
+def test_generating_rows_refuses_exactly_the_codes_that_are_not_r_linear():
+    """On F2 closures of random words, `generating_rows` refuses exactly
+    the sets that some u * c leaves, and otherwise returns rows whose span
+    is the set."""
+    rng = random.Random(61)
+    u_times = {1: [0, 0]}  # u = 0 in F2
+    u_times.update({m: [mul_bits(2, x, m) for x in range(1 << m)] for m in (2, 3)})
+    refused = 0
+    for _ in range(60):
+        m, lay = rng.randrange(1, 4), ByteLayout(b=rng.randrange(1, 3), t=1, n=2)
+        rows = [[rng.randrange(1 << m) for _ in range(lay.N)]
+                for _ in range(rng.randrange(4))]
+        C = xor_closure(rows, m, lay)
+        words = {w.bits() for w in C}
+        r_linear = all(tuple(u_times[m][x] for x in w) in words for w in words)
+        if r_linear:
+            assert span(generating_rows(C)).codewords == C.codewords
+        else:
+            refused += 1
+            with pytest.raises(ParameterError, match="not R-linear"):
+                generating_rows(C)
+    assert 0 < refused < 60
+
+
 def test_span_dual_and_generating_rows_take_no_ring_product():
     """Rows are packed once and u^i acts by shift-and-mask: with every
     `mul_bits` refusing, span, dual, the public constructor (on the span's
     words and on an F2-closed set) and generating_rows give the worked
-    example's codes and rows unchanged."""
+    example's codes and rows unchanged, and generating_rows refuses the
+    F2-closed set, which is not R-linear."""
     G = load_matrix(DATA / "worked_example.txt")
 
     def answers():
         C = span(G)
         codes = [C, dual(G), LinearCode(C, G.layout, G.m)]
-        codes.append(xor_closure(_random_rows(random.Random(5), G, 6), G.m, G.layout))
-        return [(C._basis, generating_rows(C).rows) for C in codes]
+        closed = xor_closure(_random_rows(random.Random(5), G, 6), G.m, G.layout)
+        with pytest.raises(ParameterError, match="not R-linear"):
+            generating_rows(closed)
+        return [closed._basis] + [(C._basis, generating_rows(C).rows) for C in codes]
 
     def refuse(*args):
         raise AssertionError("mul_bits called")

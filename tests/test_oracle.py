@@ -1,6 +1,5 @@
 """Brute-force referee: character sums, byte transforms, partitions, campaign."""
 
-import concurrent.futures
 import itertools
 import random
 import tracemalloc
@@ -723,43 +722,6 @@ def test_scan_dual_builds_its_code_as_the_public_constructor_does():
         LinearCode._from_words([0, 1, 2], lay, m)
     with pytest.raises(ParameterError, match="cannot be empty"):
         LinearCode._from_words([], lay, m)
-
-
-def test_dual_scan_clamps_process_count(monkeypatch):
-    """The pool gets at most min(workers, chunks, cpus) processes; a fake
-    executor, patched where the scan imports it from on first use, records
-    the request and runs the chunks in-process."""
-    requested = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
-    lay = ByteLayout(b=2, t=1, n=2)  # m = 2: 256 vectors
-    G = _random_matrix(random.Random(97), 2, 1, lay)
-    base = scan_dual(G)
-    default_chunk = oracle._SCAN_CHUNK
-    for workers, chunk_size in ((10**6, 128), (10**6, 16), (2, 16)):
-        monkeypatch.setattr(oracle, "_SCAN_CHUNK", chunk_size)
-        Cd = scan_dual(G, workers=workers)
-        assert Cd.codewords == base.codewords
-    assert requested == [2, 3, 2]
-    monkeypatch.setattr(oracle, "_SCAN_CHUNK", default_chunk)
-    scan_dual(G, workers=10**6)  # one chunk: no pool at all
-    assert requested == [2, 3, 2]
 
 
 def test_scan_unpacks_its_hits_into_the_digit_dtype():

@@ -116,9 +116,16 @@ MUTANTS = [
     Mutant(
         "generating_rows reads |C| through len()",
         CODE,
-        "if 1 << len(basis) == C._size():",
-        "if 1 << len(basis) == len(C):",
+        "if 1 << len(basis) > C._size():",
+        "if 1 << len(basis) > len(C):",
         ("tests/test_code.py::test_a_code_past_len_reports_its_exact_size",),
+    ),
+    Mutant(
+        "generating_rows never refuses a code that is not R-linear",
+        CODE,
+        "if 1 << len(basis) > C._size():",
+        "if False:",
+        ("tests/test_code.py::test_generating_rows_refuses_a_code_that_is_not_r_linear",),
     ),
     Mutant(
         "the closure check never fires",
@@ -140,6 +147,20 @@ MUTANTS = [
         "return np.concatenate(hits)",
         "return np.concatenate(hits + hits)",
         ("tests/test_oracle.py::test_dual_worker_and_chunk_invariance",),
+    ),
+    Mutant(
+        "the scan drops its last chunk",
+        ORACLE,
+        "for lo in range(0, space, step)",
+        "for lo in range(0, max(step, space - step), step)",
+        ("tests/test_oracle.py::test_dual_worker_and_chunk_invariance",),
+    ),
+    Mutant(
+        "scan_dual accepts workers < 1",
+        ORACLE,
+        "if workers < 1:",
+        "if False:",
+        ("tests/test_code.py::test_dual_rejects_bad_workers_and_overflow",),
     ),
     Mutant(
         "poisson_check closes only the first row",
