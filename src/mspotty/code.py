@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, MatrixParseError, ParameterError
+from .errors import BudgetError, MatrixParseError, ParameterError, as_int
 from .ring import MAX_M, RingElement, mul_bits, parse_element
 
 #: Default cap on |R|^k coefficient tuples enumerated by span().
@@ -55,6 +55,9 @@ class ByteLayout:
     n: int
 
     def __post_init__(self):
+        for name in ("b", "t", "n"):
+            value = as_int(getattr(self, name), f"layout parameter {name}")
+            object.__setattr__(self, name, value)
         if self.b < 1:
             raise ParameterError(f"byte size b must be >= 1, got {self.b}")
         if not 1 <= self.t <= self.b:

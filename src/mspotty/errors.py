@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all mspotty modules."""
+"""Exception hierarchy shared by all mspotty modules, and `as_int`, which
+reads an integer parameter or refuses it."""
+
+from operator import index
 
 
 class MSpottyError(Exception):
@@ -7,6 +10,15 @@ class MSpottyError(Exception):
 
 class ParameterError(MSpottyError, ValueError):
     """Invalid argument: out-of-range parameter, mismatched ring or layout."""
+
+
+def as_int(value, what: str) -> int:
+    """`value` read through `operator.index`: ints and numpy integers pass,
+    anything else (a float, a str) raises ParameterError naming `what`."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ParameterError(f"{what} must be an int, got {value!r}") from None
 
 
 class BudgetError(MSpottyError):

@@ -48,7 +48,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, ParameterError
+from .errors import BudgetError, ParameterError, as_int
 from .polynomial import Polynomial
 from .weight import DistributionTable, weight_from_alpha
 
@@ -275,7 +275,8 @@ def transform(dist: DistributionTable, code_size: int) -> Polynomial:
     """Dual enumerator from a primal distribution table.
 
     The kernels F_j are those of the table's own (b, m, t).  code_size is
-    the primal |C| and must divide the accumulated sum exactly.  The rows
+    the primal |C|, an int (read through `operator.index`), and must divide
+    the accumulated sum exactly.  The rows
     are `dist.alphas` and `dist.counts` as stored, read last row first.
 
     The numerator N(z) = sum over rows of count * prod_j F_j(z)^alpha_j is
@@ -299,6 +300,7 @@ def transform(dist: DistributionTable, code_size: int) -> Polynomial:
     exceed `KERNEL_TERM_BUDGET` raises `BudgetError` before any is built,
     and each (b, m, t) builds its kernels once.
     """
+    code_size = as_int(code_size, "code size")
     if code_size < 1:
         raise ParameterError(f"code size must be >= 1, got {code_size}")
     kernels = kernel_table(dist.layout.b, dist.m, dist.layout.t)

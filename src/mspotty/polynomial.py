@@ -1,14 +1,16 @@
 """Sparse univariate polynomials in z with exact integer coefficients.
 
-Coefficients are Python ints, so nothing ever overflows; terms with a zero
-coefficient are never stored, making equality plain term-map equality.
+Exponents and coefficients are Python ints, read through `operator.index`
+(numpy integers pass, a float or str is refused), so nothing ever overflows
+or rounds; terms with a zero coefficient are never stored, making equality
+plain term-map equality.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 
-from .errors import IntegrityError, ParameterError
+from .errors import IntegrityError, ParameterError, as_int
 
 
 class Polynomial:
@@ -20,6 +22,7 @@ class Polynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[int, int] = {}
         for exp, coeff in items:
+            exp, coeff = as_int(exp, "exponent"), as_int(coeff, "coefficient")
             if exp < 0:
                 raise ParameterError(f"negative exponent {exp}")
             acc[exp] = acc.get(exp, 0) + coeff
@@ -80,7 +83,8 @@ class Polynomial:
         return Polynomial(acc)
 
     def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
+        n = as_int(n, "polynomial power")
+        if n < 0:
             raise ParameterError(f"polynomial power must be a non-negative int, got {n!r}")
         result = Polynomial.one()
         base = self
@@ -101,6 +105,7 @@ class Polynomial:
         A remainder means the caller's arithmetic is inconsistent, so this
         raises IntegrityError rather than rounding.
         """
+        d = as_int(d, "divisor")
         if d <= 0:
             raise ParameterError(f"divisor must be positive, got {d}")
         out = {}
@@ -114,7 +119,9 @@ class Polynomial:
         return Polynomial(out)
 
     def __call__(self, x: int) -> int:
-        """Evaluate at an integer point, exactly."""
+        """Evaluate at an integer point, exactly: a numpy integer is read as
+        an int, so the powers cannot wrap."""
+        x = as_int(x, "evaluation point")
         return sum(c * x**e for e, c in self._terms.items())
 
     def __eq__(self, other) -> bool:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import chain
 from operator import index
-from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -79,35 +79,35 @@ class DistributionTable:
         layout: ByteLayout,
         m: int,
     ):
+        """Refuse the first invalid row in mapping order, at its first fault:
+        entries or count not integers, then an alpha vector of the wrong
+        width, sum or sign, then a count below 1."""
         n, width = layout.n, layout.b + 1
-        dtype = np.min_scalar_type(n)
-        try:
-            keys = sorted(counts)
-            if keys and set(map(len, keys)) != {width}:
-                _refuse(counts, n, width)
-            # an entry below 0 or above the dtype's range overflows here
-            entries = map(index, chain.from_iterable(keys))
-            alphas = np.fromiter(entries, dtype, len(keys) * width)
-            values = list(map(index, map(counts.__getitem__, keys)))
-        except (TypeError, OverflowError):
-            _refuse(counts, n, width)
-        alphas = alphas.reshape(len(keys), width)
-        # entries in [0, n] sum to at most width * n
-        total = np.int64 if width * n < 1 << 63 else object
-        if keys and (
-            alphas.max() > n
-            or (alphas.sum(axis=1, dtype=total) != n).any()
-            or min(values) < 1
-        ):
-            _refuse(counts, n, width)
-        self._set(alphas, tuple(values), layout, m)
+        values = []
+        for alpha, c in counts.items():
+            try:
+                key, c = tuple(map(index, alpha)), index(c)
+            except TypeError:
+                raise ParameterError("alpha entries and counts must be ints") from None
+            if len(key) != width or sum(key) != n or min(key) < 0:
+                raise ParameterError(f"not a valid alpha vector: {alpha}")
+            if c < 1:
+                raise ParameterError(f"count for {alpha} must be positive, got {c}")
+            values.append(c)
+        # every entry is in [0, n], so none overflows the dtype
+        entries = map(index, chain.from_iterable(counts))
+        alphas = np.fromiter(entries, np.min_scalar_type(n), len(values) * width)
+        self._set(alphas.reshape(-1, width), values, layout, m)
 
     def _set(
-        self, alphas: np.ndarray, counts: tuple[int, ...], layout: ByteLayout, m: int
+        self, alphas: np.ndarray, counts: Sequence[int], layout: ByteLayout, m: int
     ) -> None:
+        """Store the rows and their counts in lex order, by one lexsort."""
+        order = np.lexsort(alphas.T[::-1])
+        alphas = alphas[order].astype(np.min_scalar_type(layout.n), copy=False)
         alphas.flags.writeable = False
         object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", tuple(map(counts.__getitem__, order.tolist())))
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "m", m)
 
@@ -116,11 +116,10 @@ class DistributionTable:
         cls, alphas: np.ndarray, counts: np.ndarray, layout: ByteLayout, m: int
     ) -> "DistributionTable":
         """The table of distinct valid alpha rows and their positive counts,
-        in any order: put in lex order by one lexsort, not checked."""
-        order = np.lexsort(alphas.T[::-1])
+        in any order, not checked: they come from a code's walk, and can
+        number up to |C|."""
         T = object.__new__(cls)
-        alphas = alphas[order].astype(np.min_scalar_type(layout.n))
-        T._set(alphas, tuple(counts[order].tolist()), layout, m)
+        T._set(alphas, counts.tolist(), layout, m)
         return T
 
     def __setattr__(self, name, value):
@@ -159,22 +158,6 @@ class DistributionTable:
             f"DistributionTable({len(self)} alpha rows, "
             f"total={self.total}, layout={self.layout})"
         )
-
-
-def _refuse(counts: Mapping, n: int, width: int) -> NoReturn:
-    """Raise the refusal for the first invalid row of `counts`, in mapping
-    order, as a row-by-row check would: entries or count not integers,
-    then an alpha vector of the wrong width, sum or sign, then a count
-    below 1.  Called only once some row is known to be invalid."""
-    for alpha, c in counts.items():
-        try:
-            key, c = tuple(map(index, alpha)), index(c)
-        except TypeError:
-            raise ParameterError("alpha entries and counts must be ints") from None
-        if len(key) != width or sum(key) != n or min(key) < 0:
-            raise ParameterError(f"not a valid alpha vector: {alpha}")
-        if c < 1:
-            raise ParameterError(f"count for {alpha} must be positive, got {c}")
 
 
 def _byte_weight_blocks(C: LinearCode) -> Iterator[np.ndarray]:

@@ -126,6 +126,18 @@ def test_layout_validation():
         ByteLayout(b=3, t=1, n=0)
 
 
+def test_layout_parameters_are_ints():
+    """b, t and n are read through `operator.index`: numpy integers are
+    stored as ints, a float or str is refused."""
+    lay = ByteLayout(b=np.int64(2), t=np.uint8(1), n=np.int32(2))
+    assert lay == ByteLayout(b=2, t=1, n=2) and type(lay.N) is int
+    assert all(type(x) is int for x in (lay.b, lay.t, lay.n))
+    for kw in [dict(b=2.5, t=1, n=2), dict(b=2, t=1, n=2.0), dict(b=2, t=1.0, n=2),
+               dict(b="2", t=1, n=2)]:
+        with pytest.raises(ParameterError):
+            ByteLayout(**kw)
+
+
 def test_word_bytes_and_ops():
     lay = ByteLayout(b=2, t=1, n=2)
     w = Word.from_bits([1, 2, 0, 3], 2, lay)

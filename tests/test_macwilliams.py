@@ -5,6 +5,7 @@ import tracemalloc
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -138,6 +139,17 @@ def test_transform_bad_code_size():
         transform(dist, 511)  # does not divide the accumulated sum
     with pytest.raises(ParameterError):
         transform(dist, 0)
+
+
+def test_transform_code_size_is_an_int():
+    """code_size is read through `operator.index`: a numpy integer passes,
+    a float or str is refused rather than giving float coefficients."""
+    C = span(load_matrix(DATA / "worked_example.txt"))
+    dist = distribution(C)
+    assert transform(dist, np.int64(len(C))) == WORKED_W_DUAL
+    for bad in [float(len(C)), str(len(C))]:
+        with pytest.raises(ParameterError):
+            transform(dist, bad)
 
 
 # --- the trie transform against independent routes ---------------------------

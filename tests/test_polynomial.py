@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,29 @@ def test_construction_drops_zeros():
 def test_negative_exponent_rejected():
     with pytest.raises(ParameterError):
         Polynomial({-1: 3})
+
+
+def test_exponents_coefficients_and_divisors_are_ints():
+    """Terms and divisors are read through `operator.index`: numpy integers
+    pass, a float or str is refused rather than kept or rounded."""
+    p = Polynomial({np.int64(2): np.uint8(4)}).exact_div(np.int64(2))
+    assert p == Polynomial({2: 2})
+    assert all(type(x) is int for term in p.terms() for x in term)
+    for terms in [{0.5: 1}, {0: 4.0}, {"1": 1}, {1: "1"}]:
+        with pytest.raises(ParameterError):
+            Polynomial(terms)
+    for bad in [0.5, 2.0]:
+        with pytest.raises(ParameterError):
+            Polynomial({0: 1}).scale(bad)
+    for bad in [2.0, "2"]:
+        with pytest.raises(ParameterError):
+            Polynomial({0: 4}).exact_div(bad)
+        with pytest.raises(ParameterError):
+            Polynomial({1: 1}) ** bad
+        with pytest.raises(ParameterError):
+            Polynomial({1: 1})(bad)
+    assert Polynomial({1: 1}) ** np.int64(2) == Polynomial({2: 1})
+    assert Polynomial({40: 1})(np.int64(3)) == 3**40  # wraps in int64
 
 
 def test_basics():

@@ -215,9 +215,8 @@ def test_distribution_table_stores_one_sorted_alpha_matrix():
     ({5: 1}, "alpha entries and counts must be ints"),
 ])
 def test_distribution_table_refuses_its_first_invalid_row(rows, message):
-    """The checks run on the whole matrix, but a refusal names the first
-    invalid row in mapping order, its first fault as a row-by-row check
-    would find it: integers, then width, sum and sign, then the count."""
+    """One pass in mapping order names the first invalid row at its first
+    fault: integers, then width, sum and sign, then the count."""
     with pytest.raises(ParameterError, match="^" + re.escape(message)):
         DistributionTable(rows, ByteLayout(b=2, t=1, n=2), 2)
 

@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 CODE, WEIGHT = "src/mspotty/code.py", "src/mspotty/weight.py"
 MACWILLIAMS, ORACLE = "src/mspotty/macwilliams.py", "src/mspotty/oracle.py"
+POLYNOMIAL = "src/mspotty/polynomial.py"
 
 MUTANTS = [
     Mutant(
@@ -168,6 +169,34 @@ MUTANTS = [
         "for row in G.rows:\n        words = _add_row(",
         "for row in G.rows[:1]:\n        words = _add_row(",
         ("tests/test_oracle.py::test_poisson_small_codes",),
+    ),
+    Mutant(
+        "the table's sign check dropped",
+        WEIGHT,
+        " or min(key) < 0",
+        "",
+        ("tests/test_weight.py::test_distribution_table_refuses_its_first_invalid_row",),
+    ),
+    Mutant(
+        "the table's count check off by one",
+        WEIGHT,
+        "if c < 1:",
+        "if c < 0:",
+        ("tests/test_weight.py::test_distribution_table_refuses_its_first_invalid_row",),
+    ),
+    Mutant(
+        "the table's rows ordered by the last column first",
+        WEIGHT,
+        "np.lexsort(alphas.T[::-1])",
+        "np.lexsort(alphas.T)",
+        ("tests/test_weight.py::test_distribution_table_stores_one_sorted_alpha_matrix",),
+    ),
+    Mutant(
+        "Polynomial keeps non-integer coefficients",
+        POLYNOMIAL,
+        'exp, coeff = as_int(exp, "exponent"), as_int(coeff, "coefficient")',
+        'exp = as_int(exp, "exponent")',
+        ("tests/test_polynomial.py::test_exponents_coefficients_and_divisors_are_ints",),
     ),
     Mutant(
         "control: a comment reworded",
