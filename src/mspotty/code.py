@@ -12,16 +12,19 @@ packs into an integer with coordinate 0 most significant, so integer
 order is canonical order.  `span`, `dual` and `generating_rows` pack each
 row once and then work on ints alone: u^i*v is v shifted up by i, masked
 to bits i..m-1 of every coordinate, with no ring product.  One Gaussian
-elimination over those bit rows gives the fully reduced basis of the
-m*k vectors u^i*g_r, which spans the code (|C| = 2^rank); coefficient s
-of <g, v> is the F2 dot product of v with u^(m-1-s)*g with each
-coordinate's bits mirrored, so the dual is the bit-mirrored binary dual
-of that basis.  A code stores only its fully reduced basis: `w in C` and
-`generating_rows` read it, and its words come in canonical order in
-blocks of at most 2^14 words and 2^20 digits (`_blocks`), which the
-statistics in `weight`, the codeword listing (one block of strings at a
-time), iteration and the digit array read.  Only fast paths live here:
-the exhaustive scan of R^N that referees the dual is `oracle.scan_dual`.
+elimination over those bit rows (`_row_space`, the one caller of
+`_echelon`) gives the fully reduced basis of the m*k vectors u^i*g_r,
+which spans the code (|C| = 2^rank).  Coefficient s of <g, v> is the F2
+dot product of v with u^(m-1-s)*g with each coordinate's bits mirrored,
+which is u^(m-1-s)*g packed coordinates-reversed with all m*N bits then
+reversed; so `dual` reads a fully reduced basis off the one elimination
+of its rows packed that way.  A code stores only its fully reduced
+basis, from at most one elimination: `w in C` and `generating_rows` read
+it, and its words come in canonical order in blocks of at most 2^14
+words and 2^20 digits (`_blocks`), which the statistics in `weight`, the
+codeword listing (one block of strings at a time), iteration and the
+digit array read.  Only fast paths live here: the exhaustive scan of
+R^N that referees the dual is `oracle.scan_dual`.
 """
 
 from __future__ import annotations
@@ -249,10 +252,10 @@ class LinearCode:
                 raise ParameterError("codeword layout or ring parameter mismatch")
         self._set(layout, m, _closed([_pack(w.bits(), m) for w in words]))
 
-    def _set(self, layout: ByteLayout, m: int, basis: dict[int, int]) -> None:
+    def _set(self, layout: ByteLayout, m: int, basis: Iterable[int]) -> None:
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_basis", tuple(basis[p] for p in sorted(basis)))
+        object.__setattr__(self, "_basis", tuple(sorted(basis)))
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearCode is immutable")
@@ -267,18 +270,16 @@ class LinearCode:
     ) -> "LinearCode":
         """The code of packed words bound to `layout` and `m`, checked as
         the public constructor checks them (`_closed`)."""
-        C = object.__new__(cls)
-        C._set(layout, m, _closed(words))
-        return C
+        return cls._from_basis(_closed(words), layout, m)
 
     @classmethod
     def _from_basis(
-        cls, vectors: Iterable[int], layout: ByteLayout, m: int
+        cls, basis: Iterable[int], layout: ByteLayout, m: int
     ) -> "LinearCode":
-        """The F2-span of packed vectors, kept fully reduced and sorted by leading
-        bit: the rows at the set bits of c sum to the c-th word in canonical order."""
+        """The code of a fully reduced basis, stored sorted, not reduced again:
+        word c in canonical order sums the rows at the set bits of c."""
         C = object.__new__(cls)
-        C._set(layout, m, _echelon(vectors))
+        C._set(layout, m, basis)
         return C
 
     @property
@@ -421,11 +422,6 @@ def _multiples(v: int, m: int, N: int) -> Iterator[int]:
         yield v << i & ((1 << m) - (1 << i)) * ones
 
 
-def _mirror(i: int, m: int) -> int:
-    """Bit i of a packed vector with each coordinate's m bits reversed."""
-    return i + m - 1 - 2 * (i % m)
-
-
 def _echelon(vectors: Iterable[int]) -> dict[int, int]:
     """Fully reduced echelon basis of the F2-span of packed vectors: each
     leading bit appears in the one row that it leads."""
@@ -439,18 +435,19 @@ def _echelon(vectors: Iterable[int]) -> dict[int, int]:
     return basis
 
 
-def _closed(words: Iterable[int]) -> dict[int, int]:
-    """`_echelon` of nonempty packed words that are closed under addition.
-    Sorted, a code's distinct words are in canonical order, so word 2^j is
-    row j of its fully reduced basis; the words are closed exactly when
-    the span of those rows, listed in canonical order, is the words."""
+def _closed(words: Iterable[int]) -> list[int]:
+    """The fully reduced basis of nonempty packed words closed under
+    addition, read off with no elimination: sorted, a code's distinct words
+    are in canonical order, so word 2^j is row j of that basis.  Words that
+    equal the span of those rows, listed in canonical order, are closed, so
+    the check refuses every set that is not."""
     ordered = sorted(set(words))
     if not ordered:
         raise ParameterError("a linear code cannot be empty")
-    basis = _echelon(ordered[1 << j] for j in range(len(ordered).bit_length() - 1))
+    basis = [ordered[1 << j] for j in range(len(ordered).bit_length() - 1)]
     span = [0]
-    for p in sorted(basis):
-        span += [w ^ basis[p] for w in span]
+    for row in basis:
+        span += [w ^ row for w in span]
     if span != ordered:
         raise ParameterError("codewords are not closed under addition")
     return basis
@@ -459,11 +456,6 @@ def _closed(words: Iterable[int]) -> dict[int, int]:
 def _row_space(m: int, N: int, rows: Iterable[int]) -> dict[int, int]:
     """`_echelon` of the m*k vectors u^i * row of packed rows: their R-span."""
     return _echelon(v for row in rows for v in _multiples(row, m, N))
-
-
-def _packed_rows(G: GeneratorMatrix) -> list[int]:
-    """Each row of G packed once, coordinate 0 most significant."""
-    return [_pack((x.bits for x in row), G.m) for row in G.rows]
 
 
 def span(G: GeneratorMatrix, budget: int = DEFAULT_SPAN_BUDGET) -> LinearCode:
@@ -477,7 +469,8 @@ def span(G: GeneratorMatrix, budget: int = DEFAULT_SPAN_BUDGET) -> LinearCode:
     """
     m = G.m
     BudgetError.guard("span over R^k coefficient tuples", budget, shift=m * G.k)
-    basis = _row_space(m, G.layout.N, _packed_rows(G))
+    rows = [_pack((x.bits for x in row), m) for row in G.rows]
+    basis = _row_space(m, G.layout.N, rows)
     return LinearCode._from_basis(basis.values(), G.layout, m)
 
 
@@ -495,20 +488,23 @@ def code_size_from_profile(m: int, profile: Sequence[int]) -> int:
 
 
 def _kernel_basis(m: int, N: int, rows: Iterable[int]) -> list[int]:
-    """Packed basis of {v : <row, v> = 0 for every packed row}.
+    """Fully reduced packed basis of {v : <row, v> = 0 for every row}, of
+    rows packed with coordinate 0 least significant.
 
     Coefficient s of <g, v> (chi reads s = m-1) is the F2 dot product of v
-    with u^(m-1-s) * g with each coordinate's m bits mirrored (bit e to
-    m-1-e), so the dual is the mirrored binary dual of the row space: each
-    bit f that leads no row of the fully reduced basis gives bit f plus the
-    leading bit p of each row that has bit f, every bit index mirrored.
+    with u^(m-1-s) * g with each coordinate's m bits mirrored; reversing
+    the coordinates and then all m*N bits (i to m*N-1-i) is that mirror.
+    So each bit f that leads no row of the reversed rows' fully reduced
+    basis gives bit f plus the leading bit p > f of each row that has bit
+    f, all reversed: f's image leads it and is in no other such vector.
     """
     basis = _row_space(m, N, rows)
+    top = m * N - 1
     kernel = []
     for f in range(m * N):
         if f not in basis:
             bits = [f] + [p for p, row in basis.items() if row >> f & 1]
-            kernel.append(sum(1 << _mirror(i, m) for i in bits))
+            kernel.append(sum(1 << top - i for i in bits))
     return kernel
 
 
@@ -519,15 +515,17 @@ def dual(
 
     Orthogonality to the generators implies orthogonality to the whole code
     by bilinearity.  An empty matrix dualizes to the full space.  Each row
-    is packed once; the code holds the kernel basis read off the row
-    space's elimination (digits built on each read); `budget` caps |R|^N.
+    is packed once, coordinates reversed; the code holds the fully reduced
+    kernel basis read off that one elimination (digits built on each
+    read); `budget` caps |R|^N.
     `workers` must be >= 1 and is kept only because the benchmark passes it.
     """
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     m, N = G.m, G.layout.N
     BudgetError.guard("dual scan over R^N", budget, shift=m * N)
-    return LinearCode._from_basis(_kernel_basis(m, N, _packed_rows(G)), G.layout, m)
+    rows = [_pack((x.bits for x in reversed(row)), m) for row in G.rows]
+    return LinearCode._from_basis(_kernel_basis(m, N, rows), G.layout, m)
 
 
 def generating_rows(C: LinearCode) -> GeneratorMatrix:

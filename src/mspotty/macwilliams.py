@@ -73,6 +73,8 @@ def f_poly(j: int, b: int, m: int, t: int) -> Polynomial:
     F_j(z) = sum over j1 <= j, j2 <= b - j of
              (-1)^j1 * (2^m - 1)^j2 * C(j, j1) * C(b - j, j2) * z^ceil((j1+j2)/t)
     """
+    j, b = as_int(j, "byte weight j"), as_int(b, "byte size b")
+    m, t = as_int(m, "ring exponent m"), as_int(t, "spotty parameter t")
     if m < 1:
         raise ParameterError(f"ring exponent m must be >= 1, got {m}")
     if not 0 <= j <= b:

@@ -1,8 +1,9 @@
 """Sparse univariate polynomials in z with exact integer coefficients.
 
 Exponents and coefficients are Python ints, read through `operator.index`
-(numpy integers pass, a float or str is refused), so nothing ever overflows
-or rounds; terms with a zero coefficient are never stored, making equality
+(numpy integers pass, a float or str is refused; `from_json_terms` also
+reads the wire form's decimal strings), so nothing ever overflows or
+rounds; terms with a zero coefficient are never stored, making equality
 plain term-map equality.
 """
 
@@ -160,4 +161,17 @@ class Polynomial:
 
     @classmethod
     def from_json_terms(cls, data: Iterable[Mapping[str, int | str]]) -> "Polynomial":
-        return cls({int(item["exp"]): int(item["coeff"]) for item in data})
+        """The wire form read back: an exponent is an int, a coefficient an
+        int or a decimal string -?[0-9]+; anything else is refused."""
+        return cls(
+            {as_int(t["exp"], "exponent"): _wire_coeff(t["coeff"]) for t in data}
+        )
+
+
+def _wire_coeff(value: int | str) -> int:
+    if isinstance(value, str) and value.isascii() and value.removeprefix("-").isdigit():
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() takes from a string
+            pass
+    return as_int(value, "coefficient")

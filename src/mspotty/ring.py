@@ -18,16 +18,19 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import ParameterError
+from .errors import ParameterError, as_int
 
 #: Largest supported nilpotency index; keeps |R| = 2^m <= 65536 so that
 #: loops over the whole ring stay cheap.
 MAX_M = 16
 
 
-def _check_m(m: int) -> None:
-    if not isinstance(m, int) or not 1 <= m <= MAX_M:
+def _check_m(m: int) -> int:
+    """m read through `as_int` and checked against the supported range."""
+    m = as_int(m, "m")
+    if not 1 <= m <= MAX_M:
         raise ParameterError(f"m must be an integer in [1, {MAX_M}], got {m!r}")
+    return m
 
 
 def mul_bits(a: int, b: int, m: int) -> int:
@@ -47,7 +50,7 @@ class RingElement:
     __slots__ = ("m", "bits")
 
     def __init__(self, m: int, bits: int):
-        _check_m(m)
+        m, bits = _check_m(m), as_int(bits, "coefficient mask")
         if not 0 <= bits < (1 << m):
             raise ParameterError(
                 f"coefficient mask {bits:#x} out of range for m={m}"
@@ -131,7 +134,7 @@ def one(m: int) -> RingElement:
 
 def monomial(m: int, k: int) -> RingElement:
     """The element u^k (k = 0 gives 1)."""
-    _check_m(m)
+    m, k = _check_m(m), as_int(k, "exponent")
     if not 0 <= k < m:
         raise ParameterError(f"exponent {k} out of range for m={m}")
     return RingElement(m, 1 << k)
@@ -139,20 +142,20 @@ def monomial(m: int, k: int) -> RingElement:
 
 def elements(m: int) -> Iterator[RingElement]:
     """All 2^m ring elements in ascending coefficient-mask order."""
-    _check_m(m)
+    m = _check_m(m)
     for bits in range(1 << m):
         yield RingElement(m, bits)
 
 
 def units(m: int) -> Iterator[RingElement]:
-    _check_m(m)
+    m = _check_m(m)
     for bits in range(1, 1 << m, 2):
         yield RingElement(m, bits)
 
 
 def ideal_elements(m: int, k: int) -> frozenset[RingElement]:
     """The ideal <u^k> = {u^k * r : r in R}, of size 2^(m-k); k = m gives {0}."""
-    _check_m(m)
+    m, k = _check_m(m), as_int(k, "ideal exponent")
     if not 0 <= k <= m:
         raise ParameterError(f"ideal exponent {k} out of range for m={m}")
     mask = (1 << m) - 1
@@ -176,7 +179,7 @@ def partition(m: int) -> tuple[frozenset[RingElement], frozenset[RingElement]]:
 
     Requires m >= 2: for m = 1 no split can put both 0 and 1 in A.
     """
-    _check_m(m)
+    m = _check_m(m)
     if m < 2:
         raise ParameterError("partition requires m >= 2 (1 must lie in A)")
     A = frozenset(x for x in elements(m) if x.top_coeff() == 0)
@@ -198,7 +201,7 @@ def satisfies_partition_axioms(m: int, A: frozenset[RingElement]) -> bool:
     `partition` picks the kernel of the top-coefficient map, the one `chi`
     uses.
     """
-    _check_m(m)
+    m = _check_m(m)
     if m < 2:
         return False
     R = frozenset(elements(m))
@@ -276,7 +279,7 @@ def _parse_monomial(token: str, m: int) -> int:
 
 def parse_element(text: str, m: int) -> RingElement:
     """Parse the element grammar above into a canonical RingElement."""
-    _check_m(m)
+    m = _check_m(m)
     text = text.strip()
     if not text:
         raise ParameterError("empty element token")

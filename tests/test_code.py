@@ -24,9 +24,9 @@ from mspotty.code import (
     GeneratorMatrix,
     LinearCode,
     Word,
+    _echelon,
     _insert,
     _kernel_basis,
-    _mirror,
     _multiples,
     _pack,
     _row_space,
@@ -494,10 +494,12 @@ def test_rank_and_kernel_dimension_fill_the_space(G):
     the one elimination plus the kernel dimension is m*N, and every kernel
     vector is orthogonal to the constraint forms built literally, which
     span a space of the same rank, so the kernel is exactly their null
-    space."""
+    space.  The kernel reads rows packed with their coordinates reversed;
+    the rank is the same for either packing."""
     rows = [_pack((x.bits for x in row), G.m) for row in G.rows]
+    reversed_rows = [_pack((x.bits for x in reversed(row)), G.m) for row in G.rows]
     rank = len(_row_space(G.m, G.layout.N, rows))
-    kernel = _kernel_basis(G.m, G.layout.N, rows)
+    kernel = _kernel_basis(G.m, G.layout.N, reversed_rows)
     assert rank + len(kernel) == G.m * G.layout.N
     forms = _constraint_forms(G)
     assert all((v & f).bit_count() % 2 == 0 for v in kernel for f in forms)
@@ -514,27 +516,105 @@ def test_rank_and_kernel_dimension_fill_the_space(G):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 16), st.integers(1, 4), st.data())
 def test_inner_product_bits_are_mirrored_dot_products(m, N, data):
-    """Bit s of <g, v> is the parity of v AND mirror(u^(m-1-s) * g): the
-    identity that makes the dual the mirrored binary dual of the span."""
+    """Bit s of <g, v> is the parity of v AND mirror(u^(m-1-s) * g), each
+    coordinate's bits mirrored (bit e of coordinate i to bit m-1-e), and
+    that mirror is the multiple of g packed with its coordinates reversed,
+    read with all m*N bits reversed: the identity that makes the dual the
+    bit-reversed binary dual of the reversed rows' span."""
     word = st.lists(st.integers(0, (1 << m) - 1), min_size=N, max_size=N)
     g, v = data.draw(word), data.draw(word)
     c = inner_product(*([RingElement(m, x) for x in w] for w in (g, v))).bits
     multiples = list(_multiples(_pack(g, m), m, N))
+    reversed_multiples = list(_multiples(_pack(g[::-1], m), m, N))
     packed_v = sum(x << (m * (N - 1 - i)) for i, x in enumerate(v))
     for s in range(m):
         w = multiples[m - 1 - s]
-        mirrored = sum(1 << _mirror(i, m) for i in range(m * N) if w >> i & 1)
+        mirrored = 0
+        for i in range(N):
+            digit = w >> m * (N - 1 - i) & ((1 << m) - 1)
+            for e in range(m):
+                mirrored |= (digit >> e & 1) << (m * (N - 1 - i) + m - 1 - e)
         assert c >> s & 1 == (packed_v & mirrored).bit_count() % 2
+        bits = format(reversed_multiples[m - 1 - s], f"0{m * N}b")
+        assert int(bits[::-1], 2) == mirrored
 
 
 @settings(max_examples=60, deadline=None)
 @given(_small_matrices(max_bits=40, max_rows=8))
 def test_span_basis_is_fully_reduced(G):
-    """Each leading bit of span(G)'s basis appears in exactly one basis
-    vector, the one that it leads."""
-    basis = span(G, budget=1 << (G.m * G.k))._basis
-    for p in (v.bit_length() - 1 for v in basis):
-        assert sum(v >> p & 1 for v in basis) == 1
+    """Each leading bit of the basis of span(G), of dual(G) and of a code
+    built by the constructor from words appears in exactly one basis
+    vector, the one that it leads, and the basis is sorted by it."""
+    C = span(G, budget=1 << (G.m * G.k))
+    codes = [C, dual(G, budget=1 << (G.m * G.layout.N))]
+    if len(C) <= 1 << 10:
+        codes.append(LinearCode(C, G.layout, G.m))
+    for basis in (code._basis for code in codes):
+        leads = [v.bit_length() - 1 for v in basis]
+        assert leads == sorted(set(leads))
+        for p in leads:
+            assert sum(v >> p & 1 for v in basis) == 1
+
+
+def test_each_code_is_built_by_at_most_one_elimination(monkeypatch):
+    """`span` and `dual` each run `_echelon` once, through `_row_space`;
+    the public constructor reads its basis off the words and never runs
+    it, nor does a code rebuilt from its pickled basis."""
+    calls = []
+
+    def counted(vectors):
+        calls.append(1)
+        return _echelon(vectors)
+
+    monkeypatch.setattr(code_module, "_echelon", counted)
+    G = load_matrix(DATA / "worked_example.txt")
+    for build in (span, dual):
+        calls.clear()
+        C = build(G)
+        assert len(calls) == 1
+        calls.clear()
+        assert LinearCode(C, G.layout, G.m)._basis == C._basis
+        assert pickle.loads(pickle.dumps(C))._basis == C._basis
+        assert calls == []
+
+
+def _mirrored_kernel(G):
+    """Referee of `dual`'s basis by a second route: rows packed coordinate
+    0 most significant, one elimination, each non-leading bit f plus the
+    leading bits of the rows that hold it, every bit mirrored within its
+    coordinate, then a second elimination."""
+    m, N = G.m, G.layout.N
+    rows = [_pack((x.bits for x in row), m) for row in G.rows]
+    basis = _row_space(m, N, rows)
+    kernel = []
+    for f in range(m * N):
+        if f not in basis:
+            bits = [f] + [p for p, row in basis.items() if row >> f & 1]
+            kernel.append(sum(1 << i + m - 1 - 2 * (i % m) for i in bits))
+    reduced = _echelon(kernel)
+    return tuple(reduced[p] for p in sorted(reduced))
+
+
+def test_dual_basis_equals_the_mirrored_kernel_route():
+    """A fully reduced basis is unique, so the one-elimination dual has the
+    basis the mirror-then-eliminate route gives, on random matrices with
+    and without non-unit entries, on zero rows and on the empty matrix."""
+    rng = random.Random(97)
+    for _ in range(300):
+        m, N, k = rng.randint(1, 5), rng.randint(1, 6), rng.randint(0, 5)
+        if rng.random() < 0.5:  # non-unit entries only: not a free code
+            rows = [[rng.randrange(0, 1 << m, 2) for _ in range(N)] for _ in range(k)]
+        else:
+            rows = [[rng.randrange(1 << m) for _ in range(N)] for _ in range(k)]
+        lay = ByteLayout(b=N, t=1, n=1)
+        G = GeneratorMatrix([[RingElement(m, x) for x in r] for r in rows], lay, m=m)
+        assert dual(G, budget=1 << 64)._basis == _mirrored_kernel(G)
+    for m in (1, 3):
+        for G in (GeneratorMatrix([], ByteLayout(b=2, t=1, n=2), m=m),
+                  GeneratorMatrix([[zero(m)] * 3], ByteLayout(b=3, t=1, n=1))):
+            assert dual(G)._basis == _mirrored_kernel(G)
+    G = load_matrix(DATA / "worked_example.txt")
+    assert dual(G)._basis == _mirrored_kernel(G)
 
 
 def test_dual_kernel_matches_scan_wide_matrices():

@@ -84,6 +84,18 @@ def test_kernel_validation():
         f_poly(0, 3, 0, 2)
 
 
+def test_kernel_parameters_are_read_through_operator_index():
+    """f_poly reads j, b, m and t as ints: a float is refused with
+    ParameterError, not a bare TypeError, and numpy integers give the exact
+    kernel, where (2^m - 1)^j2 would wrap in int64 at m = 40."""
+    for args in ((0.0, 3, 4, 2), (0, 3.0, 4, 2), (0, 3, 4.0, 2), (0, 3, 4, 2.0)):
+        with pytest.raises(ParameterError, match="must be an int"):
+            f_poly(*args)
+    wide = f_poly(1, 3, 40, 2)
+    assert f_poly(*map(np.int64, (1, 3, 40, 2))) == wide
+    assert wide.coeff(2) == -(((1 << 40) - 1) ** 2)  # -(2^m - 1)^2, past int64
+
+
 def test_enumerator_from_distribution_matches_direct():
     rng = random.Random(71)
     for _ in range(25):

@@ -173,6 +173,25 @@ def test_json_terms_round_trip():
     assert Polynomial.from_json_terms([]) == Polynomial.zero()
 
 
+def test_json_terms_refuse_what_the_wire_form_never_holds():
+    """An exponent must be an int and a coefficient an int or the wire
+    form's decimal string: a float exponent used to be truncated (1.5 read
+    as 1), and int()'s looser string forms were taken."""
+    assert Polynomial.from_json_terms(
+        [{"exp": np.int64(1), "coeff": "-12"}, {"exp": 0, "coeff": 3}]
+    ) == Polynomial({0: 3, 1: -12})
+    bad_terms = [
+        {"exp": 1.5, "coeff": "2"}, {"exp": "1", "coeff": "2"},
+        {"exp": 1, "coeff": 2.0}, {"exp": 1, "coeff": "2.0"},
+        {"exp": 1, "coeff": "+2"}, {"exp": 1, "coeff": " 2"},
+        {"exp": 1, "coeff": "1_000"}, {"exp": 1, "coeff": "\u0662"},
+        {"exp": 1, "coeff": ""}, {"exp": 1, "coeff": "9" * 5000},
+    ]
+    for term in bad_terms:
+        with pytest.raises(ParameterError):
+            Polynomial.from_json_terms([term])
+
+
 def test_hash_and_eq():
     a = Polynomial({0: 1, 2: 2})
     b = Polynomial([(2, 2), (0, 1)])

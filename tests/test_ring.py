@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -206,6 +207,24 @@ def test_m_bounds():
     # the top of the supported range still works
     x = monomial(16, 15)
     assert (x * monomial(16, 1)).is_zero()
+
+
+def test_ring_parameters_are_read_through_operator_index():
+    """m, a coefficient mask and an exponent follow the package's integer
+    rule: numpy integers pass and are stored as ints, and a float is
+    refused with ParameterError, where it used to be kept (so that `repr`
+    raised TypeError) or to raise a bare TypeError."""
+    x = RingElement(np.int64(2), np.uint8(3))
+    assert x == RingElement(2, 3) and repr(x) == "RingElement(m=2, '1+u')"
+    assert type(x.m) is int and type(x.bits) is int
+    assert monomial(np.int64(4), np.int64(1)) == monomial(4, 1)
+    assert ideal_elements(np.int64(3), np.int64(1)) == ideal_elements(3, 1)
+    assert [type(y.m) for y in elements(np.int64(1))] == [int, int]
+    for bad in (lambda: RingElement(2, 1.0), lambda: RingElement(2.0, 1),
+                lambda: monomial(4, 1.0), lambda: monomial(4.0, 1),
+                lambda: ideal_elements(3, 1.0), lambda: zero("2")):
+        with pytest.raises(ParameterError, match="must be an int"):
+            bad()
 
 
 _any_element = st.integers(1, 16).flatmap(

@@ -45,10 +45,24 @@ POLYNOMIAL = "src/mspotty/polynomial.py"
 
 MUTANTS = [
     Mutant(
-        "_mirror returns i",
+        "dual packs its rows without reversing the coordinates",
         CODE,
-        "return i + m - 1 - 2 * (i % m)",
-        "return i",
+        "(x.bits for x in reversed(row))",
+        "(x.bits for x in row)",
+        ("tests/test_code.py",),
+    ),
+    Mutant(
+        "the kernel bits left unreversed",
+        CODE,
+        "kernel.append(sum(1 << top - i for i in bits))",
+        "kernel.append(sum(1 << i for i in bits))",
+        ("tests/test_code.py",),
+    ),
+    Mutant(
+        "_closed reads its rows at 2^j + 1",
+        CODE,
+        "basis = [ordered[1 << j] for j in",
+        "basis = [ordered[(1 << j) + 1] for j in",
         ("tests/test_code.py",),
     ),
     Mutant(
